@@ -72,7 +72,9 @@ Status Catalog::RebuildDerivedIndexes() {
                      return Status::OK();
                    }));
     for (const auto& [key, value] : entries) {
-      if (store_->Contains(static_cast<Oid>(value))) continue;
+      GAEA_ASSIGN_OR_RETURN(bool stored,
+                            store_->Contains(static_cast<Oid>(value)));
+      if (stored) continue;
       GAEA_RETURN_IF_ERROR(tree->Delete(key, value));
     }
   }
@@ -228,7 +230,8 @@ Status Catalog::ApplyReplicatedRecord(const std::string& record) {
 
 Status Catalog::InsertObjectAt(DataObject obj, Oid oid) {
   std::unique_lock lock(mu_);
-  if (store_->Contains(oid)) {
+  GAEA_ASSIGN_OR_RETURN(bool stored, store_->Contains(oid));
+  if (stored) {
     return Status::AlreadyExists("object " + std::to_string(oid) +
                                  " already stored");
   }
@@ -269,7 +272,9 @@ StatusOr<DataObject> Catalog::GetObjectUnlocked(Oid oid) const {
   return DataObject::Deserialize(&r);
 }
 
-bool Catalog::ContainsObject(Oid oid) const { return store_->Contains(oid); }
+StatusOr<bool> Catalog::ContainsObject(Oid oid) const {
+  return store_->Contains(oid);
+}
 
 Status Catalog::DeleteObject(Oid oid) {
   std::unique_lock lock(mu_);

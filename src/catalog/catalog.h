@@ -57,7 +57,8 @@ class Catalog {
   // Type-checks and stores; assigns and returns the OID.
   StatusOr<Oid> InsertObject(DataObject obj);
   StatusOr<DataObject> GetObject(Oid oid) const;
-  bool ContainsObject(Oid oid) const;
+  // False when `oid` is not stored; index I/O errors propagate.
+  StatusOr<bool> ContainsObject(Oid oid) const;
   Status DeleteObject(Oid oid);
 
   // All OIDs of a class, ascending.

@@ -147,8 +147,11 @@ StatusOr<std::vector<DeriveOutcome>> TaskScheduler::Execute(
         case StepItem::Kind::kFailed:
           out.status = std::move(item.status);
           break;
-        case StepItem::Kind::kCacheHit:
-          if (catalog_->ContainsObject(item.cached_oid)) {
+        case StepItem::Kind::kCacheHit: {
+          StatusOr<bool> stored = catalog_->ContainsObject(item.cached_oid);
+          if (!stored.ok()) {
+            out.status = stored.status();
+          } else if (*stored) {
             out.oid = item.cached_oid;
             out.cache_hit = true;
           } else {
@@ -166,16 +169,24 @@ StatusOr<std::vector<DeriveOutcome>> TaskScheduler::Execute(
             }
           }
           break;
+        }
         case StepItem::Kind::kPrepared: {
           if (cache_ != nullptr && item.prepared.status.ok()) {
             // Another in-flight step may have committed this key while we
             // were preparing; converge on its object (uncounted peek: the
             // compute-time miss already told the stats story).
             std::optional<Oid> dup = cache_->Peek(item.key);
-            if (dup.has_value() && catalog_->ContainsObject(*dup)) {
-              out.oid = *dup;
-              out.cache_hit = true;
-              break;
+            if (dup.has_value()) {
+              StatusOr<bool> stored = catalog_->ContainsObject(*dup);
+              if (!stored.ok()) {
+                out.status = stored.status();
+                break;
+              }
+              if (*stored) {
+                out.oid = *dup;
+                out.cache_hit = true;
+                break;
+              }
             }
           }
           StatusOr<Oid> oid = deriver_->Commit(std::move(item.prepared));

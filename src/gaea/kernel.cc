@@ -337,7 +337,8 @@ Status GaeaKernel::Recover(Env* env) {
     report.tasks_checked++;
     for (Oid oid : task.outputs) {
       if (oid > report.max_task_output) report.max_task_output = oid;
-      if (catalog_->ContainsObject(oid)) continue;
+      GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+      if (stored) continue;
       // A missing output is legitimate if the task can be replayed: Evict
       // deliberately drops stored bytes of re-derivable objects. External
       // tasks (version -1) and tasks whose process definition vanished with
@@ -705,7 +706,8 @@ StatusOr<Oid> GaeaKernel::DeriveOrReuse(
   // Fast path: the derivation cache memoizes exactly this question.
   std::string key = DerivationCache::MakeKey(*proc, inputs);
   if (std::optional<Oid> hit = derivation_cache_->Lookup(key)) {
-    if (catalog_->ContainsObject(*hit)) return *hit;
+    GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(*hit));
+    if (stored) return *hit;
     derivation_cache_->InvalidateOutput(*hit);
   }
 
@@ -716,8 +718,10 @@ StatusOr<Oid> GaeaKernel::DeriveOrReuse(
     if (it->status == TaskStatus::kCompleted &&
         it->process_version == resolved_version &&
         it->process_name == process && it->inputs == inputs &&
-        it->outputs.size() == 1 &&
-        catalog_->ContainsObject(it->outputs[0])) {
+        it->outputs.size() == 1) {
+      GAEA_ASSIGN_OR_RETURN(bool stored,
+                            catalog_->ContainsObject(it->outputs[0]));
+      if (!stored) continue;
       derivation_cache_->Insert(key, it->outputs[0]);
       return it->outputs[0];
     }
@@ -915,7 +919,8 @@ Status GaeaKernel::ApplyReplicated(const std::string& component, uint64_t from,
         // missing prefix ships; nothing was persisted.
         for (const auto& [arg, oids] : task.inputs) {
           for (Oid oid : oids) {
-            if (!catalog_->ContainsObject(oid)) {
+            GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+            if (!stored) {
               return Status::FailedPrecondition(
                   "task #" + std::to_string(task.id) + " input object " +
                   std::to_string(oid) + " not yet shipped");
@@ -938,7 +943,8 @@ Status GaeaKernel::ApplyReplicated(const std::string& component, uint64_t from,
           // Interpolation (v0) and external (v-1) outputs cannot be re-run
           // here; their bytes ship through the objects component.
           for (Oid oid : task.outputs) {
-            if (!catalog_->ContainsObject(oid)) {
+            GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+            if (!stored) {
               return Status::FailedPrecondition(
                   "task #" + std::to_string(task.id) + " output object " +
                   std::to_string(oid) + " not yet shipped");
@@ -968,7 +974,9 @@ Status GaeaKernel::RematerializeMissingOutputs() {
         task.outputs.size() != 1) {
       continue;
     }
-    if (catalog_->ContainsObject(task.outputs[0])) continue;
+    GAEA_ASSIGN_OR_RETURN(bool stored,
+                          catalog_->ContainsObject(task.outputs[0]));
+    if (stored) continue;
     if (!processes_.Version(task.process_name, task.process_version).ok()) {
       continue;
     }
@@ -980,7 +988,8 @@ Status GaeaKernel::RematerializeMissingOutputs() {
 Status GaeaKernel::RematerializeTask(const Task& task) {
   bool missing = false;
   for (Oid oid : task.outputs) {
-    if (!catalog_->ContainsObject(oid)) missing = true;
+    GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+    if (!stored) missing = true;
   }
   if (!missing) return Status::OK();  // duplicate remat after a crash
   if (task.outputs.size() != 1) {
@@ -1011,7 +1020,8 @@ StatusOr<Oid> GaeaKernel::TryRecordedDerive(
   int resolved_version = proc->version();
   std::string key = DerivationCache::MakeKey(*proc, inputs);
   if (std::optional<Oid> hit = derivation_cache_->Lookup(key)) {
-    if (catalog_->ContainsObject(*hit)) return *hit;
+    GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(*hit));
+    if (stored) return *hit;
     derivation_cache_->InvalidateOutput(*hit);
   }
   const auto& tasks = task_log_->tasks();
@@ -1019,8 +1029,10 @@ StatusOr<Oid> GaeaKernel::TryRecordedDerive(
     if (it->status == TaskStatus::kCompleted &&
         it->process_version == resolved_version &&
         it->process_name == process && it->inputs == inputs &&
-        it->outputs.size() == 1 &&
-        catalog_->ContainsObject(it->outputs[0])) {
+        it->outputs.size() == 1) {
+      GAEA_ASSIGN_OR_RETURN(bool stored,
+                            catalog_->ContainsObject(it->outputs[0]));
+      if (!stored) continue;
       derivation_cache_->Insert(key, it->outputs[0]);
       return it->outputs[0];
     }
@@ -1035,7 +1047,10 @@ void GaeaKernel::WarmDerivationCache() {
         task.outputs.size() != 1) {
       continue;
     }
-    if (!catalog_->ContainsObject(task.outputs[0])) continue;
+    // Warming is only a head start: an output that cannot be probed now is
+    // left for the first derive to find (or fail on).
+    StatusOr<bool> stored = catalog_->ContainsObject(task.outputs[0]);
+    if (!stored.ok() || !*stored) continue;
     auto proc = processes_.Version(task.process_name, task.process_version);
     if (!proc.ok()) continue;
     derivation_cache_->Insert(DerivationCache::MakeKey(**proc, task.inputs),
@@ -1044,7 +1059,8 @@ void GaeaKernel::WarmDerivationCache() {
 }
 
 Status GaeaKernel::Evict(Oid oid) {
-  if (!catalog_->ContainsObject(oid)) {
+  GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+  if (!stored) {
     return Status::NotFound("object " + std::to_string(oid) + " is not stored");
   }
   auto producer = task_log_->Producer(oid);
@@ -1078,14 +1094,16 @@ StatusOr<TaskId> GaeaKernel::RecordExternalTask(
   }
   for (const auto& [arg, oids] : inputs) {
     for (Oid oid : oids) {
-      if (!catalog_->ContainsObject(oid)) {
+      GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+      if (!stored) {
         return Status::NotFound("external task input object " +
                                 std::to_string(oid) + " is not stored");
       }
     }
   }
   for (Oid oid : outputs) {
-    if (!catalog_->ContainsObject(oid)) {
+    GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+    if (!stored) {
       return Status::NotFound("external task output object " +
                               std::to_string(oid) + " is not stored");
     }

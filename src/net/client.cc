@@ -106,8 +106,8 @@ Status GaeaClient::ConnectLocked() {
   return shaken;
 }
 
-StatusOr<std::string> GaeaClient::CallOnceLocked(MsgType type, uint64_t id,
-                                                 std::string_view body) {
+StatusOr<GaeaClient::Reply> GaeaClient::CallOnceLocked(
+    MsgType type, uint64_t id, std::string_view body) {
   // When tracing is on this span covers the send and the wait for the
   // reply, and mints a trace id if the caller has none; the id rides the
   // request header so the server's spans land in the same trace. A retry
@@ -133,11 +133,12 @@ StatusOr<std::string> GaeaClient::CallOnceLocked(MsgType type, uint64_t id,
   BinaryWriter payload;
   EncodeRequestHeader(header, &payload);
   payload.PutRaw(body.data(), body.size());
-  GAEA_RETURN_IF_ERROR(SendAll(fd_, EncodeFrame(payload.buffer())));
+  GAEA_RETURN_IF_ERROR(
+      SendFrame(fd_, EncodeFrameHeader(payload.buffer()), payload.buffer()));
 
   for (;;) {
-    std::string response;
-    GAEA_ASSIGN_OR_RETURN(bool have, frames_.Next(&response));
+    Reply reply;
+    GAEA_ASSIGN_OR_RETURN(bool have, frames_.Next(&reply.payload));
     if (!have) {
       bool closed = false;
       GAEA_RETURN_IF_ERROR(RecvInto(fd_, &frames_, &closed));
@@ -146,7 +147,7 @@ StatusOr<std::string> GaeaClient::CallOnceLocked(MsgType type, uint64_t id,
       }
       continue;
     }
-    BinaryReader reader(response);
+    BinaryReader reader(reply.payload);
     GAEA_ASSIGN_OR_RETURN(ResponseHeader rh, DecodeResponseHeader(&reader));
     if (rh.id != header.id) continue;  // stale answer from a prior timeout
     // Track the largest cluster LSN seen even on errors — the header is
@@ -157,11 +158,13 @@ StatusOr<std::string> GaeaClient::CallOnceLocked(MsgType type, uint64_t id,
                                                std::memory_order_relaxed)) {
     }
     GAEA_RETURN_IF_ERROR(ResponseStatus(rh));
-    return response.substr(reader.position());
+    reply.body_offset = reader.position();
+    return reply;
   }
 }
 
-StatusOr<std::string> GaeaClient::Call(MsgType type, std::string_view body) {
+StatusOr<GaeaClient::Reply> GaeaClient::Call(MsgType type,
+                                             std::string_view body) {
   std::lock_guard<std::mutex> lock(mu_);
   // One id for all attempts: paired with the idempotency nonce it names
   // *this piece of work*, letting the server recognize a retry of a request
@@ -218,9 +221,9 @@ Status GaeaClient::ExecuteDdl(const std::string& source) {
 StatusOr<int> GaeaClient::DefineProcess(const ProcessDef& def) {
   BinaryWriter body;
   def.Serialize(&body);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kDefineProcess, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   return reader.GetI32();
 }
 
@@ -234,9 +237,9 @@ StatusOr<Oid> GaeaClient::Derive(
   request.inputs = inputs;
   BinaryWriter body;
   EncodeDeriveRequest(request, &body);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kDerive, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   GAEA_ASSIGN_OR_RETURN(Oid oid, reader.GetU64());
   GAEA_ASSIGN_OR_RETURN(bool hit, reader.GetBool());
   if (cache_hit != nullptr) *cache_hit = hit;
@@ -250,9 +253,9 @@ StatusOr<std::vector<DeriveOutcome>> GaeaClient::DeriveBatch(
   for (const DeriveRequest& request : requests) {
     EncodeDeriveRequest(request, &body);
   }
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kDeriveBatch, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   GAEA_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
   // A DeriveOutcome encodes to at least 14 bytes (code, message length
   // prefix, oid, cache bit), bounding how many fit in the reply.
@@ -269,9 +272,9 @@ StatusOr<std::vector<DeriveOutcome>> GaeaClient::DeriveBatch(
 StatusOr<LineageReply> GaeaClient::Lineage(Oid oid) {
   BinaryWriter body;
   body.PutU64(oid);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kLineage, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   return DecodeLineageReply(&reader);
 }
 
@@ -279,76 +282,85 @@ StatusOr<ProvenanceReply> GaeaClient::Provenance(
     const ProvenanceRequest& request) {
   BinaryWriter body;
   EncodeProvenanceRequest(request, &body);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kProvenance, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   return DecodeProvenanceReply(&reader);
 }
 
 StatusOr<std::string> GaeaClient::StatsJson() {
-  GAEA_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kStats, {}));
-  BinaryReader reader(reply);
+  GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kStats, {}));
+  BinaryReader reader(reply.body());
   return reader.GetString();
 }
 
 StatusOr<std::string> GaeaClient::Metrics() {
-  GAEA_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kMetrics, {}));
-  BinaryReader reader(reply);
+  GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kMetrics, {}));
+  BinaryReader reader(reply.body());
   return reader.GetString();
 }
 
 StatusOr<std::vector<Diagnostic>> GaeaClient::Lint() {
-  GAEA_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kLint, {}));
-  BinaryReader reader(reply);
+  GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kLint, {}));
+  BinaryReader reader(reply.body());
   return DecodeLintReply(&reader);
 }
 
 StatusOr<CheckpointReply> GaeaClient::Checkpoint() {
-  GAEA_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kCheckpoint, {}));
-  BinaryReader reader(reply);
+  GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kCheckpoint, {}));
+  BinaryReader reader(reply.body());
   return DecodeCheckpointReply(&reader);
 }
 
 StatusOr<SubscribeReply> GaeaClient::Subscribe(const std::string& replica_id) {
   BinaryWriter body;
   body.PutString(replica_id);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kSubscribe, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   return DecodeSubscribeReply(&reader);
 }
 
 StatusOr<ShipReply> GaeaClient::ShipBatch(const ShipRequest& request) {
   BinaryWriter body;
   EncodeShipRequest(request, &body);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kShipBatch, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   return DecodeShipReply(&reader);
 }
 
 StatusOr<ReplicaStatusReply> GaeaClient::ReplicaStatus() {
-  GAEA_ASSIGN_OR_RETURN(std::string reply, Call(MsgType::kReplicaStatus, {}));
-  BinaryReader reader(reply);
+  GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kReplicaStatus, {}));
+  BinaryReader reader(reply.body());
   return DecodeReplicaStatusReply(&reader);
 }
 
 StatusOr<Oid> GaeaClient::InsertObject(const InsertObjectRequest& request) {
   BinaryWriter body;
   EncodeInsertObjectRequest(request, &body);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kInsertObject, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.body());
   return reader.GetU64();
 }
 
 StatusOr<std::string> GaeaClient::GetObjectRaw(Oid oid) {
   BinaryWriter body;
   body.PutU64(oid);
-  GAEA_ASSIGN_OR_RETURN(std::string reply,
+  GAEA_ASSIGN_OR_RETURN(Reply reply,
                         Call(MsgType::kGetObject, body.buffer()));
-  BinaryReader reader(reply);
-  return reader.GetString();
+  BinaryReader reader(reply.body());
+  GAEA_ASSIGN_OR_RETURN(uint32_t size, reader.GetU32());
+  if (reader.remaining() < size) {
+    return Status::Corruption("object reply truncated");
+  }
+  // The received frame becomes the result: the object's bytes are slid to
+  // the front of the buffer they arrived in rather than copied out of it.
+  std::string& bytes = reply.payload;
+  bytes.erase(0, reply.body_offset + reader.position());
+  bytes.resize(size);
+  return std::move(bytes);
 }
 
 }  // namespace gaea::net

@@ -160,13 +160,23 @@ class GaeaClient {
   // Caller holds mu_.
   Status ConnectLocked();
 
-  // Sends one request under `id` and blocks for its response; returns the
-  // response body (bytes after the ResponseHeader). Caller holds mu_.
-  StatusOr<std::string> CallOnceLocked(MsgType type, uint64_t id,
-                                       std::string_view body);
+  // A response payload as received, decoded in place: the body is the
+  // bytes after the ResponseHeader.
+  struct Reply {
+    std::string payload;
+    size_t body_offset = 0;
+    std::string_view body() const {
+      return std::string_view(payload).substr(body_offset);
+    }
+  };
+
+  // Sends one request under `id` and blocks for its response. Caller holds
+  // mu_.
+  StatusOr<Reply> CallOnceLocked(MsgType type, uint64_t id,
+                                 std::string_view body);
 
   // Retry loop around ConnectLocked + CallOnceLocked per options_.retry.
-  StatusOr<std::string> Call(MsgType type, std::string_view body);
+  StatusOr<Reply> Call(MsgType type, std::string_view body);
 
   std::mutex mu_;
   std::string host_;

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 
@@ -274,7 +275,8 @@ void GaeaServer::HandleFrame(std::shared_ptr<Session> session,
   Job job;
   job.session = std::move(session);
   job.header = header;
-  job.body = payload.substr(reader.position());
+  job.body_offset = reader.position();
+  job.payload = std::move(payload);
   job.admitted_us = env_->NowMicros();
   // Admission is decided under queue_mu_, but the rejection response is
   // sent after the lock is dropped: Respond() is a blocking socket send,
@@ -434,9 +436,12 @@ void GaeaServer::ExecuteJob(Job job) {
         std::chrono::microseconds(options_.service_floor_us));
   }
 
-  BinaryReader reader(job.body);
+  BinaryReader reader(std::string_view(job.payload).substr(job.body_offset));
   Status result = Status::OK();
-  BinaryWriter body;
+  // The reply is built in one buffer: the body is encoded behind room for
+  // an OK response header, which is filled in once the result is known, so
+  // a large body (a GetObject raster) is never copied to be framed.
+  BinaryWriter body(std::string(kOkResponseHeaderBytes, '\0'));
   switch (header.type) {
     case MsgType::kDdl: {
       if (options_.replica) {
@@ -691,8 +696,14 @@ void GaeaServer::ExecuteJob(Job job) {
       break;
   }
   std::string encoded = EncodeResponsePayload(header.id, header.type,
-                                              header.trace_id, result,
-                                              body.buffer());
+                                              header.trace_id, result, {});
+  if (result.ok()) {
+    // The body sits behind room for exactly this header.
+    assert(encoded.size() == kOkResponseHeaderBytes);
+    std::string reply = body.Release();
+    std::memcpy(reply.data(), encoded.data(), encoded.size());
+    encoded = std::move(reply);
+  }
   // Record the response in the idempotency cache BEFORE it can reach the
   // client: once the client holds the reply it may retry immediately, and
   // that retry must find the completed entry, not the pending marker.
@@ -867,9 +878,15 @@ Status GaeaServer::HandleInsertObject(BinaryReader* r, BinaryWriter* body) {
 Status GaeaServer::HandleGetObject(BinaryReader* r, BinaryWriter* body) {
   GAEA_ASSIGN_OR_RETURN(uint64_t oid, r->GetU64());
   std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-  GAEA_ASSIGN_OR_RETURN(std::string payload,
-                        kernel_->catalog().store()->Get(oid));
-  body->PutString(payload);
+  // The object's bytes go from the heap pages straight into the reply,
+  // behind a u32 length prefix that is patched once the size is known —
+  // the same bytes PutString would have written.
+  std::string* reply = body->mutable_buffer();
+  size_t len_at = reply->size();
+  body->PutU32(0);
+  GAEA_RETURN_IF_ERROR(kernel_->catalog().store()->GetInto(oid, reply));
+  uint32_t len = static_cast<uint32_t>(reply->size() - len_at - 4);
+  std::memcpy(reply->data() + len_at, &len, 4);
   return Status::OK();
 }
 
@@ -885,10 +902,9 @@ void GaeaServer::CountResponse(const Status& status) {
 
 void GaeaServer::Respond(Session& session, uint64_t id, MsgType request_type,
                          uint64_t trace_id, const Status& status,
-                         std::string_view body, std::string* encoded) {
+                         std::string_view body) {
   std::string payload =
       EncodeResponsePayload(id, request_type, trace_id, status, body);
-  if (encoded != nullptr) *encoded = payload;
   CountResponse(status);
   // A failed send means the peer vanished; its reader will notice and the
   // session gets reaped, so the error is intentionally not propagated.

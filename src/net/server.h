@@ -137,7 +137,8 @@ class GaeaServer {
   struct Job {
     std::shared_ptr<Session> session;
     RequestHeader header;
-    std::string body;         // payload after the request header
+    std::string payload;      // the whole request frame, decoded in place
+    size_t body_offset = 0;   // where the body starts, after the header
     uint64_t admitted_us = 0; // Env::NowMicros at admission
   };
 
@@ -153,8 +154,7 @@ class GaeaServer {
 
   // `trace_id` is echoed in the response header (0 = request untraced).
   void Respond(Session& session, uint64_t id, MsgType request_type,
-               uint64_t trace_id, const Status& status, std::string_view body,
-               std::string* encoded = nullptr);
+               uint64_t trace_id, const Status& status, std::string_view body);
   // Non-static: stamps the kernel's current cluster LSN into the response
   // header's applied_lsn, the token clients carry for read-your-writes.
   std::string EncodeResponsePayload(uint64_t id, MsgType request_type,

@@ -30,12 +30,14 @@ void Session::Join() {
 }
 
 Status Session::Send(std::string_view payload) {
-  std::string frame = EncodeFrame(payload);
+  // Checksummed before the write lock, which covers only the syscalls.
+  FrameHeader header = EncodeFrameHeader(payload);
   std::lock_guard<std::mutex> lock(write_mu_);
-  Status status = SendAll(fd_, frame);
+  Status status = SendFrame(fd_, header, payload);
   if (status.ok()) {
-    counters_.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
-    server_->AddBytesOut(frame.size());
+    uint64_t bytes = header.size() + payload.size();
+    counters_.bytes_out.fetch_add(bytes, std::memory_order_relaxed);
+    server_->AddBytesOut(bytes);
   }
   return status;
 }

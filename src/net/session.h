@@ -54,8 +54,9 @@ class Session : public std::enable_shared_from_this<Session> {
   uint64_t id() const { return id_; }
   Counters& counters() { return counters_; }
 
-  // Frames and writes one response payload; serialized across the
-  // reader (hello/ping/stats) and any worker finishing a request.
+  // Frames and writes one response payload without copying it (header
+  // and payload gathered by one sendmsg); serialized across the reader
+  // (hello/ping/stats) and any worker finishing a request.
   Status Send(std::string_view payload);
 
   // True until the hello exchange succeeds; no other request is served

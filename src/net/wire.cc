@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <cstring>
@@ -9,26 +10,45 @@
 
 namespace gaea::net {
 
-std::string EncodeFrame(std::string_view payload) {
+FrameHeader EncodeFrameHeader(std::string_view payload) {
   uint32_t len = static_cast<uint32_t>(payload.size());
   uint32_t crc = Crc32(payload.data(), payload.size());
+  FrameHeader header;
+  std::memcpy(header.data(), &len, 4);
+  std::memcpy(header.data() + 4, &crc, 4);
+  return header;
+}
+
+std::string EncodeFrame(std::string_view payload) {
+  FrameHeader header = EncodeFrameHeader(payload);
   std::string frame;
-  frame.reserve(8 + payload.size());
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  frame.append(reinterpret_cast<const char*>(&crc), 4);
+  frame.reserve(header.size() + payload.size());
+  frame.append(header.data(), header.size());
   frame.append(payload);
   return frame;
 }
 
-StatusOr<bool> FrameBuffer::Next(std::string* payload) {
-  if (buf_.size() - pos_ < 8) {
-    // Drop the consumed prefix once it dominates the buffer.
-    if (pos_ > 0 && pos_ == buf_.size()) {
-      buf_.clear();
-      pos_ = 0;
-    }
-    return false;
+void FrameBuffer::Append(const char* data, size_t n) {
+  if (n == 0) return;
+  Reserve(n);
+  std::memcpy(buf_.data() + end_, data, n);
+  end_ += n;
+}
+
+void FrameBuffer::Reserve(size_t n) {
+  if (pos_ > 0) {
+    // Unparsed bytes (on a socket: the start of a partly received frame)
+    // move to the front. A large frame is slid once, right after its
+    // header is parsed, and then received in place.
+    std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
+    pos_ = 0;
   }
+  if (buf_.size() < end_ + n) buf_.resize(end_ + n);
+}
+
+Status FrameBuffer::ParseHeader() {
+  if (have_header_ || end_ - pos_ < sizeof(FrameHeader)) return Status::OK();
   uint32_t len, crc;
   std::memcpy(&len, buf_.data() + pos_, 4);
   std::memcpy(&crc, buf_.data() + pos_ + 4, 4);
@@ -37,17 +57,46 @@ StatusOr<bool> FrameBuffer::Next(std::string* payload) {
                               " bytes exceeds limit of " +
                               std::to_string(kMaxFramePayload));
   }
-  if (buf_.size() - pos_ < 8 + static_cast<size_t>(len)) return false;
-  std::string_view body(buf_.data() + pos_ + 8, len);
-  if (Crc32(body.data(), body.size()) != crc) {
+  pos_ += sizeof(FrameHeader);
+  len_ = len;
+  crc_ = crc;
+  have_header_ = true;
+  return Status::OK();
+}
+
+StatusOr<std::span<char>> FrameBuffer::RecvSpace() {
+  GAEA_RETURN_IF_ERROR(ParseHeader());
+  size_t want = kRecvChunk;
+  if (have_header_ && end_ - pos_ < len_) {
+    // Exactly the rest of this frame, so it ends flush with the buffer.
+    want = len_ - (end_ - pos_);
+    Reserve(want);
+    return std::span<char>(buf_.data() + end_, want);
+  }
+  Reserve(want);
+  return std::span<char>(buf_.data() + end_, buf_.size() - end_);
+}
+
+StatusOr<bool> FrameBuffer::Next(std::string* payload) {
+  GAEA_RETURN_IF_ERROR(ParseHeader());
+  if (!have_header_ || end_ - pos_ < len_) return false;
+  std::string_view body(buf_.data() + pos_, len_);
+  if (Crc32(body.data(), body.size()) != crc_) {
     return Status::Corruption("frame CRC mismatch");
   }
-  payload->assign(body);
-  pos_ += 8 + len;
-  if (pos_ >= (64u << 10) || pos_ == buf_.size()) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
+  have_header_ = false;
+  if (pos_ == 0 && end_ == len_ && len_ >= kRecvChunk) {
+    // A large frame that fills the buffer changes owner instead of being
+    // copied; the next frame gets a fresh buffer.
+    buf_.resize(len_);
+    *payload = std::move(buf_);
+    buf_ = std::string();
+    end_ = 0;
+    return true;
   }
+  payload->assign(body);
+  pos_ += len_;
+  if (pos_ == end_) pos_ = end_ = 0;
   return true;
 }
 
@@ -499,25 +548,59 @@ StatusOr<std::vector<Diagnostic>> DecodeLintReply(BinaryReader* r) {
   return diags;
 }
 
-Status SendAll(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_NOSIGNAL);
+namespace {
+
+// The one send loop: gathers `iov` with sendmsg until every byte is out.
+Status SendIov(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError("send: " + std::string(std::strerror(errno)));
     }
-    sent += static_cast<size_t>(n);
+    // Short write: drop what went out, resume inside the first partial
+    // iovec.
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
 
+}  // namespace
+
+Status SendFrame(int fd, const FrameHeader& header,
+                 std::string_view payload) {
+  iovec iov[2];
+  iov[0].iov_base = const_cast<char*>(header.data());
+  iov[0].iov_len = header.size();
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  return SendIov(fd, iov, 2);
+}
+
+Status SendAll(int fd, std::string_view data) {
+  iovec iov;
+  iov.iov_base = const_cast<char*>(data.data());
+  iov.iov_len = data.size();
+  return SendIov(fd, &iov, 1);
+}
+
 Status RecvInto(int fd, FrameBuffer* fb, bool* closed) {
   *closed = false;
-  char chunk[16 * 1024];
+  GAEA_ASSIGN_OR_RETURN(std::span<char> space, fb->RecvSpace());
   for (;;) {
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ssize_t n = ::recv(fd, space.data(), space.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError("recv: " + std::string(std::strerror(errno)));
@@ -526,7 +609,7 @@ Status RecvInto(int fd, FrameBuffer* fb, bool* closed) {
       *closed = true;
       return Status::OK();
     }
-    fb->Append(chunk, static_cast<size_t>(n));
+    fb->Commit(static_cast<size_t>(n));
     return Status::OK();
   }
 }

@@ -11,8 +11,10 @@
 #ifndef GAEA_NET_WIRE_H_
 #define GAEA_NET_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,26 +53,64 @@ constexpr uint32_t kMaxFramePayload = 16u << 20;  // 16 MiB
 // Framing
 // ---------------------------------------------------------------------------
 
-// [u32 len][u32 crc][payload]
+// The 8 bytes that precede `payload` on the wire: [u32 len][u32 crc].
+using FrameHeader = std::array<char, 8>;
+FrameHeader EncodeFrameHeader(std::string_view payload);
+
+// [u32 len][u32 crc][payload] as one string (tests and proxies; sockets
+// send the header and payload separately with SendFrame).
 std::string EncodeFrame(std::string_view payload);
 
-// Incremental frame decoder: feed raw socket bytes with Append, pop complete
-// payloads with Next. Survives arbitrary fragmentation (byte-at-a-time
-// delivery) and reports kCorruption on CRC mismatch or an oversized length,
-// after which the stream is unusable and the connection must close.
+// Incremental frame decoder. Socket bytes are received straight into its
+// buffer (RecvInto); tests and proxies copy bytes in with Append. Pop
+// complete payloads with Next. Survives arbitrary fragmentation
+// (byte-at-a-time delivery) and reports kCorruption on CRC mismatch or an
+// oversized length, after which the stream is unusable and the connection
+// must close.
+//
+// Once a frame header has passed the kMaxFramePayload check, the buffer is
+// sized for the whole frame and receives are limited to its remaining
+// bytes, so a large frame lands contiguously with nothing behind it and is
+// handed to the caller by move rather than copied.
 class FrameBuffer {
  public:
-  void Append(const char* data, size_t n) { buf_.append(data, n); }
+  void Append(const char* data, size_t n);
 
   // True + *payload when a complete frame was removed from the buffer;
   // false when more bytes are needed; error on a corrupt stream.
   StatusOr<bool> Next(std::string* payload);
 
-  size_t buffered() const { return buf_.size() - pos_; }
+  // Where the next receive should write: the rest of the frame whose header
+  // has been parsed, else at least kRecvChunk bytes of spare room. An
+  // oversized length in the buffered header is reported here, before
+  // anything is sized from it.
+  StatusOr<std::span<char>> RecvSpace();
+  // Marks the first `n` bytes of the last RecvSpace() as received.
+  void Commit(size_t n) { end_ += n; }
+
+  // Bytes received but not yet returned by Next (frame headers included).
+  size_t buffered() const {
+    return end_ - pos_ + (have_header_ ? sizeof(FrameHeader) : 0);
+  }
+  // Receive space currently allocated.
+  size_t capacity() const { return buf_.size(); }
+
+  static constexpr size_t kRecvChunk = 64u << 10;
 
  private:
-  std::string buf_;
-  size_t pos_ = 0;  // parse cursor; the prefix is compacted lazily
+  // Consumes a buffered frame header into len_/crc_, checking the length.
+  Status ParseHeader();
+  // Slides unparsed bytes to the front and ensures `n` bytes of room.
+  void Reserve(size_t n);
+
+  std::string buf_;  // [pos_, end_) received and unparsed; the rest is room
+  size_t pos_ = 0;
+  size_t end_ = 0;
+  // When set, the header of the frame at pos_ has been consumed: buf_ from
+  // pos_ on holds its payload of len_ bytes, checksummed crc_.
+  bool have_header_ = false;
+  uint32_t len_ = 0;
+  uint32_t crc_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -159,6 +199,11 @@ struct ResponseHeader {
 };
 
 void EncodeResponseHeader(const ResponseHeader& header, BinaryWriter* w);
+// Encoded size of a ResponseHeader with an empty message, i.e. of every OK
+// reply's header: tag, id, request type, code, message length, trace id,
+// applied LSN. A server encodes a reply body behind this much room and
+// fills the header in once the result is known.
+constexpr size_t kOkResponseHeaderBytes = 1 + 8 + 1 + 1 + 4 + 8 + 8;
 // Consumes the leading kResponse tag as well.
 StatusOr<ResponseHeader> DecodeResponseHeader(BinaryReader* r);
 
@@ -325,11 +370,18 @@ StatusOr<std::vector<Diagnostic>> DecodeLintReply(BinaryReader* r);
 // Socket helpers shared by client and server session
 // ---------------------------------------------------------------------------
 
-// Writes all of `data` (send with MSG_NOSIGNAL; EINTR retried).
+// Writes one frame: `header` (EncodeFrameHeader of `payload`) and then
+// `payload`, gathered by sendmsg so the payload is neither copied nor
+// prefixed in user space. MSG_NOSIGNAL (a vanished peer is an error, not a
+// SIGPIPE); short writes and EINTR are retried.
+Status SendFrame(int fd, const FrameHeader& header, std::string_view payload);
+
+// Writes all of `data` through the same loop as SendFrame.
 Status SendAll(int fd, std::string_view data);
 
-// One recv into `fb`. *closed is set when the peer performed an orderly
-// shutdown; an error Status covers everything else.
+// One recv straight into `fb`'s RecvSpace. *closed is set when the peer
+// performed an orderly shutdown; an error Status covers everything else,
+// including an oversized frame length.
 Status RecvInto(int fd, FrameBuffer* fb, bool* closed);
 
 }  // namespace gaea::net

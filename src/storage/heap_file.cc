@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gaea {
@@ -27,8 +28,8 @@ constexpr uint32_t kOvCapacity = kPageSize - kOvDataOff;
 // Inline payload of an overflow-head slot: first page u32, total length u32.
 constexpr uint32_t kOverflowHeadBytes = 8;
 
-// Records larger than this spill to overflow pages.
-constexpr uint32_t kMaxInline = kPageSize - kSlotArrayOff - kSlotBytes - 8;
+static_assert(HeapFile::kMaxInline ==
+              kPageSize - kSlotArrayOff - kSlotBytes - 8);
 
 struct SlotInfo {
   uint16_t offset;
@@ -139,6 +140,13 @@ StatusOr<Rid> HeapFile::Insert(const std::string& record) {
 }
 
 StatusOr<std::string> HeapFile::Read(const Rid& rid) const {
+  std::string out;
+  GAEA_RETURN_IF_ERROR(ReadInto(rid, {}, &out));
+  return out;
+}
+
+Status HeapFile::ReadInto(const Rid& rid, std::span<char> prefix,
+                          std::string* out) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   GAEA_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
   const Page* page = guard.page();
@@ -154,22 +162,38 @@ StatusOr<std::string> HeapFile::Read(const Rid& rid) const {
   if (info.flags == kFlagDeleted) {
     return Status::NotFound("record deleted");
   }
+  // Every record byte is copied exactly once, from its page: the first
+  // prefix.size() bytes into `prefix`, the rest onto the end of *out.
+  size_t filled = 0;
+  auto emit = [&](const uint8_t* bytes, size_t n) {
+    const char* p = reinterpret_cast<const char*>(bytes);
+    size_t head = std::min(n, prefix.size() - filled);
+    if (head > 0) std::memcpy(prefix.data() + filled, p, head);
+    filled += head;
+    out->append(p + head, n - head);
+  };
+  uint32_t total = info.size;
+  uint32_t next = kInvalidPageId;
+  if (info.flags != kFlagLive) {
+    // Overflow chain: the head stays pinned through the guard while the
+    // chain is chased, so chain fetches can never invalidate it.
+    if (info.size != kOverflowHeadBytes) {
+      return Status::Corruption("malformed overflow head slot");
+    }
+    std::memcpy(&next, page->data() + info.offset, 4);
+    std::memcpy(&total, page->data() + info.offset + 4, 4);
+  }
+  if (total < prefix.size()) {
+    return Status::Corruption("record of " + std::to_string(total) +
+                              " bytes is shorter than its " +
+                              std::to_string(prefix.size()) + "-byte header");
+  }
+  out->reserve(out->size() + (total - prefix.size()));
   if (info.flags == kFlagLive) {
-    return std::string(reinterpret_cast<const char*>(page->data()) +
-                           info.offset,
-                       info.size);
+    emit(page->data() + info.offset, info.size);
+    return Status::OK();
   }
-  // Overflow chain: the head stays pinned through the guard while the chain
-  // is chased, so chain fetches can never invalidate it.
-  if (info.size != kOverflowHeadBytes) {
-    return Status::Corruption("malformed overflow head slot");
-  }
-  uint32_t next;
-  uint32_t total;
-  std::memcpy(&next, page->data() + info.offset, 4);
-  std::memcpy(&total, page->data() + info.offset + 4, 4);
-  std::string out;
-  out.reserve(total);
+  size_t got = 0;
   while (next != kInvalidPageId) {
     GAEA_ASSIGN_OR_RETURN(PageGuard ov, pool_->FetchPage(next));
     if (ov.page()->ReadAt<uint8_t>(0) != kOverflowPage) {
@@ -177,17 +201,17 @@ StatusOr<std::string> HeapFile::Read(const Rid& rid) const {
     }
     uint32_t len = ov.page()->ReadAt<uint32_t>(kOvLenOff);
     if (len > kOvCapacity) return Status::Corruption("overflow chunk too big");
-    out.append(reinterpret_cast<const char*>(ov.page()->data()) + kOvDataOff,
-               len);
+    got += len;
+    if (got > total) return Status::Corruption("overflow chain overrun");
+    emit(ov.page()->data() + kOvDataOff, len);
     next = ov.page()->ReadAt<uint32_t>(kOvNextOff);
-    if (out.size() > total) return Status::Corruption("overflow chain overrun");
   }
-  if (out.size() != total) {
+  if (got != total) {
     return Status::Corruption("overflow chain truncated: expected " +
                               std::to_string(total) + " bytes, got " +
-                              std::to_string(out.size()));
+                              std::to_string(got));
   }
-  return out;
+  return Status::OK();
 }
 
 Status HeapFile::Delete(const Rid& rid) {

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "storage/buffer_pool.h"
@@ -40,6 +41,11 @@ struct Rid {
 
 class HeapFile {
  public:
+  // Records larger than this spill to overflow pages: a page's 6-byte
+  // header and one 6-byte slot, plus 8 bytes of slack, must fit beside the
+  // record inline.
+  static constexpr uint32_t kMaxInline = kPageSize - 6 - 6 - 8;
+
   // Opens or creates the heap at `path`; all I/O goes through `env`.
   static StatusOr<std::unique_ptr<HeapFile>> Open(const std::string& path,
                                                   size_t pool_capacity = 256,
@@ -50,6 +56,16 @@ class HeapFile {
 
   // Reads a record by RID.
   StatusOr<std::string> Read(const Rid& rid) const;
+
+  // Reads a record by RID without reassembling it first: its first
+  // prefix.size() bytes land in `prefix` and the rest is appended to *out,
+  // each byte copied once, straight from its page. A record framed by a
+  // fixed header (the object store's OID) can so be checked and its body
+  // placed where the caller wants it, e.g. behind an encoded reply header.
+  // Corruption if the record is shorter than `prefix`; on any error *out
+  // may hold part of the record.
+  Status ReadInto(const Rid& rid, std::span<char> prefix,
+                  std::string* out) const;
 
   // Tombstones a record (overflow chains are unlinked but pages are not
   // recycled — matching the paper's "in no case is the old process

@@ -27,7 +27,11 @@
 
 namespace gaea {
 
-// CRC-32 (IEEE 802.3 polynomial) of `data`.
+// CRC-32 (IEEE 802.3 polynomial) of `data`: the checksum of every journal,
+// snapshot, manifest and archive frame, every wire frame, and the params
+// hash inside DerivationCache keys. Computed by slicing-by-16; the values are
+// those of the classic bytewise table loop, so stored and in-flight bytes
+// from any earlier build still verify.
 uint32_t Crc32(const void* data, size_t size);
 
 // One journal frame ([u32 len][u32 crc][payload]) as bytes. Snapshot files

@@ -86,9 +86,8 @@ StatusOr<std::unique_ptr<ObjectStore>> ObjectStore::Open(
         return Status::OK();
       }));
   for (const auto& [rid, oid] : heap_records) {
-    if (store->index_->LookupFirst(static_cast<int64_t>(oid)).ok()) {
-      continue;
-    }
+    GAEA_ASSIGN_OR_RETURN(bool indexed, store->Contains(oid));
+    if (indexed) continue;
     GAEA_RETURN_IF_ERROR(
         store->index_->Insert(static_cast<int64_t>(oid), rid.Encode()));
     store->restored_entries_++;
@@ -122,7 +121,8 @@ Status ObjectStore::PutWithOidLocked(Oid oid, const std::string& payload) {
   if (oid == kInvalidOid) {
     return Status::InvalidArgument("OID 0 is reserved");
   }
-  if (Contains(oid)) {
+  GAEA_ASSIGN_OR_RETURN(bool stored, Contains(oid));
+  if (stored) {
     return Status::AlreadyExists("object " + std::to_string(oid) +
                                  " already stored");
   }
@@ -133,30 +133,51 @@ Status ObjectStore::PutWithOidLocked(Oid oid, const std::string& payload) {
   return Status::OK();
 }
 
-StatusOr<std::string> ObjectStore::Get(Oid oid) const {
-  auto rid_or = index_->LookupFirst(static_cast<int64_t>(oid));
-  if (!rid_or.ok()) {
+StatusOr<Rid> ObjectStore::LookupRid(Oid oid) const {
+  auto rid_enc = index_->LookupFirst(static_cast<int64_t>(oid));
+  if (rid_enc.ok()) return Rid::Decode(*rid_enc);
+  // Only a missing key means "not stored"; a failed index-page read must
+  // reach the caller as the I/O error it is.
+  if (rid_enc.status().code() == StatusCode::kNotFound) {
     return Status::NotFound("object " + std::to_string(oid) + " not stored");
   }
-  GAEA_ASSIGN_OR_RETURN(std::string record, heap_->Read(Rid::Decode(*rid_or)));
-  Oid header = kInvalidOid;
-  if (!UnwrapOid(record, &header) || header != oid) {
-    return Status::Corruption("object " + std::to_string(oid) +
-                              ": heap record does not carry its OID");
-  }
-  return record.substr(kOidHeaderBytes);
+  return rid_enc.status();
 }
 
-bool ObjectStore::Contains(Oid oid) const {
-  auto rid_or = index_->LookupFirst(static_cast<int64_t>(oid));
-  return rid_or.ok();
+StatusOr<std::string> ObjectStore::Get(Oid oid) const {
+  std::string payload;
+  GAEA_RETURN_IF_ERROR(GetInto(oid, &payload));
+  return payload;
+}
+
+Status ObjectStore::GetInto(Oid oid, std::string* out) const {
+  GAEA_ASSIGN_OR_RETURN(Rid rid, LookupRid(oid));
+  size_t base = out->size();
+  char header[kOidHeaderBytes];
+  Status read = heap_->ReadInto(rid, header, out);
+  if (read.ok()) {
+    Oid stored;
+    std::memcpy(&stored, header, kOidHeaderBytes);
+    if (stored != oid) {
+      read = Status::Corruption("object " + std::to_string(oid) +
+                                ": heap record does not carry its OID");
+    }
+  }
+  if (!read.ok()) out->resize(base);
+  return read;
+}
+
+StatusOr<bool> ObjectStore::Contains(Oid oid) const {
+  StatusOr<Rid> rid = LookupRid(oid);
+  if (rid.ok()) return true;
+  if (rid.status().code() == StatusCode::kNotFound) return false;
+  return rid.status();
 }
 
 Status ObjectStore::Delete(Oid oid) {
-  GAEA_ASSIGN_OR_RETURN(uint64_t rid_enc,
-                        index_->LookupFirst(static_cast<int64_t>(oid)));
-  GAEA_RETURN_IF_ERROR(heap_->Delete(Rid::Decode(rid_enc)));
-  return index_->Delete(static_cast<int64_t>(oid), rid_enc);
+  GAEA_ASSIGN_OR_RETURN(Rid rid, LookupRid(oid));
+  GAEA_RETURN_IF_ERROR(heap_->Delete(rid));
+  return index_->Delete(static_cast<int64_t>(oid), rid.Encode());
 }
 
 Status ObjectStore::ForEach(
@@ -174,14 +195,11 @@ Status ObjectStore::ForEach(
         return Status::OK();
       }));
   for (const auto& [key, rid_enc] : entries) {
-    GAEA_ASSIGN_OR_RETURN(std::string record,
-                          heap_->Read(Rid::Decode(rid_enc)));
-    if (record.size() < kOidHeaderBytes) {
-      return Status::Corruption("object " + std::to_string(key) +
-                                ": heap record shorter than OID header");
-    }
-    GAEA_RETURN_IF_ERROR(fn(static_cast<Oid>(key),
-                            record.substr(kOidHeaderBytes)));
+    char header[kOidHeaderBytes];
+    std::string payload;
+    GAEA_RETURN_IF_ERROR(
+        heap_->ReadInto(Rid::Decode(rid_enc), header, &payload));
+    GAEA_RETURN_IF_ERROR(fn(static_cast<Oid>(key), payload));
   }
   return Status::OK();
 }

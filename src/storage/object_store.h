@@ -38,8 +38,15 @@ class ObjectStore {
   // Stores `payload` under a caller-chosen OID (used on journal replay).
   Status PutWithOid(Oid oid, const std::string& payload);
 
+  // kNotFound when no object is stored under `oid`; any other failure
+  // (an index or heap page that cannot be read) is returned as is.
   StatusOr<std::string> Get(Oid oid) const;
-  bool Contains(Oid oid) const;
+  // Appends the payload stored under `oid` to *out, copied once from the
+  // heap pages — the read path behind a GetObject reply, which puts the
+  // bytes straight behind its encoded header. On error *out is unchanged.
+  Status GetInto(Oid oid, std::string* out) const;
+  // False only when the OID index has no entry; index I/O errors propagate.
+  StatusOr<bool> Contains(Oid oid) const;
   Status Delete(Oid oid);
 
   // Visits every live object in OID order.
@@ -81,6 +88,7 @@ class ObjectStore {
       : heap_(std::move(heap)), index_(std::move(index)) {}
 
   Status PutWithOidLocked(Oid oid, const std::string& payload);
+  StatusOr<Rid> LookupRid(Oid oid) const;
 
   // Guards next_oid_ and makes Put (allocate OID + insert) atomic; the heap
   // and index have their own latches for reads that bypass this mutex.

@@ -120,7 +120,8 @@ Status VerifyRecovered(const std::string& dir, Env* env) {
   for (const Task& task : kernel->tasks().tasks()) {
     if (task.status != TaskStatus::kCompleted) continue;
     for (Oid oid : task.outputs) {
-      if (kernel->catalog().ContainsObject(oid)) {
+      GAEA_ASSIGN_OR_RETURN(bool stored, kernel->catalog().ContainsObject(oid));
+      if (stored) {
         Status readable = kernel->Get(oid).status();
         if (!readable.ok()) {
           return Status::Internal("task " + std::to_string(task.id) +

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -22,6 +23,8 @@ namespace gaea {
 class BinaryWriter {
  public:
   BinaryWriter() = default;
+  // Starts with `initial` already in the buffer.
+  explicit BinaryWriter(std::string initial) : buffer_(std::move(initial)) {}
 
   void PutU8(uint8_t v);
   void PutU16(uint16_t v);
@@ -38,6 +41,9 @@ class BinaryWriter {
   void PutRaw(const void* data, size_t size);
 
   const std::string& buffer() const { return buffer_; }
+  // For producers that append bytes themselves (e.g. a store read placed
+  // straight into an encoded reply).
+  std::string* mutable_buffer() { return &buffer_; }
   std::string Release() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }
   void Clear() { buffer_.clear(); }

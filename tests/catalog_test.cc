@@ -276,7 +276,7 @@ TEST(CatalogTest, DeleteObjectRemovesFromIndexes) {
   ASSERT_OK(obj.Set(*def, "timestamp", Value::Time(AbsTime(500))));
   ASSERT_OK_AND_ASSIGN(Oid oid, cat->InsertObject(std::move(obj)));
   ASSERT_OK(cat->DeleteObject(oid));
-  EXPECT_FALSE(cat->ContainsObject(oid));
+  EXPECT_FALSE(cat->ContainsObject(oid).value());
   EXPECT_TRUE(cat->ObjectsOfClass(cid).value().empty());
   EXPECT_TRUE(
       cat->ObjectsInTimeRange(AbsTime(0), AbsTime(1000)).value().empty());

@@ -470,7 +470,7 @@ TEST_F(KernelTest, DeriveOrReuseAvoidsDuplicateExperiments) {
       Oid fresh, kernel_->DeriveOrReuse("unsupervised-classification",
                                         {{"bands", bands}}));
   EXPECT_NE(fresh, first);
-  EXPECT_TRUE(kernel_->catalog().ContainsObject(fresh));
+  EXPECT_TRUE(kernel_->catalog().ContainsObject(fresh).value());
 }
 
 TEST_F(KernelTest, EvictedDerivedDataIsRederivedOnDemand) {
@@ -487,7 +487,7 @@ TEST_F(KernelTest, EvictedDerivedDataIsRederivedOnDemand) {
 
   // Evict the derived map: bytes gone, task kept.
   ASSERT_OK(kernel_->Evict(original));
-  EXPECT_FALSE(kernel_->catalog().ContainsObject(original));
+  EXPECT_FALSE(kernel_->catalog().ContainsObject(original).value());
   EXPECT_TRUE(kernel_->tasks().Producer(original).ok());
 
   // The same query regenerates an attribute-identical object.

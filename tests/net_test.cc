@@ -5,12 +5,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -18,11 +20,13 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "storage/heap_file.h"
 #include "test_util.h"
 
 namespace gaea::net {
 namespace {
 
+using ::gaea::testing::PseudoRandomBytes;
 using ::gaea::testing::TempDir;
 
 // ---------------------------------------------------------------------------
@@ -85,6 +89,74 @@ TEST(FrameTest, OversizedLengthIsRejected) {
   auto result = fb.Next(&payload);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
+// Two back-to-back frames over 1 MiB, delivered in irregular pieces of
+// 1 B to 70 KiB — through the receive window (as RecvInto fills it) and
+// through Append.
+TEST(FrameTest, LargeFramesSurviveIrregularChunks) {
+  std::vector<std::string> sent = {PseudoRandomBytes((1u << 20) + 17, 1),
+                                   PseudoRandomBytes((1u << 20) + 4093, 2)};
+  std::string wire = EncodeFrame(sent[0]) + EncodeFrame(sent[1]);
+  for (bool via_recv_space : {true, false}) {
+    FrameBuffer fb;
+    std::vector<std::string> got;
+    uint32_t rng = 7;
+    size_t fed = 0;
+    while (fed < wire.size()) {
+      rng = rng * 1664525u + 1013904223u;
+      size_t chunk = 1 + (rng >> 8) % (70u << 10);
+      chunk = std::min(chunk, wire.size() - fed);
+      if (via_recv_space) {
+        ASSERT_OK_AND_ASSIGN(std::span<char> space, fb.RecvSpace());
+        ASSERT_GT(space.size(), 0u);
+        chunk = std::min(chunk, space.size());
+        std::memcpy(space.data(), wire.data() + fed, chunk);
+        fb.Commit(chunk);
+      } else {
+        fb.Append(wire.data() + fed, chunk);
+      }
+      fed += chunk;
+      for (;;) {
+        std::string payload;
+        ASSERT_OK_AND_ASSIGN(bool have, fb.Next(&payload));
+        if (!have) break;
+        got.push_back(std::move(payload));
+      }
+    }
+    ASSERT_EQ(got.size(), 2u) << via_recv_space;
+    EXPECT_TRUE(got[0] == sent[0]) << via_recv_space;
+    EXPECT_TRUE(got[1] == sent[1]) << via_recv_space;
+    EXPECT_EQ(fb.buffered(), 0u);
+    if (via_recv_space) {
+      // Each frame landed flush in a buffer of its own and was handed over
+      // by move, leaving nothing allocated behind.
+      EXPECT_EQ(fb.capacity(), 0u);
+    }
+  }
+}
+
+// A length over kMaxFramePayload is refused from the header alone: the
+// receive buffer is never sized from it.
+TEST(FrameTest, OversizedLengthIsRejectedBeforeSizingTheBuffer) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  uint32_t header[2] = {kMaxFramePayload + 1, 0};
+  ASSERT_OK(SendAll(fds[1], std::string_view(
+                                reinterpret_cast<const char*>(header), 8)));
+  FrameBuffer fb;
+  bool closed = false;
+  ASSERT_OK(RecvInto(fds[0], &fb, &closed));
+  ASSERT_FALSE(closed);
+  EXPECT_EQ(fb.buffered(), 8u);
+  size_t capacity = fb.capacity();
+  EXPECT_LE(capacity, FrameBuffer::kRecvChunk);
+  EXPECT_EQ(RecvInto(fds[0], &fb, &closed).code(), StatusCode::kCorruption);
+  std::string payload;
+  EXPECT_EQ(fb.Next(&payload).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(fb.capacity(), capacity);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(FrameTest, DeriveRequestCodecRoundTrip) {
@@ -349,6 +421,39 @@ CLASS remote_out (
   EXPECT_NE(stats.find("\"kernel\":"), std::string::npos);
   EXPECT_NE(stats.find("\"requests_total\":"), std::string::npos);
   EXPECT_NE(stats.find("\"derivation_cache\":"), std::string::npos);
+}
+
+// Object bytes are read from the heap straight into the reply and received
+// straight into the client's frame buffer; every size from an inline heap
+// record to a multi-MiB overflow chain must come back byte-equal.
+TEST_F(NetTest, GetObjectRawRoundTripsObjectsOfEverySize) {
+  StartServer(GaeaServer::Options());
+  auto client = Connect();
+  // A heap record is the payload behind an 8-byte OID header, so payloads
+  // of kMaxInline - 8 and - 7 straddle the inline/overflow boundary.
+  const size_t max_inline = HeapFile::kMaxInline;
+  std::vector<size_t> sizes = {0,          max_inline - 8, max_inline - 7,
+                               max_inline, max_inline + 1, size_t{1} << 20,
+                               size_t{3} << 20};
+  ObjectStore* store = kernel_->catalog().store();
+  std::vector<std::pair<Oid, std::string>> objects;
+  for (size_t size : sizes) {
+    std::string bytes = PseudoRandomBytes(size, size);
+    ASSERT_OK_AND_ASSIGN(Oid oid, store->Put(bytes));
+    objects.emplace_back(oid, std::move(bytes));
+  }
+  // Twice over, so frames of every size follow each other on one
+  // connection.
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& [oid, bytes] : objects) {
+      ASSERT_OK_AND_ASSIGN(std::string got, client->GetObjectRaw(oid));
+      EXPECT_EQ(got.size(), bytes.size());
+      EXPECT_TRUE(got == bytes) << "object of " << bytes.size() << " bytes";
+    }
+  }
+  EXPECT_EQ(client->GetObjectRaw(store->next_oid() + 5).status().code(),
+            StatusCode::kNotFound);
+  ASSERT_OK(client->Ping());
 }
 
 TEST_F(NetTest, DeriveBatchOverTheWire) {
@@ -722,6 +827,17 @@ TEST_F(NetTest, BadHelloAndHandshakeBypassAreRejected) {
 // ---------------------------------------------------------------------------
 // Trace propagation over the wire (docs/OBSERVABILITY.md)
 // ---------------------------------------------------------------------------
+
+TEST(WireTest, OkResponseHeaderHasTheAdvertisedSize) {
+  ResponseHeader header;
+  header.id = ~0ull;
+  header.request_type = MsgType::kGetObject;
+  header.trace_id = 42;
+  header.applied_lsn = 1u << 30;
+  BinaryWriter w;
+  EncodeResponseHeader(header, &w);
+  EXPECT_EQ(w.size(), kOkResponseHeaderBytes);
+}
 
 TEST(WireTest, TraceIdSurvivesHeaderRoundTrip) {
   RequestHeader request;

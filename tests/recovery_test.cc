@@ -680,7 +680,7 @@ TEST(CheckpointTest, ConcurrentWithDerivations) {
   EXPECT_TRUE(reopened->recovery_report().quarantined.empty());
   for (const Task& task : reopened->tasks().tasks()) {
     for (Oid oid : task.outputs) {
-      EXPECT_TRUE(reopened->catalog().ContainsObject(oid)) << oid;
+      EXPECT_TRUE(reopened->catalog().ContainsObject(oid).value()) << oid;
     }
   }
 }
@@ -761,7 +761,7 @@ TEST(BackupTest, RestoreToPointCutsTaskHistory) {
     EXPECT_TRUE(kernel->recovery_report().quarantined.empty());
     for (uint64_t t = 0; t < outputs_by_task.size(); ++t) {
       for (Oid oid : outputs_by_task[t]) {
-        EXPECT_EQ(kernel->catalog().ContainsObject(oid), t < cut)
+        EXPECT_EQ(kernel->catalog().ContainsObject(oid).value(), t < cut)
             << "cut " << cut << " task " << t << " oid " << oid;
       }
     }

@@ -111,8 +111,8 @@ void Pump(GaeaKernel* primary, GaeaKernel* replica) {
 void ExpectSameObjects(GaeaKernel* primary, GaeaKernel* replica,
                        Oid max_oid = 128) {
   for (Oid oid = 1; oid <= max_oid; ++oid) {
-    bool on_primary = primary->catalog().store()->Contains(oid);
-    ASSERT_EQ(replica->catalog().store()->Contains(oid), on_primary)
+    bool on_primary = primary->catalog().store()->Contains(oid).value();
+    ASSERT_EQ(replica->catalog().store()->Contains(oid).value(), on_primary)
         << "oid " << oid;
     if (!on_primary) continue;
     ASSERT_OK_AND_ASSIGN(std::string want, primary->catalog().store()->Get(oid));

@@ -239,8 +239,8 @@ TEST(SchedulerBatchTest, PerRequestFailuresAreIsolated) {
   EXPECT_OK(outcomes[0].status);
   EXPECT_FALSE(outcomes[1].status.ok());
   EXPECT_OK(outcomes[2].status);
-  EXPECT_TRUE(f.kernel->catalog().ContainsObject(outcomes[0].oid));
-  EXPECT_TRUE(f.kernel->catalog().ContainsObject(outcomes[2].oid));
+  EXPECT_TRUE(f.kernel->catalog().ContainsObject(outcomes[0].oid).value());
+  EXPECT_TRUE(f.kernel->catalog().ContainsObject(outcomes[2].oid).value());
 }
 
 // A failing stage poisons its transitive dependents (no task is ever logged
@@ -337,7 +337,7 @@ TEST(DerivationCacheTest, EvictionInvalidatesEntry) {
   ASSERT_OK(second[0].status);
   EXPECT_FALSE(second[0].cache_hit);
   EXPECT_NE(second[0].oid, original);
-  EXPECT_TRUE(f.kernel->catalog().ContainsObject(second[0].oid));
+  EXPECT_TRUE(f.kernel->catalog().ContainsObject(second[0].oid).value());
   // The recomputed object carries the same attribute bytes.
   auto obj = f.kernel->Get(second[0].oid);
   EXPECT_OK(obj.status());

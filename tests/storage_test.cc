@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <map>
 #include <set>
@@ -17,6 +18,7 @@
 namespace gaea {
 namespace {
 
+using ::gaea::testing::PseudoRandomBytes;
 using ::gaea::testing::TempDir;
 
 // ---- buffer pool ----
@@ -220,6 +222,30 @@ TEST(HeapFileTest, LargeRecordOverflowChain) {
   EXPECT_EQ(heap->Read(rid).value(), big);
   ASSERT_OK(heap->Delete(rid));
   EXPECT_EQ(heap->Count().value(), 2);
+}
+
+TEST(HeapFileTest, ReadIntoSplitsHeaderFromBody) {
+  TempDir dir("heap");
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                       HeapFile::Open(dir.file("h.heap")));
+  const size_t max_inline = HeapFile::kMaxInline;
+  for (size_t size : {size_t{8}, size_t{100}, max_inline, max_inline + 1,
+                      size_t{3 * kPageSize + 5}, size_t{1} << 20}) {
+    std::string record = PseudoRandomBytes(size, size);
+    ASSERT_OK_AND_ASSIGN(Rid rid, heap->Insert(record));
+    char head[8];
+    std::string out = "kept";
+    ASSERT_OK(heap->ReadInto(rid, head, &out));
+    EXPECT_EQ(std::string(head, 8), record.substr(0, 8)) << size;
+    EXPECT_EQ(out, "kept" + record.substr(8)) << size;
+    std::string whole;
+    ASSERT_OK(heap->ReadInto(rid, {}, &whole));
+    EXPECT_EQ(whole, record) << size;
+  }
+  ASSERT_OK_AND_ASSIGN(Rid tiny, heap->Insert("abc"));
+  char head[8];
+  std::string out;
+  EXPECT_EQ(heap->ReadInto(tiny, head, &out).code(), StatusCode::kCorruption);
 }
 
 TEST(HeapFileTest, ForEachVisitsLiveRecordsInOrder) {
@@ -443,9 +469,9 @@ TEST(ObjectStoreTest, PutGetDelete) {
   ASSERT_OK_AND_ASSIGN(Oid b, store->Put("payload-b"));
   EXPECT_NE(a, b);
   EXPECT_EQ(store->Get(a).value(), "payload-a");
-  EXPECT_TRUE(store->Contains(b));
+  EXPECT_TRUE(store->Contains(b).value());
   ASSERT_OK(store->Delete(a));
-  EXPECT_FALSE(store->Contains(a));
+  EXPECT_FALSE(store->Contains(a).value());
   EXPECT_EQ(store->Get(a).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store->Count(), 1);
 }
@@ -584,6 +610,47 @@ TEST(JournalTest, Crc32KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926 (standard check value).
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// The reference: the one-byte-per-step table loop every stored and
+// in-flight checksum was once computed with.
+uint32_t BytewiseCrc32(const void* data, size_t size) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(JournalTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..4099 cover every tail length of the 16-byte main loop many
+  // times over; offsets 0..7 cover every misalignment of the input.
+  std::string buf = PseudoRandomBytes(4099 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4099; ++len) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  std::string mib = PseudoRandomBytes(1 << 20, 2);
+  EXPECT_EQ(Crc32(mib.data(), mib.size()),
+            BytewiseCrc32(mib.data(), mib.size()));
+  // All-ones input exercises the high table rows that random data rarely
+  // lines up.
+  std::string ones(4096, '\xFF');
+  EXPECT_EQ(Crc32(ones.data(), ones.size()),
+            BytewiseCrc32(ones.data(), ones.size()));
 }
 
 TEST(JournalTest, TornTailIsTruncatedSoAppendsStayReplayable) {
@@ -819,7 +886,7 @@ TEST(FaultInjectionTest, ObjectStoreScrubsIndexEntriesForLostHeapPages) {
   EXPECT_GT(store->scrubbed_entries(), 0u);
   size_t stored = 0;
   for (Oid oid : oids) {
-    if (!store->Contains(oid)) continue;
+    if (!store->Contains(oid).value()) continue;
     ++stored;
     ASSERT_OK(store->Get(oid));  // surviving entries read clean
   }
@@ -855,6 +922,94 @@ TEST(FaultInjectionTest, ObjectStoreRebuildsTornOidIndexFromHeap) {
     ASSERT_OK_AND_ASSIGN(std::string payload, store->Get(oids[i]));
     EXPECT_EQ(payload, "payload-" + std::to_string(i));
   }
+}
+
+// Forwards to the default Env; while `fail_index_reads` is set, every page
+// read of an OID index file (*.idx) fails the way a bad sector would.
+class FailingIndexReadEnv : public FaultInjectingEnv {
+ public:
+  FailingIndexReadEnv() : FaultInjectingEnv(Env::Default()) {}
+
+  std::atomic<bool> fail_index_reads{false};
+
+  StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    GAEA_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> base,
+                          FaultInjectingEnv::NewRandomAccessFile(path));
+    bool index = path.ends_with(".idx");
+    return std::unique_ptr<RandomAccessFile>(
+        new File(index ? this : nullptr, std::move(base)));
+  }
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    File(FailingIndexReadEnv* env, std::unique_ptr<RandomAccessFile> base)
+        : env_(env), base_(std::move(base)) {}
+    StatusOr<size_t> Read(uint64_t offset, size_t n,
+                          char* scratch) const override {
+      if (env_ != nullptr && env_->fail_index_reads.load()) {
+        return Status::IOError("injected read failure");
+      }
+      return base_->Read(offset, n, scratch);
+    }
+    Status Write(uint64_t offset, std::string_view data) override {
+      return base_->Write(offset, data);
+    }
+    Status Sync() override { return base_->Sync(); }
+
+   private:
+    FailingIndexReadEnv* env_;
+    std::unique_ptr<RandomAccessFile> base_;
+  };
+};
+
+TEST(FaultInjectionTest, ObjectStoreIndexReadErrorsAreNotNotFound) {
+  TempDir dir("store");
+  std::string prefix = dir.file("obj");
+  FailingIndexReadEnv env;
+  std::vector<Oid> oids;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ObjectStore> store,
+                         ObjectStore::Open(prefix, /*pool_capacity=*/1, &env));
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_OK_AND_ASSIGN(Oid oid, store->Put("v" + std::to_string(i)));
+      oids.push_back(oid);
+    }
+    ASSERT_OK(store->Flush());
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ObjectStore> store,
+                       ObjectStore::Open(prefix, /*pool_capacity=*/1, &env));
+  // One frame per pool shard: most lookups below miss and must read an
+  // index page from the failing file.
+  env.fail_index_reads = true;
+  int io_errors = 0;
+  for (Oid oid : oids) {
+    // A stored object either reads or fails loudly — never "not stored".
+    StatusOr<std::string> got = store->Get(oid);
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kIOError) << oid;
+      ++io_errors;
+    }
+    StatusOr<bool> stored = store->Contains(oid);
+    if (stored.ok()) {
+      EXPECT_TRUE(*stored) << oid;
+    } else {
+      EXPECT_EQ(stored.status().code(), StatusCode::kIOError) << oid;
+    }
+  }
+  EXPECT_GT(io_errors, 0);
+  // An insert whose duplicate check cannot read the index must stop there,
+  // not write a heap record that reopen would resurrect.
+  Oid fresh = oids.back() + 1;
+  EXPECT_EQ(store->PutWithOid(fresh, "late").code(), StatusCode::kIOError);
+  env.fail_index_reads = false;
+  ASSERT_OK(store->Flush());
+  store.reset();
+  ASSERT_OK_AND_ASSIGN(store, ObjectStore::Open(prefix, 1, &env));
+  EXPECT_EQ(store->restored_entries(), 0u);
+  EXPECT_FALSE(store->Contains(fresh).value());
+  EXPECT_EQ(store->Get(oids.front()).value(), "v0");
 }
 
 TEST(FaultInjectionTest, BTreeResetsTornTreeOnOpen) {

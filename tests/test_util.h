@@ -1,4 +1,5 @@
-// Shared test helpers: status assertions and RAII temp directories.
+// Shared test helpers: status assertions, test bytes and RAII temp
+// directories.
 
 #ifndef GAEA_TESTS_TEST_UTIL_H_
 #define GAEA_TESTS_TEST_UTIL_H_
@@ -7,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -42,6 +44,18 @@ inline const ::gaea::Status& ToStatus(const ::gaea::Status& s) { return s; }
 template <typename T>
 const ::gaea::Status& ToStatus(const ::gaea::StatusOr<T>& s) {
   return s.status();
+}
+
+// `size` deterministic pseudo-random bytes: a misplaced, dropped or
+// duplicated byte in a round trip shows up as a mismatch.
+inline std::string PseudoRandomBytes(size_t size, uint64_t seed) {
+  std::string bytes(size, '\0');
+  uint64_t x = seed;
+  for (char& c : bytes) {
+    x = x * 6364136223846793005u + 1442695040888963407u;
+    c = static_cast<char>(x >> 56);
+  }
+  return bytes;
 }
 
 // Creates a unique directory under the build tree, removed on destruction.
