@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -17,22 +18,6 @@ FrameHeader EncodeFrameHeader(std::string_view payload) {
   std::memcpy(header.data(), &len, 4);
   std::memcpy(header.data() + 4, &crc, 4);
   return header;
-}
-
-std::string EncodeFrame(std::string_view payload) {
-  FrameHeader header = EncodeFrameHeader(payload);
-  std::string frame;
-  frame.reserve(header.size() + payload.size());
-  frame.append(header.data(), header.size());
-  frame.append(payload);
-  return frame;
-}
-
-void FrameBuffer::Append(const char* data, size_t n) {
-  if (n == 0) return;
-  Reserve(n);
-  std::memcpy(buf_.data() + end_, data, n);
-  end_ += n;
 }
 
 void FrameBuffer::Reserve(size_t n) {
@@ -66,14 +51,17 @@ Status FrameBuffer::ParseHeader() {
 
 StatusOr<std::span<char>> FrameBuffer::RecvSpace() {
   GAEA_RETURN_IF_ERROR(ParseHeader());
-  size_t want = kRecvChunk;
   if (have_header_ && end_ - pos_ < len_) {
-    // Exactly the rest of this frame, so it ends flush with the buffer.
-    want = len_ - (end_ - pos_);
-    Reserve(want);
-    return std::span<char>(buf_.data() + end_, want);
+    // At most the rest of this frame, so it ends flush with the received
+    // bytes. Room doubles with what has arrived instead of being sized
+    // from the declared length, so memory follows traffic.
+    size_t received = end_ - pos_;
+    size_t want = len_ - received;
+    Reserve(std::min(want, std::max(kRecvChunk, received)));
+    return std::span<char>(buf_.data() + end_,
+                           std::min(want, buf_.size() - end_));
   }
-  Reserve(want);
+  Reserve(kRecvChunk);
   return std::span<char>(buf_.data() + end_, buf_.size() - end_);
 }
 
@@ -548,10 +536,15 @@ StatusOr<std::vector<Diagnostic>> DecodeLintReply(BinaryReader* r) {
   return diags;
 }
 
-namespace {
-
-// The one send loop: gathers `iov` with sendmsg until every byte is out.
-Status SendIov(int fd, iovec* iov, size_t count) {
+Status SendFrame(int fd, const FrameHeader& header,
+                 std::string_view payload) {
+  iovec iovs[2];
+  iovs[0].iov_base = const_cast<char*>(header.data());
+  iovs[0].iov_len = header.size();
+  iovs[1].iov_base = const_cast<char*>(payload.data());
+  iovs[1].iov_len = payload.size();
+  iovec* iov = iovs;
+  size_t count = 2;
   while (count > 0) {
     msghdr msg{};
     msg.msg_iov = iov;
@@ -575,25 +568,6 @@ Status SendIov(int fd, iovec* iov, size_t count) {
     }
   }
   return Status::OK();
-}
-
-}  // namespace
-
-Status SendFrame(int fd, const FrameHeader& header,
-                 std::string_view payload) {
-  iovec iov[2];
-  iov[0].iov_base = const_cast<char*>(header.data());
-  iov[0].iov_len = header.size();
-  iov[1].iov_base = const_cast<char*>(payload.data());
-  iov[1].iov_len = payload.size();
-  return SendIov(fd, iov, 2);
-}
-
-Status SendAll(int fd, std::string_view data) {
-  iovec iov;
-  iov.iov_base = const_cast<char*>(data.data());
-  iov.iov_len = data.size();
-  return SendIov(fd, &iov, 1);
 }
 
 Status RecvInto(int fd, FrameBuffer* fb, bool* closed) {

@@ -57,33 +57,31 @@ constexpr uint32_t kMaxFramePayload = 16u << 20;  // 16 MiB
 using FrameHeader = std::array<char, 8>;
 FrameHeader EncodeFrameHeader(std::string_view payload);
 
-// [u32 len][u32 crc][payload] as one string (tests and proxies; sockets
-// send the header and payload separately with SendFrame).
-std::string EncodeFrame(std::string_view payload);
-
-// Incremental frame decoder. Socket bytes are received straight into its
-// buffer (RecvInto); tests and proxies copy bytes in with Append. Pop
-// complete payloads with Next. Survives arbitrary fragmentation
-// (byte-at-a-time delivery) and reports kCorruption on CRC mismatch or an
-// oversized length, after which the stream is unusable and the connection
-// must close.
+// Incremental frame decoder. Bytes are received straight into its buffer:
+// write at most RecvSpace().size() bytes there, then Commit them (RecvInto
+// does both for a socket). Pop complete payloads with Next. Survives
+// arbitrary fragmentation (byte-at-a-time delivery) and reports
+// kCorruption on CRC mismatch or an oversized length, after which the
+// stream is unusable and the connection must close.
 //
-// Once a frame header has passed the kMaxFramePayload check, the buffer is
-// sized for the whole frame and receives are limited to its remaining
-// bytes, so a large frame lands contiguously with nothing behind it and is
-// handed to the caller by move rather than copied.
+// Once a frame header has passed the kMaxFramePayload check, receives are
+// limited to the frame's remaining bytes, so a large frame lands
+// contiguously with nothing behind it and is handed to the caller by move
+// rather than copied. The buffer grows toward the frame's size by doubling
+// with the bytes already received, never from the declared length alone,
+// so a peer cannot make it allocate much more than it has sent.
 class FrameBuffer {
  public:
-  void Append(const char* data, size_t n);
-
   // True + *payload when a complete frame was removed from the buffer;
   // false when more bytes are needed; error on a corrupt stream.
   StatusOr<bool> Next(std::string* payload);
 
-  // Where the next receive should write: the rest of the frame whose header
-  // has been parsed, else at least kRecvChunk bytes of spare room. An
-  // oversized length in the buffered header is reported here, before
-  // anything is sized from it.
+  // Where the next receive should write. Within a frame whose header has
+  // been parsed: room for the rest of the frame, or for as many bytes as
+  // have already arrived (at least kRecvChunk), whichever is less.
+  // Otherwise at least kRecvChunk bytes of spare room. An oversized length
+  // in the buffered header is reported here, before anything is sized
+  // from it.
   StatusOr<std::span<char>> RecvSpace();
   // Marks the first `n` bytes of the last RecvSpace() as received.
   void Commit(size_t n) { end_ += n; }
@@ -92,7 +90,8 @@ class FrameBuffer {
   size_t buffered() const {
     return end_ - pos_ + (have_header_ ? sizeof(FrameHeader) : 0);
   }
-  // Receive space currently allocated.
+  // Receive space currently allocated. Exists for tests, which check that
+  // the buffer grows with received bytes rather than declared lengths.
   size_t capacity() const { return buf_.size(); }
 
   static constexpr size_t kRecvChunk = 64u << 10;
@@ -375,9 +374,6 @@ StatusOr<std::vector<Diagnostic>> DecodeLintReply(BinaryReader* r);
 // prefixed in user space. MSG_NOSIGNAL (a vanished peer is an error, not a
 // SIGPIPE); short writes and EINTR are retried.
 Status SendFrame(int fd, const FrameHeader& header, std::string_view payload);
-
-// Writes all of `data` through the same loop as SendFrame.
-Status SendAll(int fd, std::string_view data);
 
 // One recv straight into `fb`'s RecvSpace. *closed is set when the peer
 // performed an orderly shutdown; an error Status covers everything else,

@@ -12,8 +12,8 @@ constexpr uint8_t kOverflowPage = 2;
 
 constexpr uint32_t kSlotCountOff = 2;
 constexpr uint32_t kFreeEndOff = 4;
-constexpr uint32_t kSlotArrayOff = 6;
-constexpr uint32_t kSlotBytes = 6;
+constexpr uint32_t kSlotArrayOff = HeapFile::kSlotArrayOff;
+constexpr uint32_t kSlotBytes = HeapFile::kSlotBytes;
 
 constexpr uint16_t kFlagLive = 0;
 constexpr uint16_t kFlagDeleted = 1;
@@ -27,9 +27,6 @@ constexpr uint32_t kOvCapacity = kPageSize - kOvDataOff;
 
 // Inline payload of an overflow-head slot: first page u32, total length u32.
 constexpr uint32_t kOverflowHeadBytes = 8;
-
-static_assert(HeapFile::kMaxInline ==
-              kPageSize - kSlotArrayOff - kSlotBytes - 8);
 
 struct SlotInfo {
   uint16_t offset;

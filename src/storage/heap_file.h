@@ -41,10 +41,14 @@ struct Rid {
 
 class HeapFile {
  public:
-  // Records larger than this spill to overflow pages: a page's 6-byte
-  // header and one 6-byte slot, plus 8 bytes of slack, must fit beside the
-  // record inline.
-  static constexpr uint32_t kMaxInline = kPageSize - 6 - 6 - 8;
+  // Data-page layout (above): where the slot array starts, and its bytes
+  // per slot.
+  static constexpr uint32_t kSlotArrayOff = 6;
+  static constexpr uint32_t kSlotBytes = 6;
+  // Records larger than this spill to overflow pages: the page header and
+  // one slot, plus 8 bytes of slack, must fit beside the record inline.
+  static constexpr uint32_t kMaxInline =
+      kPageSize - kSlotArrayOff - kSlotBytes - 8;
 
   // Opens or creates the heap at `path`; all I/O goes through `env`.
   static StatusOr<std::unique_ptr<HeapFile>> Open(const std::string& path,

@@ -33,10 +33,33 @@ using ::gaea::testing::TempDir;
 // Framing
 // ---------------------------------------------------------------------------
 
+// [len][crc][payload] as one string.
+std::string Frame(std::string_view payload) {
+  FrameHeader header = EncodeFrameHeader(payload);
+  return std::string(header.data(), header.size()) + std::string(payload);
+}
+
+// Receives `bytes` into `fb` as RecvInto would, in as many pieces as its
+// receive space asks for.
+Status Feed(FrameBuffer* fb, std::string_view bytes) {
+  while (!bytes.empty()) {
+    GAEA_ASSIGN_OR_RETURN(std::span<char> space, fb->RecvSpace());
+    size_t n = std::min(space.size(), bytes.size());
+    std::memcpy(space.data(), bytes.data(), n);
+    fb->Commit(n);
+    bytes.remove_prefix(n);
+  }
+  return Status::OK();
+}
+
+// Sends one frame carrying `payload`.
+Status SendPayload(int fd, std::string_view payload) {
+  return SendFrame(fd, EncodeFrameHeader(payload), payload);
+}
+
 TEST(FrameTest, RoundTrip) {
-  std::string frame = EncodeFrame("hello, gaead");
   FrameBuffer fb;
-  fb.Append(frame.data(), frame.size());
+  ASSERT_OK(Feed(&fb, Frame("hello, gaead")));
   std::string payload;
   ASSERT_OK_AND_ASSIGN(bool have, fb.Next(&payload));
   EXPECT_TRUE(have);
@@ -47,12 +70,12 @@ TEST(FrameTest, RoundTrip) {
 }
 
 TEST(FrameTest, SurvivesByteAtATimeDelivery) {
-  std::string wire = EncodeFrame("first") + EncodeFrame("") +
-                     EncodeFrame(std::string(3000, 'x'));
+  std::string wire =
+      Frame("first") + Frame("") + Frame(std::string(3000, 'x'));
   FrameBuffer fb;
   std::vector<std::string> payloads;
   for (char c : wire) {
-    fb.Append(&c, 1);
+    ASSERT_OK(Feed(&fb, std::string_view(&c, 1)));
     for (;;) {
       std::string payload;
       ASSERT_OK_AND_ASSIGN(bool have, fb.Next(&payload));
@@ -67,10 +90,10 @@ TEST(FrameTest, SurvivesByteAtATimeDelivery) {
 }
 
 TEST(FrameTest, CorruptPayloadIsRejected) {
-  std::string frame = EncodeFrame("pristine bytes");
+  std::string frame = Frame("pristine bytes");
   frame.back() ^= 0x40;  // flip a payload bit
   FrameBuffer fb;
-  fb.Append(frame.data(), frame.size());
+  ASSERT_OK(Feed(&fb, frame));
   std::string payload;
   auto result = fb.Next(&payload);
   ASSERT_FALSE(result.ok());
@@ -84,7 +107,7 @@ TEST(FrameTest, OversizedLengthIsRejected) {
   frame.append(reinterpret_cast<const char*>(&len), 4);
   frame.append(reinterpret_cast<const char*>(&crc), 4);
   FrameBuffer fb;
-  fb.Append(frame.data(), frame.size());
+  ASSERT_OK(Feed(&fb, frame));
   std::string payload;
   auto result = fb.Next(&payload);
   ASSERT_FALSE(result.ok());
@@ -92,48 +115,73 @@ TEST(FrameTest, OversizedLengthIsRejected) {
 }
 
 // Two back-to-back frames over 1 MiB, delivered in irregular pieces of
-// 1 B to 70 KiB — through the receive window (as RecvInto fills it) and
-// through Append.
+// 1 B to 70 KiB through the receive window, as RecvInto fills it.
 TEST(FrameTest, LargeFramesSurviveIrregularChunks) {
   std::vector<std::string> sent = {PseudoRandomBytes((1u << 20) + 17, 1),
                                    PseudoRandomBytes((1u << 20) + 4093, 2)};
-  std::string wire = EncodeFrame(sent[0]) + EncodeFrame(sent[1]);
-  for (bool via_recv_space : {true, false}) {
-    FrameBuffer fb;
-    std::vector<std::string> got;
-    uint32_t rng = 7;
-    size_t fed = 0;
-    while (fed < wire.size()) {
-      rng = rng * 1664525u + 1013904223u;
-      size_t chunk = 1 + (rng >> 8) % (70u << 10);
-      chunk = std::min(chunk, wire.size() - fed);
-      if (via_recv_space) {
-        ASSERT_OK_AND_ASSIGN(std::span<char> space, fb.RecvSpace());
-        ASSERT_GT(space.size(), 0u);
-        chunk = std::min(chunk, space.size());
-        std::memcpy(space.data(), wire.data() + fed, chunk);
-        fb.Commit(chunk);
-      } else {
-        fb.Append(wire.data() + fed, chunk);
-      }
-      fed += chunk;
-      for (;;) {
-        std::string payload;
-        ASSERT_OK_AND_ASSIGN(bool have, fb.Next(&payload));
-        if (!have) break;
-        got.push_back(std::move(payload));
-      }
-    }
-    ASSERT_EQ(got.size(), 2u) << via_recv_space;
-    EXPECT_TRUE(got[0] == sent[0]) << via_recv_space;
-    EXPECT_TRUE(got[1] == sent[1]) << via_recv_space;
-    EXPECT_EQ(fb.buffered(), 0u);
-    if (via_recv_space) {
-      // Each frame landed flush in a buffer of its own and was handed over
-      // by move, leaving nothing allocated behind.
-      EXPECT_EQ(fb.capacity(), 0u);
+  std::string wire = Frame(sent[0]) + Frame(sent[1]);
+  FrameBuffer fb;
+  std::vector<std::string> got;
+  uint32_t rng = 7;
+  size_t fed = 0;
+  while (fed < wire.size()) {
+    rng = rng * 1664525u + 1013904223u;
+    size_t chunk = 1 + (rng >> 8) % (70u << 10);
+    chunk = std::min(chunk, wire.size() - fed);
+    ASSERT_OK_AND_ASSIGN(std::span<char> space, fb.RecvSpace());
+    ASSERT_GT(space.size(), 0u);
+    chunk = std::min(chunk, space.size());
+    std::memcpy(space.data(), wire.data() + fed, chunk);
+    fb.Commit(chunk);
+    fed += chunk;
+    for (;;) {
+      std::string payload;
+      ASSERT_OK_AND_ASSIGN(bool have, fb.Next(&payload));
+      if (!have) break;
+      got.push_back(std::move(payload));
     }
   }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(got[0] == sent[0]);
+  EXPECT_TRUE(got[1] == sent[1]);
+  EXPECT_EQ(fb.buffered(), 0u);
+  // Each frame landed flush in a buffer of its own and was handed over by
+  // move, leaving nothing allocated behind.
+  EXPECT_EQ(fb.capacity(), 0u);
+}
+
+// A length within kMaxFramePayload still sizes nothing by itself: the
+// buffer grows with the payload bytes that actually arrive, so a peer that
+// declares 16 MiB in 8 bytes gets no more than two receive chunks.
+TEST(FrameTest, BufferGrowsWithReceivedBytesNotDeclaredLength) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  uint32_t header[2] = {kMaxFramePayload, 0};
+  ASSERT_EQ(::send(fds[1], header, sizeof(header), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(header)));
+  FrameBuffer fb;
+  bool closed = false;
+  ASSERT_OK(RecvInto(fds[0], &fb, &closed));
+  ASSERT_FALSE(closed);
+  ASSERT_OK_AND_ASSIGN(std::span<char> space, fb.RecvSpace());
+  EXPECT_LE(space.size(), FrameBuffer::kRecvChunk);
+  EXPECT_LE(fb.capacity(), 2 * FrameBuffer::kRecvChunk);
+
+  // Growth stays proportional while the payload trickles in.
+  std::string part = PseudoRandomBytes(3u << 20, 3);
+  size_t received = 0;
+  for (size_t step : {size_t{1000}, size_t{200} << 10, size_t{3} << 20}) {
+    ASSERT_OK(Feed(&fb, std::string_view(part).substr(received,
+                                                      step - received)));
+    received = step;
+    EXPECT_LE(fb.capacity(), 2 * std::max(FrameBuffer::kRecvChunk, received))
+        << received;
+  }
+  std::string payload;
+  ASSERT_OK_AND_ASSIGN(bool have, fb.Next(&payload));
+  EXPECT_FALSE(have);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // A length over kMaxFramePayload is refused from the header alone: the
@@ -142,8 +190,8 @@ TEST(FrameTest, OversizedLengthIsRejectedBeforeSizingTheBuffer) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   uint32_t header[2] = {kMaxFramePayload + 1, 0};
-  ASSERT_OK(SendAll(fds[1], std::string_view(
-                                reinterpret_cast<const char*>(header), 8)));
+  ASSERT_EQ(::send(fds[1], header, sizeof(header), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(header)));
   FrameBuffer fb;
   bool closed = false;
   ASSERT_OK(RecvInto(fds[0], &fb, &closed));
@@ -792,7 +840,7 @@ void RawHandshake(int fd) {
   BinaryWriter w;
   EncodeRequestHeader(hello, &w);
   EncodeHello(&w);
-  ASSERT_OK(SendAll(fd, EncodeFrame(w.buffer())));
+  ASSERT_OK(SendPayload(fd, w.buffer()));
   EXPECT_EQ(AwaitResponse(fd).code, StatusCode::kOk);
 }
 
@@ -808,7 +856,7 @@ TEST_F(NetTest, BadHelloAndHandshakeBypassAreRejected) {
   EncodeRequestHeader(hello, &w);
   w.PutU32(0xDEADBEEF);
   w.PutU16(kProtocolVersion);
-  ASSERT_OK(SendAll(fd, EncodeFrame(w.buffer())));
+  ASSERT_OK(SendPayload(fd, w.buffer()));
   EXPECT_EQ(AwaitResponse(fd).code, StatusCode::kFailedPrecondition);
   ::close(fd);
 
@@ -819,7 +867,7 @@ TEST_F(NetTest, BadHelloAndHandshakeBypassAreRejected) {
   ping.id = 1;
   BinaryWriter w2;
   EncodeRequestHeader(ping, &w2);
-  ASSERT_OK(SendAll(fd, EncodeFrame(w2.buffer())));
+  ASSERT_OK(SendPayload(fd, w2.buffer()));
   EXPECT_EQ(AwaitResponse(fd).code, StatusCode::kFailedPrecondition);
   ::close(fd);
 }
@@ -877,7 +925,7 @@ TEST_F(NetTest, ServerEchoesRequestTraceId) {
   ping.trace_id = 0xBEEFCAFE;
   BinaryWriter w;
   EncodeRequestHeader(ping, &w);
-  ASSERT_OK(SendAll(fd, EncodeFrame(w.buffer())));
+  ASSERT_OK(SendPayload(fd, w.buffer()));
   ResponseHeader reply = AwaitResponse(fd);
   EXPECT_EQ(reply.code, StatusCode::kOk);
   EXPECT_EQ(reply.trace_id, 0xBEEFCAFEu);
@@ -909,7 +957,7 @@ TEST_F(NetTest, DedupReplayEchoesOriginalTraceAndCountsNothingTwice) {
     BinaryWriter w;
     EncodeRequestHeader(header, &w);
     w.PutRaw(body.buffer().data(), body.buffer().size());
-    Status sent = SendAll(fd, EncodeFrame(w.buffer()));
+    Status sent = SendPayload(fd, w.buffer());
     EXPECT_TRUE(sent.ok()) << sent.ToString();
     return AwaitResponse(fd);
   };
