@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
@@ -30,36 +31,84 @@ class Rng {
   uint64_t state_;
 };
 
-double Dist2(const double* __restrict__ a, const double* __restrict__ b,
-             int64_t n) {
-  double s = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    double d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
+// Points rows[j] at row r of band j of Composite()'s float8 planes.
+void BandRows(const std::vector<Image>& stack, int64_t r,
+              std::vector<const double*>* rows) {
+  for (size_t j = 0; j < stack.size(); ++j) (*rows)[j] = stack[j].RowF64(r);
 }
 
-// Gathers the band stack into one contiguous (npix x nb) feature array,
-// row-band tiled. Pixel i's feature vector is features[i*nb .. i*nb+nb).
-std::vector<double> GatherFeatures(const std::vector<Image>& stack) {
-  const Image& first = stack[0];
-  const int64_t ncol = first.ncol64();
-  const int64_t nb = static_cast<int64_t>(stack.size());
-  std::vector<double> features(static_cast<size_t>(first.nrow64() * ncol * nb));
-  TilePool::Global().ParallelRows(
-      "gather_features", first.nrow64(), [&](int64_t r0, int64_t r1) {
-        for (int64_t j = 0; j < nb; ++j) {
-          const Image& img = stack[static_cast<size_t>(j)];
-          for (int64_t r = r0; r < r1; ++r) {
-            const double* row = img.RowF64(r);  // Composite() made float8
-            double* frow = features.data() + r * ncol * nb + j;
-            for (int64_t c = 0; c < ncol; ++c) frow[c * nb] = row[c];
-          }
-        }
-        return Status::OK();
-      });
-  return features;
+// Nearest-center kernel. Two doubles per vector is the baseline width of
+// every x86-64 and AArch64 target, so GCC and Clang lower these generic
+// vectors without -march or intrinsics. The kernel is written out by hand
+// because GCC does not if-convert the argmin's conditional update across
+// pixels, so it will not vectorize that loop (docs/PERF.md §2).
+using V2d = double __attribute__((vector_size(16)));
+using V2i = int64_t __attribute__((vector_size(16)));
+
+// Pixels per kernel block: four independent 2-lane chains.
+constexpr int64_t kBlock = 8;
+
+inline V2d Load2(const double* p) {
+  V2d v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// Labels the 8 pixels at [col, col+8) of one row given as band planes
+// (`rows[j]` is band j's row). Each label is the index of the nearest of the
+// k row-major `centers`, exactly as the scalar scan computes it: a distance
+// is 0 + sum_j (x_j - c_j)^2 accumulated in band order, and a branch-free
+// strict `<` over ascending centers keeps the lowest index on ties and never
+// selects a NaN distance.
+void NearestBlock(const double* const* rows, int64_t col,
+                  const double* centers, int64_t k, int64_t nb,
+                  int32_t* out) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  V2d best[4] = {{kInf, kInf}, {kInf, kInf}, {kInf, kInf}, {kInf, kInf}};
+  V2i label[4] = {};
+  for (int64_t c = 0; c < k; ++c) {
+    const double* center = centers + c * nb;
+    V2d d[4] = {};
+    for (int64_t j = 0; j < nb; ++j) {
+      const double* x = rows[j] + col;
+      const V2d m = {center[j], center[j]};
+      for (int q = 0; q < 4; ++q) {
+        V2d t = Load2(x + 2 * q) - m;
+        d[q] += t * t;
+      }
+    }
+    const V2i index = {c, c};
+    for (int q = 0; q < 4; ++q) {
+      V2i take = reinterpret_cast<V2i>(d[q] < best[q]);
+      best[q] = reinterpret_cast<V2d>((reinterpret_cast<V2i>(d[q]) & take) |
+                                      (reinterpret_cast<V2i>(best[q]) & ~take));
+      label[q] = (index & take) | (label[q] & ~take);
+    }
+  }
+  for (int q = 0; q < 4; ++q) {
+    out[2 * q] = static_cast<int32_t>(label[q][0]);
+    out[2 * q + 1] = static_cast<int32_t>(label[q][1]);
+  }
+}
+
+// The same selection for one pixel: the `ncol % 8` tail of a row.
+int32_t NearestOne(const double* const* rows, int64_t col,
+                   const double* centers, int64_t k, int64_t nb) {
+  int32_t best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (int64_t c = 0; c < k; ++c) {
+    const double* center = centers + c * nb;
+    double d = 0;
+    for (int64_t j = 0; j < nb; ++j) {
+      double t = rows[j][col] - center[j];
+      d += t * t;
+    }
+    if (d < best_dist) {
+      best_dist = d;
+      best = static_cast<int32_t>(c);
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -81,8 +130,14 @@ StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
   const int64_t ntiles = TileCount(nrows);
   TilePool& pool = TilePool::Global();
 
-  std::vector<double> px = GatherFeatures(stack);
-  auto feature = [&](int64_t i) { return px.data() + i * nb; };
+  // Every pass reads Composite()'s float8 band planes in place.
+  std::vector<double> centers;  // k x nb, row-major
+  centers.reserve(static_cast<size_t>(k) * nb);
+  auto add_center = [&](int64_t i) {
+    for (const Image& band : stack) {
+      centers.push_back(band.RowF64(i / ncol)[i % ncol]);
+    }
+  };
 
   // Farthest-point (k-means++ without randomness beyond the first pick)
   // seeding from a fixed PRNG: deterministic given inputs. Each tile finds
@@ -90,29 +145,38 @@ StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
   // strict >, so the lowest pixel index wins ties exactly as the serial
   // scan would.
   Rng rng(opts.seed);
-  std::vector<double> centers;  // k x nb, row-major
-  centers.reserve(static_cast<size_t>(k) * nb);
-  {
-    const double* seed_px = feature(static_cast<int64_t>(rng.Index(npix)));
-    centers.insert(centers.end(), seed_px, seed_px + nb);
-  }
+  add_center(static_cast<int64_t>(rng.Index(npix)));
   std::vector<double> best_d2(static_cast<size_t>(npix),
                               std::numeric_limits<double>::infinity());
   struct Farthest {
     double d2 = -1;
     int64_t idx = 0;
   };
+  std::vector<Farthest> partial(static_cast<size_t>(ntiles));
   while (static_cast<int64_t>(centers.size()) / nb < k) {
     const double* last = centers.data() + centers.size() - nb;
-    std::vector<Farthest> partial(static_cast<size_t>(ntiles));
     pool.ParallelRows("kmeans_seed", nrows, [&](int64_t r0, int64_t r1) {
+      std::vector<double> d2(static_cast<size_t>(ncol));
+      for (int64_t r = r0; r < r1; ++r) {
+        // d2 = 0 + sum_j (x_j - last_j)^2 in band order, a row at a time.
+        double* __restrict__ d = d2.data();
+        std::fill(d2.begin(), d2.end(), 0.0);
+        for (int64_t j = 0; j < nb; ++j) {
+          const double* __restrict__ x =
+              stack[static_cast<size_t>(j)].RowF64(r);
+          const double m = last[j];
+          for (int64_t c = 0; c < ncol; ++c) {
+            double t = x[c] - m;
+            d[c] += t * t;
+          }
+        }
+        double* __restrict__ best = best_d2.data() + r * ncol;
+        for (int64_t c = 0; c < ncol; ++c) best[c] = std::min(best[c], d[c]);
+      }
       Farthest far;
       for (int64_t i = r0 * ncol; i < r1 * ncol; ++i) {
-        double d2 = Dist2(feature(i), last, nb);
-        double& best = best_d2[static_cast<size_t>(i)];
-        best = std::min(best, d2);
-        if (best > far.d2) {
-          far.d2 = best;
+        if (best_d2[static_cast<size_t>(i)] > far.d2) {
+          far.d2 = best_d2[static_cast<size_t>(i)];
           far.idx = i;
         }
       }
@@ -123,65 +187,64 @@ StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
     for (const Farthest& p : partial) {
       if (p.d2 > far.d2) far = p;
     }
-    const double* fp = feature(far.idx);
-    centers.insert(centers.end(), fp, fp + nb);
+    add_center(far.idx);
   }
 
-  // Lloyd iterations: tiled assignment (pure per-pixel argmin) and tiled
-  // center updates (per-tile sums combined in ascending tile order).
+  // Lloyd iterations, one tile pass each: a tile labels its rows with the
+  // nearest center, then adds each pixel, in ascending pixel order, into
+  // its own per-class sums and counts. Partials combine in ascending tile
+  // order, so every center is the same floating-point expression at every
+  // pool width.
+  const size_t kn = static_cast<size_t>(k * nb);
   std::vector<int32_t> assign(static_cast<size_t>(npix), 0);
+  std::vector<uint8_t> tile_moved(static_cast<size_t>(ntiles), 0);
+  std::vector<double> sum_partial(static_cast<size_t>(ntiles) * kn);
+  std::vector<int64_t> count_partial(static_cast<size_t>(ntiles * k));
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    std::vector<uint8_t> tile_moved(static_cast<size_t>(ntiles), 0);
-    pool.ParallelRows("kmeans_assign", nrows, [&](int64_t r0, int64_t r1) {
+    pool.ParallelRows("kmeans_step", nrows, [&](int64_t r0, int64_t r1) {
+      const size_t tile = static_cast<size_t>(r0 / TilePool::kTileRows);
+      double* sums = sum_partial.data() + tile * kn;
+      int64_t* counts = count_partial.data() + tile * static_cast<size_t>(k);
+      std::fill(sums, sums + kn, 0.0);
+      std::fill(counts, counts + k, 0);
+      std::vector<const double*> rows(static_cast<size_t>(nb));
+      std::vector<int32_t> nearest(static_cast<size_t>(ncol));
       bool moved = false;
-      for (int64_t i = r0 * ncol; i < r1 * ncol; ++i) {
-        int32_t best = 0;
-        double best_dist = std::numeric_limits<double>::infinity();
-        for (int64_t c = 0; c < k; ++c) {
-          double d = Dist2(feature(i), centers.data() + c * nb, nb);
-          if (d < best_dist) {
-            best_dist = d;
-            best = static_cast<int32_t>(c);
-          }
+      for (int64_t r = r0; r < r1; ++r) {
+        BandRows(stack, r, &rows);
+        int64_t c = 0;
+        for (; c + kBlock <= ncol; c += kBlock) {
+          NearestBlock(rows.data(), c, centers.data(), k, nb,
+                       nearest.data() + c);
         }
-        if (assign[static_cast<size_t>(i)] != best) {
-          assign[static_cast<size_t>(i)] = best;
-          moved = true;
+        for (; c < ncol; ++c) {
+          nearest[static_cast<size_t>(c)] =
+              NearestOne(rows.data(), c, centers.data(), k, nb);
+        }
+        int32_t* arow = assign.data() + r * ncol;
+        for (c = 0; c < ncol; ++c) {
+          const int32_t label = nearest[static_cast<size_t>(c)];
+          moved |= arow[c] != label;
+          arow[c] = label;
+          counts[label]++;
+          double* s = sums + static_cast<int64_t>(label) * nb;
+          for (size_t j = 0; j < rows.size(); ++j) s[j] += rows[j][c];
         }
       }
-      tile_moved[static_cast<size_t>(r0 / TilePool::kTileRows)] = moved;
+      tile_moved[tile] = moved;
       return Status::OK();
     });
     bool moved = false;
     for (uint8_t m : tile_moved) moved |= m != 0;
     if (!moved) break;
 
-    std::vector<std::vector<double>> sum_partial(
-        static_cast<size_t>(ntiles),
-        std::vector<double>(static_cast<size_t>(k) * nb, 0.0));
-    std::vector<std::vector<int64_t>> count_partial(
-        static_cast<size_t>(ntiles),
-        std::vector<int64_t>(static_cast<size_t>(k), 0));
-    pool.ParallelRows("kmeans_update", nrows, [&](int64_t r0, int64_t r1) {
-      size_t tile = static_cast<size_t>(r0 / TilePool::kTileRows);
-      std::vector<double>& sums = sum_partial[tile];
-      std::vector<int64_t>& counts = count_partial[tile];
-      for (int64_t i = r0 * ncol; i < r1 * ncol; ++i) {
-        int32_t c = assign[static_cast<size_t>(i)];
-        counts[static_cast<size_t>(c)]++;
-        const double* __restrict__ f = feature(i);
-        double* __restrict__ s = sums.data() + static_cast<int64_t>(c) * nb;
-        for (int64_t j = 0; j < nb; ++j) s[j] += f[j];
-      }
-      return Status::OK();
-    });
-    std::vector<double> sums(static_cast<size_t>(k) * nb, 0.0);
+    std::vector<double> sums(kn, 0.0);
     std::vector<int64_t> counts(static_cast<size_t>(k), 0);
     for (int64_t t = 0; t < ntiles; ++t) {
-      const auto& sp = sum_partial[static_cast<size_t>(t)];
-      for (size_t i = 0; i < sums.size(); ++i) sums[i] += sp[i];
-      const auto& cp = count_partial[static_cast<size_t>(t)];
-      for (size_t i = 0; i < counts.size(); ++i) counts[i] += cp[i];
+      const double* sp = sum_partial.data() + static_cast<size_t>(t) * kn;
+      for (size_t i = 0; i < kn; ++i) sums[i] += sp[i];
+      const int64_t* cp = count_partial.data() + t * k;
+      for (int64_t i = 0; i < k; ++i) counts[static_cast<size_t>(i)] += cp[i];
     }
     for (int64_t c = 0; c < k; ++c) {
       if (counts[static_cast<size_t>(c)] == 0) continue;  // keep old center
@@ -233,8 +296,10 @@ StatusOr<Image> MaxLikelihoodClassify(const std::vector<const Image*>& bands,
     std::map<int, ClassStats>& local =
         partial[static_cast<size_t>(r0 / TilePool::kTileRows)];
     std::vector<double> lrow(ncol);
+    std::vector<const double*> rows(static_cast<size_t>(nb));
     for (int64_t r = r0; r < r1; ++r) {
       training.ReadRow(r, lrow.data());
+      BandRows(stack, r, &rows);
       for (int64_t c = 0; c < ncol; ++c) {
         int label = static_cast<int>(lrow[static_cast<size_t>(c)]);
         if (label < 0) continue;
@@ -244,7 +309,7 @@ StatusOr<Image> MaxLikelihoodClassify(const std::vector<const Image*>& bands,
           cs.sum2.assign(static_cast<size_t>(nb), 0.0);
         }
         for (int64_t j = 0; j < nb; ++j) {
-          double v = stack[static_cast<size_t>(j)].RowF64(r)[c];
+          double v = rows[static_cast<size_t>(j)][c];
           cs.sum[static_cast<size_t>(j)] += v;
           cs.sum2[static_cast<size_t>(j)] += v * v;
         }
@@ -274,7 +339,7 @@ StatusOr<Image> MaxLikelihoodClassify(const std::vector<const Image*>& bands,
 
   struct Gaussian {
     int label;
-    std::vector<double> mean, var;
+    std::vector<double> mean, var, log_var;
   };
   std::vector<Gaussian> models;
   for (const auto& [label, cs] : stats) {
@@ -290,6 +355,7 @@ StatusOr<Image> MaxLikelihoodClassify(const std::vector<const Image*>& bands,
       g.var[static_cast<size_t>(j)] =
           std::max(var, 1e-6);  // floor to keep log-likelihood finite
     }
+    for (double v : g.var) g.log_var.push_back(std::log(v));
     models.push_back(std::move(g));
   }
 
@@ -297,21 +363,18 @@ StatusOr<Image> MaxLikelihoodClassify(const std::vector<const Image*>& bands,
       Image out, Image::Create(first.nrow(), first.ncol(), PixelType::kInt32));
   GAEA_RETURN_IF_ERROR(
       pool.ParallelRows("maxlike_classify", nrows, [&](int64_t r0, int64_t r1) {
-        std::vector<double> feat(static_cast<size_t>(nb));
+        std::vector<const double*> rows(static_cast<size_t>(nb));
         std::vector<double> orow(static_cast<size_t>(ncol));
         for (int64_t r = r0; r < r1; ++r) {
+          BandRows(stack, r, &rows);
           for (int64_t c = 0; c < ncol; ++c) {
-            for (int64_t j = 0; j < nb; ++j) {
-              feat[static_cast<size_t>(j)] = stack[static_cast<size_t>(j)].RowF64(r)[c];
-            }
             double best_ll = -std::numeric_limits<double>::infinity();
             int best_label = models[0].label;
             for (const Gaussian& g : models) {
               double ll = 0;
-              for (int64_t j = 0; j < nb; ++j) {
-                double d = feat[static_cast<size_t>(j)] - g.mean[static_cast<size_t>(j)];
-                double var = g.var[static_cast<size_t>(j)];
-                ll += -0.5 * (d * d / var + std::log(var));
+              for (size_t j = 0; j < rows.size(); ++j) {
+                double d = rows[j][c] - g.mean[j];
+                ll += -0.5 * (d * d / g.var[j] + g.log_var[j]);
               }
               if (ll > best_ll) {
                 best_ll = ll;

@@ -4,6 +4,8 @@
 // in place of '-').
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "raster/classify.h"
 #include "raster/image_ops.h"
@@ -29,6 +31,19 @@ StatusOr<std::vector<const Image*>> ImageListArg(const Value& v,
     out.push_back(img.get());
   }
   return out;
+}
+
+// Narrows an integer argument to the `int` the raster kernels take. A value
+// outside int range is an error rather than a wrap: unsuperclassify(bands,
+// 4294967308) must not quietly run with k = 12.
+StatusOr<int> IntArg(const Value& v, const char* name) {
+  GAEA_ASSIGN_OR_RETURN(int64_t n, v.AsInt());
+  if (n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(std::string(name) + " " +
+                                   std::to_string(n) + " is out of int range");
+  }
+  return static_cast<int>(n);
 }
 
 Status RegisterArithmetic(OperatorRegistry* reg) {
@@ -271,9 +286,8 @@ Status RegisterAnalysis(OperatorRegistry* reg) {
             std::vector<ImagePtr> keep;
             GAEA_ASSIGN_OR_RETURN(std::vector<const Image*> bands,
                                   ImageListArg(args[0], &keep));
-            GAEA_ASSIGN_OR_RETURN(int64_t k, args[1].AsInt());
-            GAEA_ASSIGN_OR_RETURN(
-                Image out, UnsupervisedClassify(bands, static_cast<int>(k)));
+            GAEA_ASSIGN_OR_RETURN(int k, IntArg(args[1], "unsuperclassify: k"));
+            GAEA_ASSIGN_OR_RETURN(Image out, UnsupervisedClassify(bands, k));
             return Value::OfImage(std::move(out));
           },
           "k-means unsupervised classification (Figure 3)"}));
@@ -308,9 +322,9 @@ Status RegisterAnalysis(OperatorRegistry* reg) {
           [](const ValueList& args) -> StatusOr<Value> {
             GAEA_ASSIGN_OR_RETURN(ImagePtr a, args[0].AsImage());
             GAEA_ASSIGN_OR_RETURN(ImagePtr b, args[1].AsImage());
-            GAEA_ASSIGN_OR_RETURN(int64_t k, args[2].AsInt());
-            GAEA_ASSIGN_OR_RETURN(Image out,
-                                  ChangeMap(*a, *b, static_cast<int>(k)));
+            GAEA_ASSIGN_OR_RETURN(int k,
+                                  IntArg(args[2], "changemap: num_classes"));
+            GAEA_ASSIGN_OR_RETURN(Image out, ChangeMap(*a, *b, k));
             return Value::OfImage(std::move(out));
           },
           "label-transition change map (Figure 5)"}));
@@ -344,11 +358,9 @@ Status RegisterAnalysis(OperatorRegistry* reg) {
               std::vector<ImagePtr> keep;
               GAEA_ASSIGN_OR_RETURN(std::vector<const Image*> bands,
                                     ImageListArg(args[0], &keep));
-              GAEA_ASSIGN_OR_RETURN(int64_t n, args[1].AsInt());
+              GAEA_ASSIGN_OR_RETURN(int n, IntArg(args[1], "pca: n"));
               GAEA_ASSIGN_OR_RETURN(
-                  PcaResult res,
-                  standardized ? Spca(bands, static_cast<int>(n))
-                               : Pca(bands, static_cast<int>(n)));
+                  PcaResult res, standardized ? Spca(bands, n) : Pca(bands, n));
               ValueList out;
               out.reserve(res.components.size());
               for (Image& img : res.components) {
@@ -425,12 +437,12 @@ Status RegisterAnalysis(OperatorRegistry* reg) {
           TypeId::kList,
           [](const ValueList& args) -> StatusOr<Value> {
             GAEA_ASSIGN_OR_RETURN(MatrixPtr m, args[0].AsMatrix());
-            GAEA_ASSIGN_OR_RETURN(int64_t nrow, args[1].AsInt());
-            GAEA_ASSIGN_OR_RETURN(int64_t ncol, args[2].AsInt());
             GAEA_ASSIGN_OR_RETURN(
-                std::vector<Image> imgs,
-                MatrixToImages(*m, static_cast<int>(nrow),
-                               static_cast<int>(ncol)));
+                int nrow, IntArg(args[1], "convert_matrix_image: nrow"));
+            GAEA_ASSIGN_OR_RETURN(
+                int ncol, IntArg(args[2], "convert_matrix_image: ncol"));
+            GAEA_ASSIGN_OR_RETURN(std::vector<Image> imgs,
+                                  MatrixToImages(*m, nrow, ncol));
             ValueList out;
             for (Image& img : imgs) out.push_back(Value::OfImage(std::move(img)));
             return Value::List(std::move(out));

@@ -179,6 +179,72 @@ TEST(BuiltinOpsTest, Figure4StagesComposeToPca) {
   EXPECT_EQ(comps->size(), 3u);
 }
 
+// Integer operator arguments beyond int range used to be narrowed with a
+// cast, so 2^32 + n silently meant n. Each value below wraps to a valid
+// argument; every one must be refused instead.
+constexpr int64_t kWraps = int64_t{1} << 32;
+
+Value SceneBandList() {
+  SceneSpec spec;
+  spec.nrow = 8;
+  spec.ncol = 8;
+  std::vector<Image> bands = GenerateScene(spec).value();
+  ValueList band_values;
+  for (Image& b : bands) band_values.push_back(Value::OfImage(std::move(b)));
+  return Value::List(std::move(band_values));
+}
+
+void ExpectOutOfIntRange(const StatusOr<Value>& result) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("out of int range"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(BuiltinOpsTest, UnsuperclassifyRejectsKOutsideIntRange) {
+  OperatorRegistry reg;
+  ASSERT_OK(RegisterBuiltinOperators(&reg));
+  Value bands = SceneBandList();
+  ASSERT_OK(reg.Invoke("unsuperclassify", {bands, Value::Int(12)}));
+  ExpectOutOfIntRange(
+      reg.Invoke("unsuperclassify", {bands, Value::Int(kWraps + 12)}));
+  ExpectOutOfIntRange(
+      reg.Invoke("unsuperclassify", {bands, Value::Int(-kWraps + 12)}));
+}
+
+TEST(BuiltinOpsTest, ChangemapRejectsNumClassesOutsideIntRange) {
+  OperatorRegistry reg;
+  ASSERT_OK(RegisterBuiltinOperators(&reg));
+  ASSERT_OK_AND_ASSIGN(Image labels, Image::FromValues(1, 3, {0, 1, 2}));
+  Value a = Value::OfImage(labels);
+  ASSERT_OK(reg.Invoke("changemap", {a, a, Value::Int(3)}));
+  ExpectOutOfIntRange(reg.Invoke("changemap", {a, a, Value::Int(kWraps + 3)}));
+}
+
+TEST(BuiltinOpsTest, PcaRejectsComponentCountOutsideIntRange) {
+  OperatorRegistry reg;
+  ASSERT_OK(RegisterBuiltinOperators(&reg));
+  Value bands = SceneBandList();
+  for (const char* op : {"pca", "spca"}) {
+    ASSERT_OK(reg.Invoke(op, {bands, Value::Int(2)}));
+    ExpectOutOfIntRange(reg.Invoke(op, {bands, Value::Int(kWraps + 2)}));
+  }
+}
+
+TEST(BuiltinOpsTest, ConvertMatrixImageRejectsShapeOutsideIntRange) {
+  OperatorRegistry reg;
+  ASSERT_OK(RegisterBuiltinOperators(&reg));
+  ASSERT_OK_AND_ASSIGN(Value m,
+                       reg.Invoke("convert_image_matrix", {SceneBandList()}));
+  ASSERT_OK(
+      reg.Invoke("convert_matrix_image", {m, Value::Int(8), Value::Int(8)}));
+  ExpectOutOfIntRange(reg.Invoke("convert_matrix_image",
+                                 {m, Value::Int(kWraps + 8), Value::Int(8)}));
+  ExpectOutOfIntRange(reg.Invoke("convert_matrix_image",
+                                 {m, Value::Int(8), Value::Int(kWraps + 8)}));
+}
+
 TEST(BuiltinOpsTest, SpatialTemporalOps) {
   OperatorRegistry reg;
   ASSERT_OK(RegisterBuiltinOperators(&reg));
