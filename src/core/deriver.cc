@@ -7,19 +7,9 @@ namespace gaea {
 StatusOr<Oid> Deriver::Derive(
     const std::string& name,
     const std::map<std::string, std::vector<Oid>>& inputs, int version) {
-  const ProcessDef* proc;
-  if (version > 0) {
-    GAEA_ASSIGN_OR_RETURN(proc, processes_->Version(name, version));
-  } else {
-    GAEA_ASSIGN_OR_RETURN(proc, processes_->Latest(name));
-  }
-  return DeriveImpl(*proc, inputs);
-}
-
-StatusOr<Oid> Deriver::DeriveImpl(
-    const ProcessDef& proc,
-    const std::map<std::string, std::vector<Oid>>& inputs) {
-  return Commit(Prepare(proc, inputs));
+  GAEA_ASSIGN_OR_RETURN(const ProcessDef* proc,
+                        processes_->Resolve(name, version));
+  return Commit(Prepare(*proc, inputs));
 }
 
 Deriver::Prepared Deriver::Prepare(
@@ -159,33 +149,6 @@ StatusOr<Oid> Deriver::Commit(Prepared prepared) {
   }
   GAEA_RETURN_IF_ERROR(log_->Append(std::move(task)).status());
   return *oid;
-}
-
-StatusOr<std::vector<Oid>> Deriver::Execute(const DerivationPlan& plan) {
-  std::vector<Oid> produced;
-  produced.reserve(plan.steps.size());
-  for (const PlanStep& step : plan.steps) {
-    std::map<std::string, std::vector<Oid>> inputs;
-    for (const auto& [arg, bound_inputs] : step.bindings) {
-      std::vector<Oid>& oids = inputs[arg];
-      for (const BoundInput& input : bound_inputs) {
-        if (input.kind == BoundInput::Kind::kStored) {
-          oids.push_back(input.oid);
-        } else {
-          if (input.step_index >= produced.size()) {
-            return Status::Internal(
-                "plan step references not-yet-executed step " +
-                std::to_string(input.step_index));
-          }
-          oids.push_back(produced[input.step_index]);
-        }
-      }
-    }
-    GAEA_ASSIGN_OR_RETURN(
-        Oid oid, Derive(step.process_name, inputs, step.process_version));
-    produced.push_back(oid);
-  }
-  return produced;
 }
 
 StatusOr<Oid> Deriver::Replay(const Task& task) {

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "core/planner.h"
 #include "core/process_registry.h"
 #include "core/task.h"
 #include "obs/metrics.h"
@@ -58,10 +57,6 @@ class Deriver {
                        const std::map<std::string, std::vector<Oid>>& inputs,
                        int version = 0);
 
-  // Executes a plan; returns the OIDs produced by each step (the last one
-  // is the target object).
-  StatusOr<std::vector<Oid>> Execute(const DerivationPlan& plan);
-
   // Re-runs the process/version and inputs of a completed task; returns the
   // new output OID. Reproducibility check: with deterministic operators the
   // new object's attributes equal the original's.
@@ -91,9 +86,6 @@ class Deriver {
   StatusOr<Oid> Commit(Prepared prepared);
 
  private:
-  StatusOr<Oid> DeriveImpl(const ProcessDef& proc,
-                           const std::map<std::string, std::vector<Oid>>& inputs);
-
   Catalog* catalog_;
   const ProcessRegistry* processes_;
   const OperatorRegistry* ops_;

@@ -36,6 +36,12 @@ class ProcessRegistry {
   // Specific version.
   StatusOr<const ProcessDef*> Version(const std::string& name,
                                       int version) const;
+  // The version a derive request names: `version` > 0 picks that version,
+  // anything else the latest.
+  StatusOr<const ProcessDef*> Resolve(const std::string& name,
+                                      int version) const {
+    return version > 0 ? Version(name, version) : Latest(name);
+  }
   bool Contains(const std::string& name) const;
 
   // All versions of a process, ascending.

@@ -32,9 +32,7 @@ TaskScheduler::StepItem TaskScheduler::ComputeStep(
   item.inputs = std::move(inputs);
 
   StatusOr<const ProcessDef*> proc =
-      step.process_version > 0
-          ? processes_->Version(step.process_name, step.process_version)
-          : processes_->Latest(step.process_name);
+      processes_->Resolve(step.process_name, step.process_version);
   if (!proc.ok()) {
     item.kind = StepItem::Kind::kFailed;
     item.status = proc.status();

@@ -17,7 +17,7 @@
 // deposited into the buffer and the worker moves on; whichever worker
 // deposits the next-in-order item drains everything that became committable.
 //
-// When a DerivationCache is attached (use_cache), each step consults it
+// When a DerivationCache is attached (non-null), each step consults it
 // before preparing (key: process, version, params, input OIDs — see
 // derivation_cache.h). The commit-time state is authoritative: a compute-
 // time hit is re-validated against the catalog at commit (recomputing
@@ -63,18 +63,17 @@ struct DeriveOutcome {
 class TaskScheduler {
  public:
   struct Options {
-    int threads = 1;       // worker threads (<= 1 runs on the caller thread)
-    bool use_cache = true; // consult/populate the derivation cache
+    int threads = 1;  // worker threads (<= 1 runs on the caller thread)
   };
 
-  // `cache` may be null (equivalent to use_cache = false).
+  // A null `cache` turns memoization off: every step prepares and commits.
   TaskScheduler(Deriver* deriver, Catalog* catalog,
                 const ProcessRegistry* processes, DerivationCache* cache,
                 Options options)
       : deriver_(deriver),
         catalog_(catalog),
         processes_(processes),
-        cache_(options.use_cache ? cache : nullptr),
+        cache_(cache),
         options_(options) {}
 
   TaskScheduler(const TaskScheduler&) = delete;

@@ -221,21 +221,19 @@ StatusOr<const Task*> TaskLog::Producer(Oid oid) const {
   return &tasks_[it->second];
 }
 
-StatusOr<const Task*> TaskLog::FindCompleted(
+std::vector<Oid> TaskLog::FindCompleted(
     const std::string& process_name, int process_version,
     const std::map<std::string, std::vector<Oid>>& inputs) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Newest first: the latest equivalent run is the one to reuse.
+  std::vector<Oid> out;
   for (auto it = tasks_.rbegin(); it != tasks_.rend(); ++it) {
-    if (it->status == TaskStatus::kCompleted &&
+    if (it->status == TaskStatus::kCompleted && it->outputs.size() == 1 &&
         it->process_version == process_version &&
         it->process_name == process_name && it->inputs == inputs) {
-      return &*it;
+      out.push_back(it->outputs[0]);
     }
   }
-  return Status::NotFound("no completed task for " + process_name + " v" +
-                          std::to_string(process_version) +
-                          " with these inputs");
+  return out;
 }
 
 std::vector<const Task*> TaskLog::Consumers(Oid oid) const {

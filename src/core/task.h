@@ -117,10 +117,12 @@ class TaskLog {
   // All tasks that consumed `oid` as an input.
   std::vector<const Task*> Consumers(Oid oid) const;
 
-  // The most recent *completed* task with exactly this process version and
-  // these input bindings, or kNotFound. Backs derivation reuse ("avoid
-  // unnecessary duplication of experiments", paper §1).
-  StatusOr<const Task*> FindCompleted(
+  // The outputs of every *completed single-output* task with exactly this
+  // process version and these input bindings, newest first; empty when
+  // none ran. The scan holds the log mutex, so it is safe against
+  // concurrent appends. Backs derivation reuse ("avoid unnecessary
+  // duplication of experiments", paper §1).
+  std::vector<Oid> FindCompleted(
       const std::string& process_name, int process_version,
       const std::map<std::string, std::vector<Oid>>& inputs) const;
 

@@ -213,16 +213,14 @@ StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::OpenWithPlan(
       kernel->catalog_.get(), &kernel->processes_, kernel->deriver_.get(),
       kernel->interpolator_.get());
   GAEA_RETURN_IF_ERROR(kernel->Recover(env));
-  // Cluster members seed the derivation cache from the recovered task log:
-  // a derive the client retries across a primary crash then hits the cache
-  // and returns the original OIDs instead of recording a duplicate task
-  // (exactly-once together with the server's idempotency dedup).
+  // Cluster members restore derived objects whose pages never reached disk
+  // (a replicated kernel must hold the exact bytes it shipped to replicas)
+  // and seed the derivation cache from the recovered task log: a derive the
+  // client retries across a primary crash then hits the cache and returns
+  // the original OIDs instead of recording a duplicate task (exactly-once
+  // together with the server's idempotency dedup).
   if (kernel->object_journal_ != nullptr) {
-    // Restore derived objects whose pages never reached disk before warming
-    // the cache: warming only memoizes tasks whose output is stored, and a
-    // replicated kernel must hold the exact bytes it shipped to replicas.
     GAEA_RETURN_IF_ERROR(kernel->RematerializeMissingOutputs());
-    kernel->WarmDerivationCache();
   }
   kernel->WireObservability();
   return kernel;
@@ -663,11 +661,8 @@ StatusOr<std::vector<DeriveOutcome>> GaeaKernel::DeriveBatch(
     const std::vector<DeriveRequest>& requests) {
   obs::SpanGuard span("derive-batch", "kernel");
   metrics_.GetCounter("gaea_derive_batches_total")->Inc();
-  TaskScheduler::Options opts;
-  opts.threads = derive_threads_;
-  opts.use_cache = true;
   TaskScheduler scheduler(deriver_.get(), catalog_.get(), &processes_,
-                          derivation_cache_.get(), opts);
+                          derivation_cache_.get(), {derive_threads_});
   return scheduler.RunBatch(requests);
 }
 
@@ -684,50 +679,21 @@ StatusOr<Oid> GaeaKernel::DeriveCompound(
     const std::map<std::string, std::vector<Oid>>& external_inputs) {
   obs::SpanGuard span("compound:" + compound.name(), "kernel");
   metrics_.GetCounter("gaea_compound_runs_total")->Inc();
-  TaskScheduler::Options opts;
-  opts.threads = derive_threads_;
-  opts.use_cache = false;  // every compound run records its stage tasks
+  // No cache: every compound run records its stage tasks.
   TaskScheduler scheduler(deriver_.get(), catalog_.get(), &processes_,
-                          nullptr, opts);
+                          nullptr, {derive_threads_});
   return scheduler.RunCompound(compound, external_inputs);
 }
 
 StatusOr<Oid> GaeaKernel::DeriveOrReuse(
     const std::string& process,
     const std::map<std::string, std::vector<Oid>>& inputs, int version) {
-  const ProcessDef* proc;
-  if (version > 0) {
-    GAEA_ASSIGN_OR_RETURN(proc, processes_.Version(process, version));
-  } else {
-    GAEA_ASSIGN_OR_RETURN(proc, processes_.Latest(process));
-  }
-  int resolved_version = proc->version();
-
-  // Fast path: the derivation cache memoizes exactly this question.
-  std::string key = DerivationCache::MakeKey(*proc, inputs);
-  if (std::optional<Oid> hit = derivation_cache_->Lookup(key)) {
-    GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(*hit));
-    if (stored) return *hit;
-    derivation_cache_->InvalidateOutput(*hit);
-  }
-
-  // Newest-first over equivalent completed runs; the first whose output is
-  // still stored wins (earlier equivalents may have been evicted).
-  const auto& tasks = task_log_->tasks();
-  for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) {
-    if (it->status == TaskStatus::kCompleted &&
-        it->process_version == resolved_version &&
-        it->process_name == process && it->inputs == inputs &&
-        it->outputs.size() == 1) {
-      GAEA_ASSIGN_OR_RETURN(bool stored,
-                            catalog_->ContainsObject(it->outputs[0]));
-      if (!stored) continue;
-      derivation_cache_->Insert(key, it->outputs[0]);
-      return it->outputs[0];
-    }
-  }
-  GAEA_ASSIGN_OR_RETURN(Oid oid, Derive(process, inputs, resolved_version));
-  derivation_cache_->Insert(key, oid);
+  GAEA_ASSIGN_OR_RETURN(const ProcessDef* proc,
+                        processes_.Resolve(process, version));
+  StatusOr<Oid> recorded = TryRecordedDerive(process, inputs, proc->version());
+  if (recorded.status().code() != StatusCode::kNotFound) return recorded;
+  GAEA_ASSIGN_OR_RETURN(Oid oid, Derive(process, inputs, proc->version()));
+  derivation_cache_->Insert(DerivationCache::MakeKey(*proc, inputs), oid);
   return oid;
 }
 
@@ -976,11 +942,11 @@ Status GaeaKernel::RematerializeMissingOutputs() {
     }
     GAEA_ASSIGN_OR_RETURN(bool stored,
                           catalog_->ContainsObject(task.outputs[0]));
-    if (stored) continue;
-    if (!processes_.Version(task.process_name, task.process_version).ok()) {
-      continue;
-    }
-    GAEA_RETURN_IF_ERROR(RematerializeTask(task));
+    auto proc = processes_.Version(task.process_name, task.process_version);
+    if (!proc.ok()) continue;
+    if (!stored) GAEA_RETURN_IF_ERROR(RematerializeTask(task));
+    derivation_cache_->Insert(DerivationCache::MakeKey(**proc, task.inputs),
+                              task.outputs[0]);
   }
   return Status::OK();
 }
@@ -1011,51 +977,25 @@ Status GaeaKernel::RematerializeTask(const Task& task) {
 StatusOr<Oid> GaeaKernel::TryRecordedDerive(
     const std::string& process,
     const std::map<std::string, std::vector<Oid>>& inputs, int version) {
-  const ProcessDef* proc;
-  if (version > 0) {
-    GAEA_ASSIGN_OR_RETURN(proc, processes_.Version(process, version));
-  } else {
-    GAEA_ASSIGN_OR_RETURN(proc, processes_.Latest(process));
-  }
-  int resolved_version = proc->version();
+  GAEA_ASSIGN_OR_RETURN(const ProcessDef* proc,
+                        processes_.Resolve(process, version));
   std::string key = DerivationCache::MakeKey(*proc, inputs);
   if (std::optional<Oid> hit = derivation_cache_->Lookup(key)) {
     GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(*hit));
     if (stored) return *hit;
     derivation_cache_->InvalidateOutput(*hit);
   }
-  const auto& tasks = task_log_->tasks();
-  for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) {
-    if (it->status == TaskStatus::kCompleted &&
-        it->process_version == resolved_version &&
-        it->process_name == process && it->inputs == inputs &&
-        it->outputs.size() == 1) {
-      GAEA_ASSIGN_OR_RETURN(bool stored,
-                            catalog_->ContainsObject(it->outputs[0]));
-      if (!stored) continue;
-      derivation_cache_->Insert(key, it->outputs[0]);
-      return it->outputs[0];
-    }
+  // Newest first; the first output still stored wins (earlier equivalents
+  // may have been evicted). The store probes run outside the log mutex.
+  for (Oid output : task_log_->FindCompleted(process, proc->version(),
+                                             inputs)) {
+    GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(output));
+    if (!stored) continue;
+    derivation_cache_->Insert(key, output);
+    return output;
   }
   return Status::NotFound("no recorded derivation of " + process +
                           " with these inputs");
-}
-
-void GaeaKernel::WarmDerivationCache() {
-  for (const Task& task : task_log_->tasks()) {
-    if (task.status != TaskStatus::kCompleted || task.process_version < 1 ||
-        task.outputs.size() != 1) {
-      continue;
-    }
-    // Warming is only a head start: an output that cannot be probed now is
-    // left for the first derive to find (or fail on).
-    StatusOr<bool> stored = catalog_->ContainsObject(task.outputs[0]);
-    if (!stored.ok() || !*stored) continue;
-    auto proc = processes_.Version(task.process_name, task.process_version);
-    if (!proc.ok()) continue;
-    derivation_cache_->Insert(DerivationCache::MakeKey(**proc, task.inputs),
-                              task.outputs[0]);
-  }
 }
 
 Status GaeaKernel::Evict(Oid oid) {

@@ -384,11 +384,13 @@ class GaeaKernel {
   Status ApplyReplicated(const std::string& component, uint64_t from,
                          const std::vector<std::string>& records);
 
-  // Read-only derivation lookup for replica serving: resolves the process,
-  // consults the derivation cache and the task log, and returns the
-  // recorded output when this exact derivation already ran. kNotFound when
-  // the request is novel — a replica answers that with a bounce to the
-  // primary instead of forking history with a local write.
+  // Read-only derivation lookup for replica serving (and the reuse half of
+  // DeriveOrReuse): resolves the process, consults the derivation cache,
+  // then the task log (TaskLog::FindCompleted), and returns the recorded
+  // output when this exact derivation already ran and its output is still
+  // stored. kNotFound when the request is novel — a replica answers that
+  // with a bounce to the primary instead of forking history with a local
+  // write.
   StatusOr<Oid> TryRecordedDerive(
       const std::string& process,
       const std::map<std::string, std::vector<Oid>>& inputs, int version = 0);
@@ -476,15 +478,14 @@ class GaeaKernel {
   // Re-runs a replicated completed task and stores its outputs under the
   // recorded OIDs (skipping ones already present).
   Status RematerializeTask(const Task& task);
-  // Eagerly re-derives every completed single-output task whose stored
-  // output a crash took with it. Replicas rematerialize when task records
-  // arrive, so a replicated primary must do the same at open or its store
-  // diverges from what it already shipped.
+  // One pass over the recovered task log, in id order, at open. It eagerly
+  // re-derives every completed single-output task whose stored output a
+  // crash took with it: replicas rematerialize when task records arrive,
+  // so a replicated primary must do the same or its store diverges from
+  // what it already shipped. It then memoizes the task's output, so a
+  // derive retried across a restart finds it instead of running twice
+  // (exactly-once under client retry + idempotency dedup).
   Status RematerializeMissingOutputs();
-  // Seeds the derivation cache from the recovered task log so a derive
-  // retried across a restart finds the memoized output instead of running
-  // twice (exactly-once under client retry + idempotency dedup).
-  void WarmDerivationCache();
   // The startup invariant check described at RecoveryReport; `env` is the
   // file system the quarantine journal is written through.
   Status Recover(Env* env);

@@ -59,38 +59,49 @@ bool GaeaClusterClient::BounceToPrimary(const Status& status) {
   }
 }
 
-Status GaeaClusterClient::ExecuteDdl(const std::string& source) {
-  std::lock_guard<std::mutex> lock(mu_);
+template <typename Call>
+std::invoke_result_t<const Call&, GaeaClient*> GaeaClusterClient::OnPrimary(
+    const Call& call) {
   GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  Status result = primary->ExecuteDdl(source);
+  auto result = call(primary);
   Absorb(primary);
   return result;
 }
 
+template <typename Call>
+std::invoke_result_t<const Call&, GaeaClient*> GaeaClusterClient::ReplicaFirst(
+    bool read_your_writes, const Call& call) {
+  if (!replicas_.empty()) {
+    Conn& conn = replicas_[next_replica_++ % replicas_.size()];
+    GaeaClient* replica = Dial(&conn, /*primary=*/false);
+    if (read_your_writes) replica->set_min_lsn(token_.load());
+    auto result = call(replica);
+    Absorb(replica);
+    if (result.ok() || !BounceToPrimary(result.status())) return result;
+  }
+  return OnPrimary(call);
+}
+
+Status GaeaClusterClient::ExecuteDdl(const std::string& source) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return OnPrimary([&](GaeaClient* c) { return c->ExecuteDdl(source); });
+}
+
 StatusOr<int> GaeaClusterClient::DefineProcess(const ProcessDef& def) {
   std::lock_guard<std::mutex> lock(mu_);
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->DefineProcess(def);
-  Absorb(primary);
-  return result;
+  return OnPrimary([&](GaeaClient* c) { return c->DefineProcess(def); });
 }
 
 StatusOr<Oid> GaeaClusterClient::InsertObject(
     const InsertObjectRequest& request) {
   std::lock_guard<std::mutex> lock(mu_);
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->InsertObject(request);
-  Absorb(primary);
-  return result;
+  return OnPrimary([&](GaeaClient* c) { return c->InsertObject(request); });
 }
 
 StatusOr<std::vector<DeriveOutcome>> GaeaClusterClient::DeriveBatch(
     const std::vector<DeriveRequest>& requests) {
   std::lock_guard<std::mutex> lock(mu_);
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->DeriveBatch(requests);
-  Absorb(primary);
-  return result;
+  return OnPrimary([&](GaeaClient* c) { return c->DeriveBatch(requests); });
 }
 
 StatusOr<Oid> GaeaClusterClient::Derive(
@@ -98,73 +109,31 @@ StatusOr<Oid> GaeaClusterClient::Derive(
     const std::map<std::string, std::vector<Oid>>& inputs, int version,
     bool* cache_hit) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; !replicas_.empty() && i < 1; ++i) {
-    Conn& conn = replicas_[next_replica_++ % replicas_.size()];
-    GaeaClient* replica = Dial(&conn, /*primary=*/false);
-    replica->set_min_lsn(token_.load());
-    auto result = replica->Derive(process, inputs, version, cache_hit);
-    Absorb(replica);
-    if (result.ok() || !BounceToPrimary(result.status())) return result;
-  }
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->Derive(process, inputs, version, cache_hit);
-  Absorb(primary);
-  return result;
+  return ReplicaFirst(true, [&](GaeaClient* c) {
+    return c->Derive(process, inputs, version, cache_hit);
+  });
 }
 
 StatusOr<std::string> GaeaClusterClient::GetObjectRaw(Oid oid) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; !replicas_.empty() && i < 1; ++i) {
-    Conn& conn = replicas_[next_replica_++ % replicas_.size()];
-    GaeaClient* replica = Dial(&conn, /*primary=*/false);
-    replica->set_min_lsn(token_.load());
-    auto result = replica->GetObjectRaw(oid);
-    Absorb(replica);
-    if (result.ok() || !BounceToPrimary(result.status())) return result;
-  }
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->GetObjectRaw(oid);
-  Absorb(primary);
-  return result;
+  return ReplicaFirst(true,
+                      [&](GaeaClient* c) { return c->GetObjectRaw(oid); });
 }
 
 StatusOr<LineageReply> GaeaClusterClient::Lineage(Oid oid) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; !replicas_.empty() && i < 1; ++i) {
-    Conn& conn = replicas_[next_replica_++ % replicas_.size()];
-    GaeaClient* replica = Dial(&conn, /*primary=*/false);
-    replica->set_min_lsn(token_.load());
-    auto result = replica->Lineage(oid);
-    Absorb(replica);
-    if (result.ok() || !BounceToPrimary(result.status())) return result;
-  }
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->Lineage(oid);
-  Absorb(primary);
-  return result;
+  return ReplicaFirst(true, [&](GaeaClient* c) { return c->Lineage(oid); });
 }
 
 StatusOr<std::string> GaeaClusterClient::StatsJson() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; !replicas_.empty() && i < 1; ++i) {
-    Conn& conn = replicas_[next_replica_++ % replicas_.size()];
-    GaeaClient* replica = Dial(&conn, /*primary=*/false);
-    auto result = replica->StatsJson();
-    Absorb(replica);
-    if (result.ok() || !BounceToPrimary(result.status())) return result;
-  }
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->StatsJson();
-  Absorb(primary);
-  return result;
+  // Stats answer about the endpoint itself; any replica may serve them.
+  return ReplicaFirst(false, [](GaeaClient* c) { return c->StatsJson(); });
 }
 
 StatusOr<ReplicaStatusReply> GaeaClusterClient::PrimaryStatus() {
   std::lock_guard<std::mutex> lock(mu_);
-  GaeaClient* primary = Dial(&primary_, /*primary=*/true);
-  auto result = primary->ReplicaStatus();
-  Absorb(primary);
-  return result;
+  return OnPrimary([](GaeaClient* c) { return c->ReplicaStatus(); });
 }
 
 }  // namespace gaea::net

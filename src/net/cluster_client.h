@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/client.h"
@@ -88,6 +89,18 @@ class GaeaClusterClient {
   void Absorb(const GaeaClient* client);  // max client LSN into the token
   // True when `status` means "this replica can't answer; ask the primary".
   static bool BounceToPrimary(const Status& status);
+
+  // The two routes. Each runs `call` (GaeaClient* -> Status or StatusOr)
+  // with mu_ held and folds the answering endpoint's LSN into the token.
+  //
+  // The primary only.
+  template <typename Call>
+  std::invoke_result_t<const Call&, GaeaClient*> OnPrimary(const Call& call);
+  // One replica attempt (round-robin; stamped with the token as min_lsn
+  // when `read_your_writes`), then the primary if the replica bounces.
+  template <typename Call>
+  std::invoke_result_t<const Call&, GaeaClient*> ReplicaFirst(
+      bool read_your_writes, const Call& call);
 
   std::mutex mu_;
   Options options_;

@@ -1,5 +1,7 @@
 #include "query/query.h"
 
+#include "core/scheduler.h"
+
 namespace gaea {
 
 const char* QueryStepName(QueryStep step) {
@@ -101,11 +103,20 @@ StatusOr<std::vector<Oid>> QueryEngine::TryDerive(ClassId class_id,
     // Planner found stored data; nothing to derive.
     return Status::NotFound("data already stored; nothing to derive");
   }
-  GAEA_ASSIGN_OR_RETURN(std::vector<Oid> produced, deriver_->Execute(plan));
+  // One thread and no cache: the query records one task per plan step,
+  // committed in plan order.
+  TaskScheduler scheduler(deriver_, catalog_, processes_, nullptr, {});
+  GAEA_ASSIGN_OR_RETURN(std::vector<DeriveOutcome> outcomes,
+                        scheduler.Execute(plan));
+  // A failed step's dependents report it second-hand, so the first failure
+  // in plan order is the root cause.
+  for (const DeriveOutcome& outcome : outcomes) {
+    GAEA_RETURN_IF_ERROR(outcome.status);
+  }
   // The final step's output is the requested object; check predicates.
   GAEA_ASSIGN_OR_RETURN(const ClassDef* def,
                         catalog_->classes().LookupById(class_id));
-  Oid target_oid = produced.back();
+  Oid target_oid = outcomes.back().oid;
   GAEA_ASSIGN_OR_RETURN(DataObject obj, catalog_->GetObject(target_oid));
   GAEA_ASSIGN_OR_RETURN(bool match, filter.Matches(*def, obj));
   if (!match) {

@@ -8,7 +8,8 @@
 //
 // with "steps 2 and 3 prioritized according to the user's needs" — the
 // request carries an ordered strategy list. Queries over a concept expand
-// to the classes it covers (own members plus ISA descendants).
+// to the classes it covers (own members plus ISA descendants). Step 3
+// runs the planner's plan on the TaskScheduler, the one plan executor.
 
 #ifndef GAEA_QUERY_QUERY_H_
 #define GAEA_QUERY_QUERY_H_

@@ -473,6 +473,34 @@ TEST_F(KernelTest, DeriveOrReuseAvoidsDuplicateExperiments) {
   EXPECT_TRUE(kernel_->catalog().ContainsObject(fresh).value());
 }
 
+TEST_F(KernelTest, ReuseFallsBackToOlderStoredRun) {
+  Box region(0, 0, 10, 10);
+  std::vector<Oid> bands = {InsertBand(0, AbsTime(1), region),
+                            InsertBand(1, AbsTime(1), region),
+                            InsertBand(2, AbsTime(1), region)};
+  std::map<std::string, std::vector<Oid>> inputs{{"bands", bands}};
+  // Two plain runs of the same experiment; only the older one stays stored.
+  ASSERT_OK_AND_ASSIGN(
+      Oid older, kernel_->Derive("unsupervised-classification", inputs));
+  ASSERT_OK_AND_ASSIGN(
+      Oid newer, kernel_->Derive("unsupervised-classification", inputs));
+  ASSERT_NE(older, newer);
+  ASSERT_OK(kernel_->Evict(newer));
+  size_t tasks_before = kernel_->tasks().size();
+
+  // Both lookups skip the evicted newest run, find the older one in the
+  // task log and record no new task.
+  ASSERT_OK_AND_ASSIGN(
+      Oid recorded,
+      kernel_->TryRecordedDerive("unsupervised-classification", inputs));
+  EXPECT_EQ(recorded, older);
+  kernel_->derivation_cache().Clear();  // make the next lookup scan too
+  ASSERT_OK_AND_ASSIGN(
+      Oid reused, kernel_->DeriveOrReuse("unsupervised-classification", inputs));
+  EXPECT_EQ(reused, older);
+  EXPECT_EQ(kernel_->tasks().size(), tasks_before);
+}
+
 TEST_F(KernelTest, EvictedDerivedDataIsRederivedOnDemand) {
   Box region(0, 0, 10, 10);
   std::vector<Oid> bands = {InsertBand(0, AbsTime(1), region),

@@ -4,6 +4,7 @@
 #include "core/deriver.h"
 #include "core/planner.h"
 #include "core/process_registry.h"
+#include "core/scheduler.h"
 #include "raster/scene.h"
 #include "test_util.h"
 #include "types/op_registry.h"
@@ -73,6 +74,21 @@ class DeriverTest : public ::testing::Test {
                                          log_.get());
     deriver_->set_user("scientist-a");
     deriver_->set_clock(AbsTime(5000));
+  }
+
+  // Runs `plan` the way a query does: on a one-thread scheduler with no
+  // derivation cache. Returns each step's output, or the first failure.
+  StatusOr<std::vector<Oid>> RunPlan(const DerivationPlan& plan) {
+    TaskScheduler scheduler(deriver_.get(), catalog_.get(), &processes_,
+                            nullptr, {});
+    GAEA_ASSIGN_OR_RETURN(std::vector<DeriveOutcome> outcomes,
+                          scheduler.Execute(plan));
+    std::vector<Oid> produced;
+    for (const DeriveOutcome& outcome : outcomes) {
+      GAEA_RETURN_IF_ERROR(outcome.status);
+      produced.push_back(outcome.oid);
+    }
+    return produced;
   }
 
   // Inserts `n` co-registered band objects at `t` over `extent`.
@@ -234,7 +250,7 @@ TEST_F(DeriverTest, PlannerPlansClassification) {
   EXPECT_EQ(plan.steps[0].process_name, "classify");
   ASSERT_EQ(plan.steps[0].bindings.at("bands").size(), 3u);
   // Executing the plan produces the landcover object.
-  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, deriver_->Execute(plan));
+  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, RunPlan(plan));
   ASSERT_EQ(produced.size(), 1u);
   ASSERT_OK_AND_ASSIGN(DataObject obj, catalog_->GetObject(produced[0]));
   EXPECT_EQ(obj.class_id(), landcover_id_);
@@ -291,7 +307,7 @@ TEST_F(DeriverTest, PlannerBindsScalarArgsToExactlyOneObject) {
   ASSERT_EQ(plan.steps.size(), 1u);
   EXPECT_EQ(plan.steps[0].bindings.at("a").size(), 1u);
   EXPECT_EQ(plan.steps[0].bindings.at("b").size(), 1u);
-  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, deriver_->Execute(plan));
+  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, RunPlan(plan));
   EXPECT_EQ(produced.size(), 1u);
 }
 
@@ -331,7 +347,7 @@ TEST_F(DeriverTest, PlannerPrefersCheaperProducer) {
 
   // With a landcover already stored, refine becomes a 1-step plan too; any
   // 1-step answer is acceptable, but the plan must execute.
-  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, deriver_->Execute(plan));
+  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, RunPlan(plan));
   EXPECT_EQ(produced.size(), 1u);
 }
 
@@ -363,7 +379,7 @@ TEST_F(DeriverTest, MultiStepPlanChainsThroughIntermediate) {
   EXPECT_EQ(plan.steps[0].process_name, "classify");
   EXPECT_EQ(plan.steps[1].process_name, "classify");
   EXPECT_EQ(plan.steps[2].process_name, "detect");
-  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, deriver_->Execute(plan));
+  ASSERT_OK_AND_ASSIGN(std::vector<Oid> produced, RunPlan(plan));
   EXPECT_EQ(produced.size(), 3u);
   ASSERT_OK_AND_ASSIGN(DataObject final_obj, catalog_->GetObject(produced[2]));
   EXPECT_EQ(final_obj.class_id(), changes_id);

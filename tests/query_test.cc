@@ -231,6 +231,33 @@ TEST_F(QueryTest, StrategyOrderControlsMethod) {
   EXPECT_EQ(result.answers[0].method, QueryStep::kDerive);
 }
 
+TEST_F(QueryTest, FailedDeriveStepFallsThroughToNextStep) {
+  InsertBand(AbsTime(0), Box(0, 0, 10, 10), 1, ndvi_, 0.0);
+  InsertBand(AbsTime(1000), Box(0, 0, 10, 10), 2, ndvi_, 1.0);
+  // Bands that plan but were not acquired together: the derive step fails
+  // on its common(bands.timestamp) assertion while the plan runs.
+  InsertBand(AbsTime(450), Box(0, 0, 10, 10), 3);
+  InsertBand(AbsTime(550), Box(0, 0, 10, 10), 4);
+  QueryRequest req;
+  req.target = "ndvi_map";
+  req.filter.window.time = TimeInterval(AbsTime(400), AbsTime(600));
+  req.strategy = {QueryStep::kDerive, QueryStep::kInterpolate};
+  ASSERT_OK_AND_ASSIGN(QueryResult result, kernel_->Query(req));
+  ASSERT_EQ(result.answers.size(), 1u);
+  const ClassAnswer& answer = result.answers[0];
+  EXPECT_EQ(answer.method, QueryStep::kInterpolate);
+  ASSERT_EQ(answer.oids.size(), 1u);
+  ASSERT_EQ(answer.attempts.size(), 2u);
+  EXPECT_EQ(answer.attempts[0].rfind("derive: FailedPrecondition: ", 0), 0u)
+      << answer.attempts[0];
+  EXPECT_NE(answer.attempts[0].find("assertion violated"), std::string::npos);
+  EXPECT_EQ(answer.attempts[1], "interpolate: 1 object(s)");
+  // The failed derivation attempt is experiment history too.
+  ASSERT_GE(kernel_->tasks().size(), 1u);
+  EXPECT_EQ(kernel_->tasks().tasks().front().process_name, "compute-ndvi");
+  EXPECT_EQ(kernel_->tasks().tasks().front().status, TaskStatus::kFailed);
+}
+
 TEST_F(QueryTest, AttributePredicatesFilter) {
   Oid a = InsertBand(AbsTime(100), Box(0, 0, 10, 10), 1, ndvi_, 0.2);
   InsertBand(AbsTime(200), Box(0, 0, 10, 10), 2, ndvi_, 0.9);

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gaea/kernel.h"
@@ -351,6 +352,32 @@ TEST(DerivationCacheTest, DeriveOrReuseConsultsCache) {
   ASSERT_OK_AND_ASSIGN(Oid again, f.kernel->DeriveOrReuse("make-left", inputs));
   EXPECT_EQ(first, again);
   EXPECT_GT(f.kernel->derivation_cache().stats().hits, hits_before);
+}
+
+// DeriveOrReuse scans the task log while DeriveBatch appends to it from
+// another thread (gaead runs DeriveBatch concurrently, and neither call is
+// single-threaded by contract); the scan must hold the log mutex. Every
+// request is fresh, so each reuse lookup walks the whole log and derives.
+TEST(DerivationCacheTest, DeriveOrReuseRacesDeriveBatch) {
+  constexpr int kRounds = 24;
+  Fixture f("sched_reuse_race", kRounds);
+  std::thread reuser([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_OK(f.kernel->DeriveOrReuse("make-left",
+                                        {{"in", {f.readings[i]}}})
+                    .status());
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    DeriveRequest request;
+    request.process = "make-right";
+    request.inputs["in"] = {f.readings[i]};
+    // No ASSERT here: returning early would skip the join.
+    auto outcomes = f.kernel->DeriveBatch({request});
+    EXPECT_TRUE(outcomes.ok() && (*outcomes)[0].status.ok());
+  }
+  reuser.join();
+  EXPECT_EQ(f.kernel->tasks().size(), 2u * kRounds);
 }
 
 // Kernel stats surface the new derivation-cache and buffer-pool counters.

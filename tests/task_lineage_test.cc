@@ -103,23 +103,24 @@ TEST(TaskLogTest, FindCompletedMatchesExactBindings) {
   failed.status = TaskStatus::kFailed;
   ASSERT_OK(log->Append(std::move(failed)).status());
 
-  ASSERT_OK_AND_ASSIGN(const Task* hit,
-                       log->FindCompleted("p", 1, {{"in", {1, 2}}}));
-  EXPECT_EQ(hit->outputs, std::vector<Oid>{10});
+  EXPECT_EQ(log->FindCompleted("p", 1, {{"in", {1, 2}}}),
+            std::vector<Oid>{10});
   // Version-sensitive and binding-sensitive.
-  ASSERT_OK_AND_ASSIGN(const Task* v2,
-                       log->FindCompleted("p", 2, {{"in", {1, 2}}}));
-  EXPECT_EQ(v2->outputs, std::vector<Oid>{11});
-  EXPECT_FALSE(log->FindCompleted("p", 3, {{"in", {1, 2}}}).ok());
-  EXPECT_FALSE(log->FindCompleted("p", 1, {{"in", {2, 1}}}).ok());
-  EXPECT_FALSE(log->FindCompleted("q", 1, {{"in", {1, 2}}}).ok());
+  EXPECT_EQ(log->FindCompleted("p", 2, {{"in", {1, 2}}}),
+            std::vector<Oid>{11});
+  EXPECT_TRUE(log->FindCompleted("p", 3, {{"in", {1, 2}}}).empty());
+  EXPECT_TRUE(log->FindCompleted("p", 1, {{"in", {2, 1}}}).empty());
+  EXPECT_TRUE(log->FindCompleted("q", 1, {{"in", {1, 2}}}).empty());
   // Failed tasks never match.
-  EXPECT_FALSE(log->FindCompleted("p", 1, {{"in", {3}}}).ok());
-  // Newest equivalent wins.
+  EXPECT_TRUE(log->FindCompleted("p", 1, {{"in", {3}}}).empty());
+  // Multi-output tasks never match: reuse answers with exactly one object.
+  ASSERT_OK(
+      log->Append(MakeTask("p", 1, {{"in", {4}}}, {20, 21})).status());
+  EXPECT_TRUE(log->FindCompleted("p", 1, {{"in", {4}}}).empty());
+  // Every equivalent run, newest first.
   ASSERT_OK(log->Append(MakeTask("p", 1, {{"in", {1, 2}}}, {12})).status());
-  ASSERT_OK_AND_ASSIGN(const Task* newest,
-                       log->FindCompleted("p", 1, {{"in", {1, 2}}}));
-  EXPECT_EQ(newest->outputs, std::vector<Oid>{12});
+  EXPECT_EQ(log->FindCompleted("p", 1, {{"in", {1, 2}}}),
+            (std::vector<Oid>{12, 10}));
 }
 
 // Lineage fixture: the paper's §1 two-scientists scenario.
