@@ -59,14 +59,10 @@ inline V2d Load2(const double* p) {
 // k row-major `centers`, exactly as the scalar scan computes it: a distance
 // is 0 + sum_j (x_j - c_j)^2 accumulated in band order, and a branch-free
 // strict `<` over ascending centers keeps the lowest index on ties and never
-// selects a NaN distance. A positive `kBands` fixes the band count at
-// compile time, so the band loop unrolls into straight-line code (same
-// operations, same order); 0 takes it from `nb`. See docs/PERF.md §2.
-template <int64_t kBands>
+// selects a NaN distance.
 void NearestBlock(const double* const* rows, int64_t col,
                   const double* centers, int64_t k, int64_t nb,
                   int32_t* out) {
-  if constexpr (kBands > 0) nb = kBands;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   V2d best[4] = {{kInf, kInf}, {kInf, kInf}, {kInf, kInf}, {kInf, kInf}};
   V2i label[4] = {};
@@ -218,13 +214,8 @@ StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
         BandRows(stack, r, &rows);
         int64_t c = 0;
         for (; c + kBlock <= ncol; c += kBlock) {
-          if (nb == 3) {
-            NearestBlock<3>(rows.data(), c, centers.data(), k, nb,
-                            nearest.data() + c);
-          } else {
-            NearestBlock<0>(rows.data(), c, centers.data(), k, nb,
-                            nearest.data() + c);
-          }
+          NearestBlock(rows.data(), c, centers.data(), k, nb,
+                       nearest.data() + c);
         }
         for (; c < ncol; ++c) {
           nearest[static_cast<size_t>(c)] =
