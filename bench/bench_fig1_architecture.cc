@@ -136,11 +136,10 @@ void BM_LineageChain(benchmark::State& state) {
   Oid derived =
       f.kernel->Derive("compute-ndvi", {{"nir", {f.nir}}, {"red", {f.red}}})
           .value();
-  LineageGraph lineage = f.kernel->lineage();
   for (auto _ : state) {
-    auto chain = lineage.ProcessChain(derived);
+    auto chain = f.kernel->ProvenanceChain(derived);
     BENCH_CHECK_OK(chain.status());
-    benchmark::DoNotOptimize(chain->size());
+    benchmark::DoNotOptimize(chain->chain.size());
   }
 }
 BENCHMARK(BM_LineageChain);

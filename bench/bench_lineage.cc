@@ -1,12 +1,12 @@
-// Q3 — task-lineage costs: recording overhead per derivation (in-memory vs
-// journal-backed, the §6 ablation), and provenance traversal as histories
-// deepen and widen. Expected shape: recording is a small constant cost
-// relative to raster math; traversal scales with the reachable subgraph.
+// Q3 — task-lineage recording costs: overhead per derivation (in-memory vs
+// journal-backed, the §6 ablation), producer lookup and journal replay.
+// Expected shape: recording is a small constant cost relative to raster
+// math. Lineage traversal runs on the provenance index and is measured by
+// bench_provenance.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "core/lineage.h"
 #include "core/task.h"
 
 namespace gaea {
@@ -65,74 +65,6 @@ void BM_ProducerLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProducerLookup);
-
-void BM_AncestorsChain(benchmark::State& state) {
-  int depth = static_cast<int>(state.range(0));
-  auto log = ChainLog(depth);
-  LineageGraph lineage(log.get());
-  Oid tip = depth + 1;
-  for (auto _ : state) {
-    std::set<Oid> ancestors = lineage.Ancestors(tip);
-    benchmark::DoNotOptimize(ancestors.size());
-  }
-  state.counters["depth"] = depth;
-}
-BENCHMARK(BM_AncestorsChain)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_DescendantsFanOut(benchmark::State& state) {
-  int width = static_cast<int>(state.range(0));
-  // One base object feeding `width` independent derivations, each extended
-  // by a second step.
-  auto log = TaskLog::InMemory();
-  Oid next = 2;
-  for (int i = 0; i < width; ++i) {
-    Oid mid = next++;
-    BENCH_CHECK_OK(log->Append(MakeTask(1, mid)).status());
-    BENCH_CHECK_OK(log->Append(MakeTask(mid, next++)).status());
-  }
-  LineageGraph lineage(log.get());
-  for (auto _ : state) {
-    std::set<Oid> descendants = lineage.Descendants(1);
-    benchmark::DoNotOptimize(descendants.size());
-  }
-  state.counters["derived_objects"] = 2.0 * width;
-}
-BENCHMARK(BM_DescendantsFanOut)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_DerivationTree(benchmark::State& state) {
-  int depth = static_cast<int>(state.range(0));
-  auto log = ChainLog(depth);
-  LineageGraph lineage(log.get());
-  Oid tip = depth + 1;
-  for (auto _ : state) {
-    auto tree = lineage.Tree(tip);
-    BENCH_CHECK_OK(tree.status());
-    benchmark::DoNotOptimize((*tree)->Depth());
-  }
-}
-BENCHMARK(BM_DerivationTree)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_CompareDerivations(benchmark::State& state) {
-  int depth = static_cast<int>(state.range(0));
-  // Two parallel chains from disjoint bases.
-  auto log = TaskLog::InMemory();
-  Oid a = 1, b = 1000000;
-  for (int i = 0; i < depth; ++i) {
-    BENCH_CHECK_OK(log->Append(MakeTask(a, a + 1)).status());
-    Task t = MakeTask(b, b + 1);
-    if (i == depth - 1) t.process_name = "q";  // diverge at the last step
-    BENCH_CHECK_OK(log->Append(std::move(t)).status());
-    a++;
-    b++;
-  }
-  LineageGraph lineage(log.get());
-  for (auto _ : state) {
-    auto cmp = lineage.Compare(a, b);
-    BENCH_CHECK_OK(cmp.status());
-    benchmark::DoNotOptimize(cmp->same_procedure);
-  }
-}
-BENCHMARK(BM_CompareDerivations)->Arg(4)->Arg(16)->Arg(64);
 
 // Replay cost of reloading a long journal (catalog restart).
 void BM_JournalReplay(benchmark::State& state) {

@@ -176,7 +176,6 @@ int main(int argc, char** argv) {
   }
 
   // ---- the derivation layer remembers which parameters were used ----
-  LineageGraph lineage = gaea.lineage();
   for (const ClassAnswer& answer : result.answers) {
     if (answer.oids.empty()) continue;
     const Task* task = gaea.tasks().Producer(answer.oids[0]).value();
@@ -188,7 +187,6 @@ int main(int argc, char** argv) {
                 proc->params().at("max_rainfall").ToString().c_str());
   }
   (void)rain_oid;
-  (void)lineage;
 
   CHECK_OK(gaea.Flush());
   return 0;

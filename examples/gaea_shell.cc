@@ -62,6 +62,7 @@
 #include "analysis/sarif.h"
 #include "gaea/kernel.h"
 #include "net/client.h"
+#include "net/server.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -92,25 +93,24 @@ bool ParseDeriveRequests(std::istringstream& words,
 // Parsed form of `provenance <subcommand> <oid> [<oid2>] [--json]
 // [--depth N]`, shared by the local and remote shells.
 struct ProvenanceArgs {
-  net::ProvenanceKind kind = net::ProvenanceKind::kAncestors;
-  Oid oid = kInvalidOid;
-  Oid oid_b = kInvalidOid;
-  uint32_t max_depth = 0;
+  net::ProvenanceRequest request;
   bool json = false;
 };
 
 bool ParseProvenanceArgs(std::istringstream& words, ProvenanceArgs* out) {
+  net::ProvenanceRequest& request = out->request;
   std::string sub;
   words >> sub;
   sub = StrToLower(sub);
-  if (sub == "ancestors") out->kind = net::ProvenanceKind::kAncestors;
-  else if (sub == "descendants") out->kind = net::ProvenanceKind::kDescendants;
-  else if (sub == "why") out->kind = net::ProvenanceKind::kWhy;
-  else if (sub == "where") out->kind = net::ProvenanceKind::kWhere;
-  else if (sub == "diff") out->kind = net::ProvenanceKind::kDiff;
+  using net::ProvenanceKind;
+  if (sub == "ancestors") request.kind = ProvenanceKind::kAncestors;
+  else if (sub == "descendants") request.kind = ProvenanceKind::kDescendants;
+  else if (sub == "why") request.kind = ProvenanceKind::kWhy;
+  else if (sub == "where") request.kind = ProvenanceKind::kWhere;
+  else if (sub == "diff") request.kind = ProvenanceKind::kDiff;
   else return false;
-  if (!(words >> out->oid)) return false;
-  if (out->kind == net::ProvenanceKind::kDiff && !(words >> out->oid_b)) {
+  if (!(words >> request.oid)) return false;
+  if (request.kind == ProvenanceKind::kDiff && !(words >> request.oid_b)) {
     return false;
   }
   std::string flag;
@@ -118,12 +118,31 @@ bool ParseProvenanceArgs(std::istringstream& words, ProvenanceArgs* out) {
     if (flag == "--json") {
       out->json = true;
     } else if (flag == "--depth") {
-      if (!(words >> out->max_depth)) return false;
+      if (!(words >> request.max_depth)) return false;
     } else {
       return false;
     }
   }
   return true;
+}
+
+// Shared by the local and remote `provenance` and `lineage` commands.
+void PrintProvenance(const StatusOr<net::ProvenanceReply>& reply, bool json) {
+  if (!reply.ok()) {
+    PrintStatus(reply.status());
+  } else if (json) {
+    std::printf("%s\n", reply->json.c_str());
+  } else {
+    std::printf("%s", reply->text.c_str());
+  }
+}
+
+// The request behind `lineage <oid>`: the process chain and base sources.
+net::ProvenanceRequest ChainRequest(std::istringstream& words) {
+  net::ProvenanceRequest request;
+  request.kind = net::ProvenanceKind::kChain;
+  words >> request.oid;
+  return request;
 }
 
 void PrintProvenanceUsage() {
@@ -329,21 +348,8 @@ class Shell {
   }
 
   bool Lineage(std::istringstream& words) {
-    Oid oid = 0;
-    words >> oid;
-    LineageGraph lineage = kernel_->lineage();
-    auto chain = lineage.ProcessChain(oid);
-    if (!chain.ok()) {
-      PrintStatus(chain.status());
-      return true;
-    }
-    std::printf("chain:");
-    for (const std::string& step : *chain) std::printf(" %s", step.c_str());
-    std::printf("\nbase sources:");
-    for (Oid base : lineage.BaseSources(oid)) {
-      std::printf(" #%llu", static_cast<unsigned long long>(base));
-    }
-    std::printf("\n");
+    PrintProvenance(net::AnswerProvenance(kernel_, ChainRequest(words)),
+                    /*json=*/false);
     return true;
   }
 
@@ -353,41 +359,14 @@ class Shell {
       PrintProvenanceUsage();
       return true;
     }
-    auto print = [&args](const auto& result) {
-      if (!result.ok()) {
-        PrintStatus(result.status());
-      } else if (args.json) {
-        std::printf("%s\n", result->ToJson().c_str());
-      } else {
-        std::printf("%s", result->ToText().c_str());
-      }
-    };
-    switch (args.kind) {
-      case net::ProvenanceKind::kAncestors:
-        print(kernel_->ProvenanceAncestors(args.oid,
-                                           static_cast<int>(args.max_depth)));
-        break;
-      case net::ProvenanceKind::kDescendants:
-        print(kernel_->ProvenanceDescendants(
-            args.oid, static_cast<int>(args.max_depth)));
-        break;
-      case net::ProvenanceKind::kWhy:
-        print(kernel_->ProvenanceWhy(args.oid));
-        break;
-      case net::ProvenanceKind::kWhere:
-        print(kernel_->ProvenanceWhere(args.oid));
-        break;
-      case net::ProvenanceKind::kDiff:
-        print(kernel_->ProvenanceDiff(args.oid, args.oid_b));
-        break;
-    }
+    PrintProvenance(net::AnswerProvenance(kernel_, args.request), args.json);
     return true;
   }
 
   bool Dot(std::istringstream& words) {
     Oid oid = 0;
     words >> oid;
-    auto dot = kernel_->lineage().ToDot(oid);
+    auto dot = kernel_->ProvenanceDot(oid);
     if (!dot.ok()) {
       PrintStatus(dot.status());
       return true;
@@ -399,13 +378,16 @@ class Shell {
   bool Compare(std::istringstream& words) {
     Oid a = 0, b = 0;
     words >> a >> b;
-    auto cmp = kernel_->lineage().Compare(a, b);
-    if (!cmp.ok()) {
-      PrintStatus(cmp.status());
+    auto chain_a = kernel_->ProvenanceChain(a);
+    auto chain_b = kernel_->ProvenanceChain(b);
+    if (!chain_a.ok() || !chain_b.ok()) {
+      PrintStatus(!chain_a.ok() ? chain_a.status() : chain_b.status());
       return true;
     }
+    provenance::DerivationComparison cmp =
+        provenance::Compare(*chain_a, *chain_b);
     std::printf("same procedure: %s\n%s\n",
-                cmp->same_procedure ? "yes" : "no", cmp->explanation.c_str());
+                cmp.same_procedure ? "yes" : "no", cmp.explanation.c_str());
     return true;
   }
 
@@ -817,22 +799,7 @@ class RemoteShell {
   }
 
   bool Lineage(std::istringstream& words) {
-    Oid oid = 0;
-    words >> oid;
-    auto reply = client_->Lineage(oid);
-    if (!reply.ok()) {
-      PrintStatus(reply.status());
-      return true;
-    }
-    std::printf("chain:");
-    for (const std::string& step : reply->chain) {
-      std::printf(" %s", step.c_str());
-    }
-    std::printf("\nbase sources:");
-    for (Oid base : reply->base_sources) {
-      std::printf(" #%llu", static_cast<unsigned long long>(base));
-    }
-    std::printf("\n");
+    PrintProvenance(client_->Provenance(ChainRequest(words)), /*json=*/false);
     return true;
   }
 
@@ -842,21 +809,7 @@ class RemoteShell {
       PrintProvenanceUsage();
       return true;
     }
-    net::ProvenanceRequest request;
-    request.kind = args.kind;
-    request.oid = args.oid;
-    request.oid_b = args.oid_b;
-    request.max_depth = args.max_depth;
-    auto reply = client_->Provenance(request);
-    if (!reply.ok()) {
-      PrintStatus(reply.status());
-      return true;
-    }
-    if (args.json) {
-      std::printf("%s\n", reply->json.c_str());
-    } else {
-      std::printf("%s", reply->text.c_str());
-    }
+    PrintProvenance(client_->Provenance(args.request), args.json);
     return true;
   }
 

@@ -176,11 +176,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(change_map), 100.0 * frac);
 
   // ---- lineage of the compound product ----
-  LineageGraph lineage = gaea.lineage();
-  auto tree = lineage.Tree(change_map).value();
-  std::printf("derivation tree depth %d, %d tasks, %zu base scenes\n",
-              tree->Depth(), tree->TaskCount(),
-              lineage.BaseSources(change_map).size());
+  provenance::ChainResult chain = gaea.ProvenanceChain(change_map).value();
+  provenance::ClosureResult history =
+      gaea.ProvenanceAncestors(change_map).value();
+  std::printf("derivation tree depth %zu, %zu tasks, %zu base scenes\n",
+              chain.chain.size(), history.tasks.size(),
+              chain.base_sources.size());
 
   CHECK_OK(gaea.Flush());
   return 0;

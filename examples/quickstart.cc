@@ -122,13 +122,12 @@ int main(int argc, char** argv) {
               ndvi_img->ncol(), stats.mean);
 
   // 4. Inspect the derivation history ("how was this produced?").
-  LineageGraph lineage = gaea.lineage();
-  auto chain = lineage.ProcessChain(*ndvi_oid);
+  auto chain = gaea.ProvenanceChain(*ndvi_oid);
   CHECK_OK(chain.status());
   std::printf("derivation chain:");
-  for (const std::string& step : *chain) std::printf(" %s", step.c_str());
+  for (const std::string& step : chain->chain) std::printf(" %s", step.c_str());
   std::printf("\nbase sources:");
-  for (Oid oid : lineage.BaseSources(*ndvi_oid)) {
+  for (Oid oid : chain->base_sources) {
     std::printf(" #%llu", static_cast<unsigned long long>(oid));
   }
   std::printf("\n");

@@ -167,19 +167,20 @@ int main(int argc, char** argv) {
 
   // Without metadata, the two images look like arbitrary rasters. With the
   // derivation layer, Gaea explains their relationship precisely:
-  LineageGraph lineage = gaea.lineage();
-  DerivationComparison cmp = lineage.Compare(by_sub, by_div).value();
+  provenance::ChainResult chain_sub = gaea.ProvenanceChain(by_sub).value();
+  provenance::DerivationComparison cmp = provenance::Compare(
+      chain_sub, gaea.ProvenanceChain(by_div).value());
   std::printf("\ncomparing #%llu and #%llu (both 'vegetation_change'):\n",
               static_cast<unsigned long long>(by_sub),
               static_cast<unsigned long long>(by_div));
   std::printf("  same procedure? %s\n  %s\n",
               cmp.same_procedure ? "yes" : "no", cmp.explanation.c_str());
   std::printf("  shared base imagery: %zu objects\n",
-              lineage.BaseSources(by_sub).size());
+              chain_sub.base_sources.size());
 
   // Dump the derivation diagram for scientist A's product.
   std::printf("\nderivation diagram (Graphviz):\n%s\n",
-              lineage.ToDot(by_sub).value().c_str());
+              gaea.ProvenanceDot(by_sub).value().c_str());
 
   // ---- reproducibility: replay scientist A's full pipeline ----
   Experiment exp;

@@ -37,13 +37,20 @@ wait_ping 47486
 wait_ping 47487
 
 # Mixed workload, first half: schema + a replayable process, inserts,
-# derives. Every shell line must answer OK (set -e + grep below).
+# derives, then lineage and provenance of one derived object. Every shell
+# line must answer OK (set -e + grep below).
 printf 'ddl <<END\nCLASS smoke_sample (\n  ATTRIBUTES:\n    v = int4;\n  SPATIAL EXTENT: spatialextent = box;\n  TEMPORAL EXTENT: timestamp = abstime;\n)\nCLASS smoke_out (\n  ATTRIBUTES:\n    v = int4;\n  SPATIAL EXTENT: spatialextent = box;\n  TEMPORAL EXTENT: timestamp = abstime;\n  DERIVED BY: smoke-ident\n)\nDEFINE PROCESS smoke-ident\nOUTPUT smoke_out\nARGUMENT ( smoke_sample a )\nTEMPLATE {\n  MAPPINGS:\n    smoke_out.v = a.v;\n    smoke_out.spatialextent = a.spatialextent;\n    smoke_out.timestamp = a.timestamp;\n}\nEND\ninsert smoke_sample v=1 spatialextent=box:0,0,1,1 time'\
-'stamp=time:2\ninsert smoke_sample v=2 spatialextent=box:0,0,1,1 timestamp=time:3\nderive smoke-ident a=1\nderive smoke-ident a=2\nquit\n' \
+'stamp=time:2\ninsert smoke_sample v=2 spatialextent=box:0,0,1,1 timestamp=time:3\nderive smoke-ident a=1\nderive smoke-ident a=2\nlineage 3\nprovenance why 3\nquit\n' \
   | "$SHELL_BIN" --connect 127.0.0.1:47485 | tee "$D/phase1.out"
 grep -q 'smoke_sample -> #1' "$D/phase1.out"
 grep -q 'smoke-ident -> #3' "$D/phase1.out"
 grep -q 'smoke-ident -> #4' "$D/phase1.out"
+# Lineage and why-provenance of #3 (smoke-ident over base object #1),
+# answered by the primary from its provenance index.
+grep -q 'chain: smoke-ident:v1' "$D/phase1.out"
+grep -q 'base sources: #1$' "$D/phase1.out"
+grep -q 'why oid 3: task #1 smoke-ident v1' "$D/phase1.out"
+grep -q 'base witness: 1$' "$D/phase1.out"
 ! grep -qi 'error\|refused\|cannot' "$D/phase1.out"
 
 # SIGKILL the primary mid-workload and supervise it back onto the same

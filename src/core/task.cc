@@ -117,9 +117,6 @@ StatusOr<std::unique_ptr<TaskLog>> TaskLog::Open(const std::string& path,
     }
     size_t idx = log->tasks_.size();
     for (Oid oid : task.outputs) log->producer_index_[oid] = idx;
-    for (Oid oid : task.AllInputs()) {
-      log->consumer_index_[oid].push_back(idx);
-    }
     log->tasks_.push_back(std::move(task));
     return Status::OK();
   };
@@ -171,7 +168,6 @@ StatusOr<TaskId> TaskLog::Append(Task task) {
   }
   size_t idx = tasks_.size();
   for (Oid oid : task.outputs) producer_index_[oid] = idx;
-  for (Oid oid : task.AllInputs()) consumer_index_[oid].push_back(idx);
   TaskId id = task.id;
   tasks_.push_back(std::move(task));
   if (commit_hook_) {
@@ -195,7 +191,6 @@ StatusOr<const Task*> TaskLog::ApplyReplicated(const std::string& record) {
   }
   size_t idx = tasks_.size();
   for (Oid oid : task.outputs) producer_index_[oid] = idx;
-  for (Oid oid : task.AllInputs()) consumer_index_[oid].push_back(idx);
   tasks_.push_back(std::move(task));
   if (commit_hook_) {
     GAEA_RETURN_IF_ERROR(commit_hook_(tasks_.back()));
@@ -233,16 +228,6 @@ std::vector<Oid> TaskLog::FindCompleted(
       out.push_back(it->outputs[0]);
     }
   }
-  return out;
-}
-
-std::vector<const Task*> TaskLog::Consumers(Oid oid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const Task*> out;
-  auto it = consumer_index_.find(oid);
-  if (it == consumer_index_.end()) return out;
-  out.reserve(it->second.size());
-  for (size_t idx : it->second) out.push_back(&tasks_[idx]);
   return out;
 }
 

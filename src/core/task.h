@@ -114,9 +114,6 @@ class TaskLog {
   // task); kNotFound for base objects.
   StatusOr<const Task*> Producer(Oid oid) const;
 
-  // All tasks that consumed `oid` as an input.
-  std::vector<const Task*> Consumers(Oid oid) const;
-
   // The outputs of every *completed single-output* task with exactly this
   // process version and these input bindings, newest first; empty when
   // none ran. The scan holds the log mutex, so it is safe against
@@ -176,7 +173,6 @@ class TaskLog {
   mutable std::mutex mu_;
   std::deque<Task> tasks_;
   std::map<Oid, size_t> producer_index_;
-  std::map<Oid, std::vector<size_t>> consumer_index_;
   std::unique_ptr<Journal> journal_;
   std::function<Status(const Task&)> commit_hook_;
 };

@@ -1009,7 +1009,11 @@ Status GaeaKernel::Evict(Oid oid) {
         "object " + std::to_string(oid) +
         " is base data and cannot be regenerated; eviction refused");
   }
-  if (!task_log_->Consumers(oid).empty()) {
+  GAEA_ASSIGN_OR_RETURN(std::vector<TaskId> consumers,
+                        prov_index_->TasksByInput(oid));
+  const uint64_t max_id = task_log_->size();
+  if (std::any_of(consumers.begin(), consumers.end(),
+                  [max_id](TaskId id) { return id <= max_id; })) {
     return Status::FailedPrecondition(
         "object " + std::to_string(oid) +
         " is an input of recorded derivations; evicting it would break "
@@ -1090,13 +1094,19 @@ GaeaKernel::CompareConceptInstances(const std::string& concept_name,
         catalog_->Candidates(class_id, window.region, window.time));
     for (Oid oid : oids) instances.emplace_back(oid, def->name());
   }
-  LineageGraph graph = lineage();
+  // One chain per instance, then every pair compares chain against chain.
+  provenance::ProvenanceEngine engine = ProvEngine();
+  std::vector<provenance::ChainResult> chains;
+  chains.reserve(instances.size());
+  for (const auto& [oid, class_name] : instances) {
+    GAEA_ASSIGN_OR_RETURN(provenance::ChainResult chain, engine.Chain(oid));
+    chains.push_back(std::move(chain));
+  }
   std::vector<InstanceComparison> out;
   for (size_t i = 0; i < instances.size(); ++i) {
     for (size_t j = i + 1; j < instances.size(); ++j) {
-      GAEA_ASSIGN_OR_RETURN(
-          DerivationComparison cmp,
-          graph.Compare(instances[i].first, instances[j].first));
+      provenance::DerivationComparison cmp =
+          provenance::Compare(chains[i], chains[j]);
       InstanceComparison entry;
       entry.a = instances[i].first;
       entry.b = instances[j].first;
@@ -1301,42 +1311,42 @@ class ProvQueryScope {
 StatusOr<provenance::ClosureResult> GaeaKernel::ProvenanceAncestors(
     Oid oid, int max_depth) {
   ProvQueryScope scope(&metrics_, env_, "ancestors");
-  provenance::ProvenanceEngine engine(prov_index_.get(), prov_source_.get(),
-                                      &processes_);
   provenance::ProvenanceEngine::Limits limits;
   limits.max_depth = max_depth;
-  return engine.Ancestors(oid, limits);
+  return ProvEngine().Ancestors(oid, limits);
 }
 
 StatusOr<provenance::ClosureResult> GaeaKernel::ProvenanceDescendants(
     Oid oid, int max_depth) {
   ProvQueryScope scope(&metrics_, env_, "descendants");
-  provenance::ProvenanceEngine engine(prov_index_.get(), prov_source_.get(),
-                                      &processes_);
   provenance::ProvenanceEngine::Limits limits;
   limits.max_depth = max_depth;
-  return engine.Descendants(oid, limits);
+  return ProvEngine().Descendants(oid, limits);
 }
 
 StatusOr<provenance::WhyResult> GaeaKernel::ProvenanceWhy(Oid oid) {
   ProvQueryScope scope(&metrics_, env_, "why");
-  provenance::ProvenanceEngine engine(prov_index_.get(), prov_source_.get(),
-                                      &processes_);
-  return engine.Why(oid);
+  return ProvEngine().Why(oid);
 }
 
 StatusOr<provenance::WhereResult> GaeaKernel::ProvenanceWhere(Oid oid) {
   ProvQueryScope scope(&metrics_, env_, "where");
-  provenance::ProvenanceEngine engine(prov_index_.get(), prov_source_.get(),
-                                      &processes_);
-  return engine.Where(oid);
+  return ProvEngine().Where(oid);
 }
 
 StatusOr<provenance::DiffResult> GaeaKernel::ProvenanceDiff(Oid a, Oid b) {
   ProvQueryScope scope(&metrics_, env_, "diff");
-  provenance::ProvenanceEngine engine(prov_index_.get(), prov_source_.get(),
-                                      &processes_);
-  return engine.Diff(a, b);
+  return ProvEngine().Diff(a, b);
+}
+
+StatusOr<provenance::ChainResult> GaeaKernel::ProvenanceChain(Oid oid) {
+  ProvQueryScope scope(&metrics_, env_, "chain");
+  return ProvEngine().Chain(oid);
+}
+
+StatusOr<std::string> GaeaKernel::ProvenanceDot(Oid oid) {
+  ProvQueryScope scope(&metrics_, env_, "dot");
+  return ProvEngine().Dot(oid);
 }
 
 }  // namespace gaea

@@ -24,7 +24,6 @@
 #include "core/compound_process.h"
 #include "core/derivation_cache.h"
 #include "core/deriver.h"
-#include "core/lineage.h"
 #include "core/petri.h"
 #include "core/planner.h"
 #include "core/process_registry.h"
@@ -396,10 +395,10 @@ class GaeaKernel {
       const std::map<std::string, std::vector<Oid>>& inputs, int version = 0);
 
   // ---- provenance (src/provenance/, docs/PROVENANCE.md) ----
-  // Indexed lineage queries: closure/why/where resolve through the B+tree
-  // index (never a log scan); diff additionally reads the versioned process
-  // registry. All are reads — replicas serve them over the wire. max_depth
-  // 0 = unbounded.
+  // Indexed lineage queries: closure/why/where/chain/dot resolve through the
+  // B+tree index (never a log scan); diff additionally reads the versioned
+  // process registry. All are reads — replicas serve them over the wire.
+  // max_depth 0 = unbounded.
   StatusOr<provenance::ClosureResult> ProvenanceAncestors(Oid oid,
                                                           int max_depth = 0);
   StatusOr<provenance::ClosureResult> ProvenanceDescendants(Oid oid,
@@ -407,6 +406,8 @@ class GaeaKernel {
   StatusOr<provenance::WhyResult> ProvenanceWhy(Oid oid);
   StatusOr<provenance::WhereResult> ProvenanceWhere(Oid oid);
   StatusOr<provenance::DiffResult> ProvenanceDiff(Oid a, Oid b);
+  StatusOr<provenance::ChainResult> ProvenanceChain(Oid oid);
+  StatusOr<std::string> ProvenanceDot(Oid oid);
 
   const provenance::ProvenanceIndex& provenance_index() const {
     return *prov_index_;
@@ -416,8 +417,7 @@ class GaeaKernel {
     return prov_source_->archive_fetches();
   }
 
-  // ---- lineage & Petri net ----
-  LineageGraph lineage() const { return LineageGraph(task_log_.get()); }
+  // ---- Petri net ----
   StatusOr<DerivationNet> BuildDerivationNet() const {
     return DerivationNet::Build(catalog_->classes(), processes_);
   }
@@ -456,6 +456,11 @@ class GaeaKernel {
       uint64_t* covered_lsn) const;
 
   Status ApplyStatement(ParsedStatement stmt);
+  // A query engine over the provenance index and this kernel's task source.
+  provenance::ProvenanceEngine ProvEngine() const {
+    return provenance::ProvenanceEngine(prov_index_.get(), prov_source_.get(),
+                                        &processes_);
+  }
   // record_count of one replication component's journal (0 when the
   // component has no journal on this kernel).
   uint64_t ComponentRecordCount(const std::string& component) const;

@@ -269,15 +269,6 @@ StatusOr<std::vector<DeriveOutcome>> GaeaClient::DeriveBatch(
   return outcomes;
 }
 
-StatusOr<LineageReply> GaeaClient::Lineage(Oid oid) {
-  BinaryWriter body;
-  body.PutU64(oid);
-  GAEA_ASSIGN_OR_RETURN(Reply reply,
-                        Call(MsgType::kLineage, body.buffer()));
-  BinaryReader reader(reply.body());
-  return DecodeLineageReply(&reader);
-}
-
 StatusOr<ProvenanceReply> GaeaClient::Provenance(
     const ProvenanceRequest& request) {
   BinaryWriter body;

@@ -96,10 +96,7 @@ class GaeaClient {
   StatusOr<std::vector<DeriveOutcome>> DeriveBatch(
       const std::vector<DeriveRequest>& requests);
 
-  // Remote lineage query: process chain + base sources of `oid`.
-  StatusOr<LineageReply> Lineage(Oid oid);
-
-  // Remote provenance query (closure/why/where/diff over the lineage
+  // Remote provenance query (closure/why/where/diff/chain over the lineage
   // index); served by replicas too — the index is replicated state.
   StatusOr<ProvenanceReply> Provenance(const ProvenanceRequest& request);
 

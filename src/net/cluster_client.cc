@@ -120,11 +120,6 @@ StatusOr<std::string> GaeaClusterClient::GetObjectRaw(Oid oid) {
                       [&](GaeaClient* c) { return c->GetObjectRaw(oid); });
 }
 
-StatusOr<LineageReply> GaeaClusterClient::Lineage(Oid oid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReplicaFirst(true, [&](GaeaClient* c) { return c->Lineage(oid); });
-}
-
 StatusOr<std::string> GaeaClusterClient::StatsJson() {
   std::lock_guard<std::mutex> lock(mu_);
   // Stats answer about the endpoint itself; any replica may serve them.

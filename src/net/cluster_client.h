@@ -6,7 +6,7 @@
 //     primary and use the full retry/idempotency machinery, so a primary
 //     that is killed and supervised back to life mid-batch costs latency,
 //     never correctness — the retried request is deduplicated server-side;
-//   * reads (get-object, lineage, stats) and single derives fan out to the
+//   * reads (get-object, stats) and single derives fan out to the
 //     replicas round-robin, stamped with the client's read-your-writes
 //     token (the largest applied_lsn any response has carried), falling
 //     back to the primary when the replica is behind (kUnavailable), does
@@ -65,7 +65,6 @@ class GaeaClusterClient {
                        const std::map<std::string, std::vector<Oid>>& inputs,
                        int version = 0, bool* cache_hit = nullptr);
   StatusOr<std::string> GetObjectRaw(Oid oid);
-  StatusOr<LineageReply> Lineage(Oid oid);
   StatusOr<std::string> StatsJson();
 
   // Replica-status of the primary (peer lags) — monitoring helper.

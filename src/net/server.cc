@@ -197,6 +197,54 @@ void GaeaServer::ReapDoneSessions() {
   // Destructors run here, off the sessions_mu_ lock and off reader threads.
 }
 
+StatusOr<ProvenanceReply> AnswerProvenance(GaeaKernel* kernel,
+                                           const ProvenanceRequest& request) {
+  ProvenanceReply reply;
+  reply.kind = request.kind;
+  Status status;
+  // Renders any engine answer into the reply; false on an error.
+  auto render = [&](const auto& answer) {
+    if (!answer.ok()) {
+      status = answer.status();
+      return false;
+    }
+    reply.text = answer->ToText();
+    reply.json = answer->ToJson();
+    return true;
+  };
+  const Oid oid = request.oid;
+  const int max_depth = static_cast<int>(request.max_depth);
+  switch (request.kind) {
+    case ProvenanceKind::kAncestors:
+    case ProvenanceKind::kDescendants: {
+      auto closure = request.kind == ProvenanceKind::kAncestors
+                         ? kernel->ProvenanceAncestors(oid, max_depth)
+                         : kernel->ProvenanceDescendants(oid, max_depth);
+      if (render(closure)) {
+        reply.oids = closure->oids;
+        reply.tasks = closure->tasks;
+      }
+      break;
+    }
+    case ProvenanceKind::kWhy:
+      render(kernel->ProvenanceWhy(oid));
+      break;
+    case ProvenanceKind::kWhere:
+      render(kernel->ProvenanceWhere(oid));
+      break;
+    case ProvenanceKind::kDiff:
+      render(kernel->ProvenanceDiff(oid, request.oid_b));
+      break;
+    case ProvenanceKind::kChain: {
+      auto chain = kernel->ProvenanceChain(oid);
+      if (render(chain)) reply.oids = chain->base_sources;
+      break;
+    }
+  }
+  GAEA_RETURN_IF_ERROR(status);
+  return reply;
+}
+
 void GaeaServer::HandleFrame(std::shared_ptr<Session> session,
                              std::string payload) {
   BinaryReader reader(payload);
@@ -563,27 +611,6 @@ void GaeaServer::ExecuteJob(Job job) {
       }
       break;
     }
-    case MsgType::kLineage: {
-      auto oid = reader.GetU64();
-      if (!oid.ok()) {
-        result = oid.status();
-        break;
-      }
-      std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-      LineageGraph graph = kernel_->lineage();
-      auto chain = graph.ProcessChain(*oid);
-      if (!chain.ok()) {
-        result = chain.status();
-        break;
-      }
-      LineageReply reply;
-      reply.chain = *std::move(chain);
-      for (Oid base : graph.BaseSources(*oid)) {
-        reply.base_sources.push_back(base);
-      }
-      EncodeLineageReply(reply, &body);
-      break;
-    }
     case MsgType::kProvenance: {
       // Pure read over the provenance index — replica-servable: the index
       // is rebuilt from the same replicated task history the primary holds.
@@ -593,59 +620,12 @@ void GaeaServer::ExecuteJob(Job job) {
         break;
       }
       std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-      ProvenanceReply reply;
-      reply.kind = request->kind;
-      switch (request->kind) {
-        case ProvenanceKind::kAncestors:
-        case ProvenanceKind::kDescendants: {
-          bool anc = request->kind == ProvenanceKind::kAncestors;
-          auto closure =
-              anc ? kernel_->ProvenanceAncestors(
-                        request->oid, static_cast<int>(request->max_depth))
-                  : kernel_->ProvenanceDescendants(
-                        request->oid, static_cast<int>(request->max_depth));
-          if (!closure.ok()) {
-            result = closure.status();
-            break;
-          }
-          reply.oids = closure->oids;
-          reply.tasks = closure->tasks;
-          reply.text = closure->ToText();
-          reply.json = closure->ToJson();
-          break;
-        }
-        case ProvenanceKind::kWhy: {
-          auto why = kernel_->ProvenanceWhy(request->oid);
-          if (!why.ok()) {
-            result = why.status();
-            break;
-          }
-          reply.text = why->ToText();
-          reply.json = why->ToJson();
-          break;
-        }
-        case ProvenanceKind::kWhere: {
-          auto where = kernel_->ProvenanceWhere(request->oid);
-          if (!where.ok()) {
-            result = where.status();
-            break;
-          }
-          reply.text = where->ToText();
-          reply.json = where->ToJson();
-          break;
-        }
-        case ProvenanceKind::kDiff: {
-          auto diff = kernel_->ProvenanceDiff(request->oid, request->oid_b);
-          if (!diff.ok()) {
-            result = diff.status();
-            break;
-          }
-          reply.text = diff->ToText();
-          reply.json = diff->ToJson();
-          break;
-        }
+      auto reply = AnswerProvenance(kernel_, *request);
+      if (!reply.ok()) {
+        result = reply.status();
+        break;
       }
-      if (result.ok()) EncodeProvenanceReply(reply, &body);
+      EncodeProvenanceReply(*reply, &body);
       break;
     }
     case MsgType::kLint: {

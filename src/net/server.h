@@ -4,7 +4,7 @@
 //   * an accept thread polls the listening socket and spawns one reader
 //     thread per connection (net/session.h);
 //   * readers decode frames and answer hello/ping/stats inline; kernel
-//     work (ddl, define-process, derive, derive-batch, lineage) is admitted
+//     work (ddl, define-process, derive, derive-batch, provenance) is admitted
 //     onto a bounded worker pool feeding Kernel::DeriveBatch and friends;
 //   * admission is limited by max_inflight — when the pool is saturated the
 //     request is answered kUnavailable immediately instead of queueing
@@ -68,6 +68,12 @@ struct ServerStats {
 
   std::string ToJson() const;
 };
+
+// Answers one provenance request from `kernel` — the Provenance verb's
+// handler, shared with the local tools that take the same request. The
+// caller holds whatever lock keeps DDL away from the kernel.
+StatusOr<ProvenanceReply> AnswerProvenance(GaeaKernel* kernel,
+                                           const ProvenanceRequest& request);
 
 class GaeaServer {
  public:
@@ -211,7 +217,7 @@ class GaeaServer {
   std::vector<std::thread> workers_;
 
   // Serializes catalog/process mutation against derivations (shared for
-  // derive/lineage/stats, exclusive for ddl/define-process).
+  // derive/provenance/stats, exclusive for ddl/define-process).
   mutable std::shared_mutex kernel_mu_;
 
   mutable std::mutex sessions_mu_;

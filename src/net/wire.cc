@@ -96,7 +96,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kDefineProcess: return "DefineProcess";
     case MsgType::kDerive: return "Derive";
     case MsgType::kDeriveBatch: return "DeriveBatch";
-    case MsgType::kLineage: return "Lineage";
     case MsgType::kStats: return "Stats";
     case MsgType::kResponse: return "Response";
     case MsgType::kMetrics: return "Metrics";
@@ -114,10 +113,14 @@ const char* MsgTypeName(MsgType type) {
 
 namespace {
 
+// Type 7 was Lineage, retired in protocol v4.
+constexpr uint8_t kRetiredLineageType = 7;
+
 bool IsKnownRequestType(uint8_t raw) {
   return raw >= static_cast<uint8_t>(MsgType::kHello) &&
          raw <= static_cast<uint8_t>(MsgType::kProvenance) &&
-         raw != static_cast<uint8_t>(MsgType::kResponse);
+         raw != static_cast<uint8_t>(MsgType::kResponse) &&
+         raw != kRetiredLineageType;
 }
 
 }  // namespace
@@ -262,32 +265,6 @@ StatusOr<DeriveOutcome> DecodeDeriveOutcome(BinaryReader* r) {
   return outcome;
 }
 
-void EncodeLineageReply(const LineageReply& reply, BinaryWriter* w) {
-  w->PutU32(static_cast<uint32_t>(reply.chain.size()));
-  for (const std::string& step : reply.chain) w->PutString(step);
-  w->PutU32(static_cast<uint32_t>(reply.base_sources.size()));
-  for (Oid oid : reply.base_sources) w->PutU64(oid);
-}
-
-StatusOr<LineageReply> DecodeLineageReply(BinaryReader* r) {
-  LineageReply reply;
-  GAEA_ASSIGN_OR_RETURN(uint32_t steps, r->GetU32());
-  GAEA_RETURN_IF_ERROR(CheckCount(*r, steps, sizeof(uint32_t)));
-  reply.chain.reserve(steps);
-  for (uint32_t i = 0; i < steps; ++i) {
-    GAEA_ASSIGN_OR_RETURN(std::string step, r->GetString());
-    reply.chain.push_back(std::move(step));
-  }
-  GAEA_ASSIGN_OR_RETURN(uint32_t bases, r->GetU32());
-  GAEA_RETURN_IF_ERROR(CheckCount(*r, bases, sizeof(uint64_t)));
-  reply.base_sources.reserve(bases);
-  for (uint32_t i = 0; i < bases; ++i) {
-    GAEA_ASSIGN_OR_RETURN(Oid oid, r->GetU64());
-    reply.base_sources.push_back(oid);
-  }
-  return reply;
-}
-
 void EncodeProvenanceRequest(const ProvenanceRequest& request,
                              BinaryWriter* w) {
   w->PutU8(static_cast<uint8_t>(request.kind));
@@ -299,7 +276,7 @@ void EncodeProvenanceRequest(const ProvenanceRequest& request,
 StatusOr<ProvenanceRequest> DecodeProvenanceRequest(BinaryReader* r) {
   ProvenanceRequest request;
   GAEA_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
-  if (kind > static_cast<uint8_t>(ProvenanceKind::kDiff)) {
+  if (kind > static_cast<uint8_t>(ProvenanceKind::kChain)) {
     return Status::Corruption("bad provenance kind tag");
   }
   request.kind = static_cast<ProvenanceKind>(kind);
@@ -322,7 +299,7 @@ void EncodeProvenanceReply(const ProvenanceReply& reply, BinaryWriter* w) {
 StatusOr<ProvenanceReply> DecodeProvenanceReply(BinaryReader* r) {
   ProvenanceReply reply;
   GAEA_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
-  if (kind > static_cast<uint8_t>(ProvenanceKind::kDiff)) {
+  if (kind > static_cast<uint8_t>(ProvenanceKind::kChain)) {
     return Status::Corruption("bad provenance kind tag");
   }
   reply.kind = static_cast<ProvenanceKind>(kind);

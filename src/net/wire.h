@@ -40,10 +40,11 @@ constexpr uint32_t kMagic = 0x47414541;  // "GAEA"
 // remote object insert/get, RequestHeader.min_lsn (the read-your-writes
 // LSN token a replica must reach before answering) and
 // ResponseHeader.applied_lsn (the answering server's cluster LSN).
+// v4 removed Lineage (type 7); ProvenanceKind::kChain answers it.
 // Both sides of the protocol live in this tree, so the version is bumped
 // rather than relying on trailing-byte tolerance for fields the server
 // must act on.
-constexpr uint16_t kProtocolVersion = 3;
+constexpr uint16_t kProtocolVersion = 4;
 
 // Upper bound on one frame's payload; anything larger is a protocol error
 // (kCorruption) and the connection is dropped rather than buffered.
@@ -123,7 +124,7 @@ enum class MsgType : uint8_t {
   kDefineProcess = 4,  // body: ProcessDef::Serialize
   kDerive = 5,         // body: DeriveRequest
   kDeriveBatch = 6,    // body: u32 n, n * DeriveRequest
-  kLineage = 7,        // body: u64 oid
+  // 7 was Lineage (protocol <= 3); ProvenanceKind::kChain replaced it.
   kStats = 8,          // body: empty
   kResponse = 9,       // ResponseHeader + per-request-type body
   kMetrics = 10,       // body: empty; reply: Prometheus text exposition
@@ -222,15 +223,6 @@ StatusOr<DeriveRequest> DecodeDeriveRequest(BinaryReader* r);
 void EncodeDeriveOutcome(const DeriveOutcome& outcome, BinaryWriter* w);
 StatusOr<DeriveOutcome> DecodeDeriveOutcome(BinaryReader* r);
 
-// Lineage response body.
-struct LineageReply {
-  std::vector<std::string> chain;   // "process:vN" steps, output-first
-  std::vector<Oid> base_sources;    // underived ancestors
-};
-
-void EncodeLineageReply(const LineageReply& reply, BinaryWriter* w);
-StatusOr<LineageReply> DecodeLineageReply(BinaryReader* r);
-
 // Provenance query request (GaeaKernel::Provenance* on the server; the
 // index is replicated state, so replicas serve these without a bounce).
 enum class ProvenanceKind : uint8_t {
@@ -239,6 +231,7 @@ enum class ProvenanceKind : uint8_t {
   kWhy = 2,
   kWhere = 3,
   kDiff = 4,
+  kChain = 5,
 };
 
 struct ProvenanceRequest {
@@ -253,7 +246,8 @@ void EncodeProvenanceRequest(const ProvenanceRequest& request,
 StatusOr<ProvenanceRequest> DecodeProvenanceRequest(BinaryReader* r);
 
 // Provenance response body. `oids`/`tasks` carry the closure for the
-// traversal kinds (empty otherwise); `text` and `json` carry both
+// traversal kinds, `oids` the base sources for kChain (empty otherwise);
+// `text` and `json` carry both
 // renderings for every kind, so shells and batch tools need no
 // re-rendering logic client-side.
 struct ProvenanceReply {

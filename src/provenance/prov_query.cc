@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -120,17 +121,24 @@ StatusOr<Task> DbTaskSource::Fetch(TaskId id) const {
 // ProvenanceEngine
 // ---------------------------------------------------------------------------
 
-StatusOr<Task> ProvenanceEngine::ProducerOf(Oid oid, uint64_t* lookups) const {
+StatusOr<TaskId> ProvenanceEngine::ProducerIdOf(Oid oid) const {
   GAEA_ASSIGN_OR_RETURN(std::vector<TaskId> producers,
                         index_->TasksByOutput(oid));
-  if (lookups != nullptr) ++*lookups;
   uint64_t max_id = source_->MaxTaskId();
   for (TaskId id : producers) {
-    if (id > max_id) continue;  // index ahead of a crash-shortened log
-    return source_->Fetch(id);
+    // Skip entries of an index ahead of a crash-shortened log.
+    if (id != kInvalidTaskId && id <= max_id) return id;
   }
-  return Status::NotFound("object " + std::to_string(oid) +
-                          " has no producing task (base data)");
+  return kInvalidTaskId;
+}
+
+StatusOr<Task> ProvenanceEngine::ProducerOf(Oid oid) const {
+  GAEA_ASSIGN_OR_RETURN(TaskId id, ProducerIdOf(oid));
+  if (id == kInvalidTaskId) {
+    return Status::NotFound("object " + std::to_string(oid) +
+                            " has no producing task (base data)");
+  }
+  return source_->Fetch(id);
 }
 
 StatusOr<ClosureResult> ProvenanceEngine::Closure(Oid root, bool ancestors,
@@ -196,7 +204,7 @@ StatusOr<ClosureResult> ProvenanceEngine::Descendants(
 StatusOr<WhyResult> ProvenanceEngine::Why(Oid oid) const {
   WhyResult result;
   result.output = oid;
-  GAEA_ASSIGN_OR_RETURN(Task task, ProducerOf(oid, nullptr));
+  GAEA_ASSIGN_OR_RETURN(Task task, ProducerOf(oid));
   result.task = task.id;
   result.process = task.process_name;
   result.version = task.process_version;
@@ -207,17 +215,8 @@ StatusOr<WhyResult> ProvenanceEngine::Why(Oid oid) const {
   // on — the part of the witness that survives any amount of re-derivation.
   GAEA_ASSIGN_OR_RETURN(ClosureResult closure, Ancestors(oid));
   for (Oid ancestor : closure.oids) {
-    GAEA_ASSIGN_OR_RETURN(std::vector<TaskId> producers,
-                          index_->TasksByOutput(ancestor));
-    uint64_t max_id = source_->MaxTaskId();
-    bool base = true;
-    for (TaskId id : producers) {
-      if (id != kInvalidTaskId && id <= max_id) {
-        base = false;
-        break;
-      }
-    }
-    if (base) result.base_witnesses.push_back(ancestor);
+    GAEA_ASSIGN_OR_RETURN(TaskId producer, ProducerIdOf(ancestor));
+    if (producer == kInvalidTaskId) result.base_witnesses.push_back(ancestor);
   }
   return result;
 }
@@ -225,7 +224,7 @@ StatusOr<WhyResult> ProvenanceEngine::Why(Oid oid) const {
 StatusOr<WhereResult> ProvenanceEngine::Where(Oid oid) const {
   WhereResult result;
   result.output = oid;
-  GAEA_ASSIGN_OR_RETURN(Task task, ProducerOf(oid, nullptr));
+  GAEA_ASSIGN_OR_RETURN(Task task, ProducerOf(oid));
   result.task = task.id;
   result.process = task.process_name;
   result.version = task.process_version;
@@ -264,8 +263,8 @@ StatusOr<DiffResult> ProvenanceEngine::Diff(Oid a, Oid b) const {
   DiffResult result;
   result.a = a;
   result.b = b;
-  GAEA_ASSIGN_OR_RETURN(Task task_a, ProducerOf(a, nullptr));
-  GAEA_ASSIGN_OR_RETURN(Task task_b, ProducerOf(b, nullptr));
+  GAEA_ASSIGN_OR_RETURN(Task task_a, ProducerOf(a));
+  GAEA_ASSIGN_OR_RETURN(Task task_b, ProducerOf(b));
   result.process_a = task_a.process_name;
   result.process_b = task_b.process_name;
   result.version_a = task_a.process_version;
@@ -402,6 +401,159 @@ StatusOr<DiffResult> ProvenanceEngine::Diff(Oid a, Oid b) const {
   return result;
 }
 
+// The derivation DAG below one root: every object reached, each with its
+// producing task and depth. Tasks are keyed by id, so a task that produced
+// several reached objects is fetched once. Move-only: objects point into
+// `tasks`, whose nodes a move keeps in place and a copy would not.
+struct ProvenanceEngine::Dag {
+  Dag() = default;
+  Dag(Dag&&) = default;
+  Dag(const Dag&) = delete;
+
+  struct Object {
+    const Task* task = nullptr;  // producer; null for base data
+    std::vector<Oid> inputs;     // task->AllInputs(), cached
+    int depth = 0;               // longest task path down to base data
+  };
+  std::map<Oid, Object> objects;
+  std::map<TaskId, Task> tasks;
+};
+
+StatusOr<ProvenanceEngine::Dag> ProvenanceEngine::BuildDag(Oid root) const {
+  Dag dag;
+  // Iterative post-order DFS: an object's depth is final when it leaves the
+  // stack. Meeting an object that is still on the stack means the index
+  // holds a cycle; the walk stops with an error instead of looping.
+  std::vector<std::pair<Oid, size_t>> stack;  // (object, next input)
+  std::set<Oid> on_stack;
+  auto enter = [&](Oid oid) -> Status {
+    auto [it, fresh] = dag.objects.try_emplace(oid);
+    if (!fresh) {
+      if (on_stack.count(oid) > 0) {
+        return Status::Internal("derivation cycle through object " +
+                                std::to_string(oid) + ": damaged task log?");
+      }
+      return Status::OK();
+    }
+    GAEA_ASSIGN_OR_RETURN(TaskId id, ProducerIdOf(oid));
+    if (id != kInvalidTaskId) {
+      auto task = dag.tasks.find(id);
+      if (task == dag.tasks.end()) {
+        GAEA_ASSIGN_OR_RETURN(Task fetched, source_->Fetch(id));
+        task = dag.tasks.emplace(id, std::move(fetched)).first;
+      }
+      it->second.task = &task->second;
+      it->second.inputs = task->second.AllInputs();
+    }
+    on_stack.insert(oid);
+    stack.emplace_back(oid, 0);
+    return Status::OK();
+  };
+  GAEA_RETURN_IF_ERROR(enter(root));
+  while (!stack.empty()) {
+    const Oid oid = stack.back().first;
+    const size_t next = stack.back().second++;
+    Dag::Object& object = dag.objects.at(oid);
+    if (next < object.inputs.size()) {
+      GAEA_RETURN_IF_ERROR(enter(object.inputs[next]));
+      continue;
+    }
+    if (object.task != nullptr) {
+      int deepest = 0;
+      for (Oid input : object.inputs) {
+        deepest = std::max(deepest, dag.objects.at(input).depth);
+      }
+      object.depth = 1 + deepest;
+    }
+    on_stack.erase(oid);
+    stack.pop_back();
+  }
+  return dag;
+}
+
+StatusOr<ChainResult> ProvenanceEngine::Chain(Oid oid) const {
+  GAEA_ASSIGN_OR_RETURN(Dag dag, BuildDag(oid));
+  ChainResult result;
+  result.root = oid;
+  // Follow the deepest input path; ties go to the first input.
+  for (const Dag::Object* cur = &dag.objects.at(oid); cur->task != nullptr;) {
+    result.chain.push_back(cur->task->process_name + ":v" +
+                           std::to_string(cur->task->process_version));
+    if (cur->inputs.empty()) break;
+    const Dag::Object* deepest = nullptr;
+    for (Oid input : cur->inputs) {
+      const Dag::Object* candidate = &dag.objects.at(input);
+      if (deepest == nullptr || candidate->depth > deepest->depth) {
+        deepest = candidate;
+      }
+    }
+    cur = deepest;
+  }
+  // A base root is the only object of its DAG, so it is its own source.
+  for (const auto& [object, node] : dag.objects) {
+    if (node.task == nullptr) result.base_sources.push_back(object);
+  }
+  return result;
+}
+
+StatusOr<std::string> ProvenanceEngine::Dot(Oid oid) const {
+  GAEA_ASSIGN_OR_RETURN(Dag dag, BuildDag(oid));
+  std::ostringstream os;
+  os << "digraph lineage {\n  rankdir=BT;\n";
+  std::set<Oid> seen{oid};
+  std::set<TaskId> emitted;
+  std::deque<Oid> frontier{oid};
+  while (!frontier.empty()) {
+    const Oid cur = frontier.front();
+    frontier.pop_front();
+    const Dag::Object& object = dag.objects.at(cur);
+    os << "  o" << cur << " [shape=ellipse,label=\"obj " << cur
+       << (object.task == nullptr ? " (base)" : "") << "\"];\n";
+    if (object.task == nullptr) continue;
+    const Task& task = *object.task;
+    bool first = emitted.insert(task.id).second;
+    if (first) {
+      os << "  t" << task.id << " [shape=box,label=\"" << task.process_name
+         << " v" << task.process_version << "\"];\n";
+    }
+    os << "  t" << task.id << " -> o" << cur << ";\n";
+    for (Oid input : object.inputs) {
+      if (first) os << "  o" << input << " -> t" << task.id << ";\n";
+      if (seen.insert(input).second) frontier.push_back(input);
+    }
+  }
+  os << "}\n";
+  return os.str();
+}
+
+DerivationComparison Compare(const ChainResult& a, const ChainResult& b) {
+  DerivationComparison cmp;
+  cmp.chain_a = a.chain;
+  cmp.chain_b = b.chain;
+  if (cmp.chain_a == cmp.chain_b) {
+    cmp.same_procedure = true;
+    cmp.explanation = cmp.chain_a.empty()
+                          ? "both objects are base data"
+                          : "identical derivation chains (" +
+                                cmp.chain_a.front() + ", depth " +
+                                std::to_string(cmp.chain_a.size()) + ")";
+    return cmp;
+  }
+  size_t n = std::min(cmp.chain_a.size(), cmp.chain_b.size());
+  size_t i = 0;
+  while (i < n && cmp.chain_a[i] == cmp.chain_b[i]) ++i;
+  std::ostringstream os;
+  if (i < n) {
+    os << "derivations diverge at step " << i + 1 << ": " << cmp.chain_a[i]
+       << " vs " << cmp.chain_b[i];
+  } else {
+    os << "derivation depths differ: " << cmp.chain_a.size() << " vs "
+       << cmp.chain_b.size() << " steps";
+  }
+  cmp.explanation = os.str();
+  return cmp;
+}
+
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
@@ -430,6 +582,28 @@ std::string ClosureResult::ToText() const {
   for (Oid oid : oids) os << " " << oid;
   os << "\n  tasks:";
   for (TaskId id : tasks) os << " #" << id;
+  os << "\n";
+  return os.str();
+}
+
+std::string ChainResult::ToJson() const {
+  std::string json = "{\"query\":\"chain\",\"root\":" + std::to_string(root);
+  json += ",\"chain\":[";
+  for (size_t i = 0; i < chain.size(); ++i) {
+    if (i > 0) json += ',';
+    json += '"' + JsonEscape(chain[i]) + '"';
+  }
+  json += "],\"base_sources\":" + JsonArray(base_sources);
+  json += '}';
+  return json;
+}
+
+std::string ChainResult::ToText() const {
+  std::ostringstream os;
+  os << "chain:";
+  for (const std::string& step : chain) os << " " << step;
+  os << "\nbase sources:";
+  for (Oid oid : base_sources) os << " #" << oid;
   os << "\n";
   return os.str();
 }

@@ -16,7 +16,12 @@
 //     contributing OIDs;
 //   * process-version diff — how the procedures behind two objects differ
 //     (ProvDB-style workflow-version queries: Miao et al., CIDR 2017),
-//     leveraging the immutable versioned process registry.
+//     leveraging the immutable versioned process registry;
+//   * process chain and derivation diagram — the paper's derivation
+//     browsing: the deepest chain of process versions behind an object, the
+//     base data it rests on, and a Graphviz rendering of its history. Both
+//     walk the derivation DAG once, fetching each task at most once, and
+//     two chains compare without touching the index at all.
 //
 // Task records are resolved through a TaskSource, not the in-memory log
 // alone: after a checkpoint's Journal::TruncatePrefix the live task journal
@@ -146,6 +151,32 @@ struct DiffResult {
   std::string ToText() const;
 };
 
+// The deepest chain of process versions behind one object, plus the base
+// data it rests on.
+struct ChainResult {
+  Oid root = kInvalidOid;
+  // "name:vN" per task along the deepest input path, nearest first; empty
+  // for base data.
+  std::vector<std::string> chain;
+  // {root} for base data; otherwise Why's base_witnesses, ascending.
+  std::vector<Oid> base_sources;
+
+  std::string ToJson() const;
+  std::string ToText() const;
+};
+
+// How the procedures behind two objects compare, chain against chain: the
+// resolution of the paper's two-scientists scenario.
+struct DerivationComparison {
+  bool same_procedure = false;  // identical process-version chains
+  // Human-readable explanation of the first divergence (or sameness).
+  std::string explanation;
+  std::vector<std::string> chain_a;
+  std::vector<std::string> chain_b;
+};
+
+DerivationComparison Compare(const ChainResult& a, const ChainResult& b);
+
 // ---- the engine ----
 
 // Traversal guards for closure queries.
@@ -170,10 +201,20 @@ class ProvenanceEngine {
   StatusOr<WhyResult> Why(Oid oid) const;
   StatusOr<WhereResult> Where(Oid oid) const;
   StatusOr<DiffResult> Diff(Oid a, Oid b) const;
+  // kInternal when the index holds a cycle (a damaged log).
+  StatusOr<ChainResult> Chain(Oid oid) const;
+  // Graphviz rendering of the derivation DAG of `oid`: every object and
+  // every task appears once.
+  StatusOr<std::string> Dot(Oid oid) const;
 
  private:
+  struct Dag;
+
+  // The id of the task that produced `oid`; kInvalidTaskId for base data.
+  StatusOr<TaskId> ProducerIdOf(Oid oid) const;
   // The producing task of `oid`, kNotFound for base data.
-  StatusOr<Task> ProducerOf(Oid oid, uint64_t* lookups) const;
+  StatusOr<Task> ProducerOf(Oid oid) const;
+  StatusOr<Dag> BuildDag(Oid root) const;
   StatusOr<ClosureResult> Closure(Oid oid, bool ancestors,
                                   const Limits& limits) const;
 

@@ -69,10 +69,14 @@ TEST_F(ExternalTaskTest, RecordsLineageForManualProcedure) {
   EXPECT_EQ(task->started, AbsTime(777));
 
   // Lineage works exactly as for template-derived objects.
-  LineageGraph lineage = kernel_->lineage();
-  EXPECT_FALSE(lineage.IsBase(corrected));
-  EXPECT_EQ(lineage.Ancestors(corrected), (std::set<Oid>{raw_a, raw_b}));
-  EXPECT_EQ(lineage.ProcessChain(corrected).value(),
+  ASSERT_OK_AND_ASSIGN(provenance::ChainResult chain,
+                       kernel_->ProvenanceChain(corrected));
+  EXPECT_FALSE(chain.chain.empty());  // not base data
+  ASSERT_OK_AND_ASSIGN(provenance::ClosureResult ancestors,
+                       kernel_->ProvenanceAncestors(corrected));
+  EXPECT_EQ(std::set<Oid>(ancestors.oids.begin(), ancestors.oids.end()),
+            (std::set<Oid>{raw_a, raw_b}));
+  EXPECT_EQ(chain.chain,
             std::vector<std::string>{"manual-calibration:v-1"});
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "gaea/kernel.h"
 #include "raster/scene.h"
 #include "test_util.h"
@@ -236,16 +238,21 @@ TEST_F(KernelTest, TwoScientistsScenarioFromSection1) {
 
   // Both are members of the vegetation_change concept, yet Gaea can tell
   // exactly how their derivations differ — the paper's data-sharing fix.
-  LineageGraph lineage = kernel_->lineage();
-  ASSERT_OK_AND_ASSIGN(DerivationComparison cmp, lineage.Compare(by_sub, by_div));
+  ASSERT_OK_AND_ASSIGN(provenance::ChainResult chain_sub,
+                       kernel_->ProvenanceChain(by_sub));
+  ASSERT_OK_AND_ASSIGN(provenance::ChainResult chain_div,
+                       kernel_->ProvenanceChain(by_div));
+  provenance::DerivationComparison cmp =
+      provenance::Compare(chain_sub, chain_div);
   EXPECT_FALSE(cmp.same_procedure);
   EXPECT_NE(cmp.explanation.find("change-by-subtraction:v1 vs "
                                  "change-by-division:v1"),
             std::string::npos);
   // Both rest on the same base imagery.
-  EXPECT_EQ(lineage.BaseSources(by_sub),
-            (std::set<Oid>{red88, nir88, red89, nir89}));
-  EXPECT_EQ(lineage.BaseSources(by_sub), lineage.BaseSources(by_div));
+  std::set<Oid> bases(chain_sub.base_sources.begin(),
+                      chain_sub.base_sources.end());
+  EXPECT_EQ(bases, (std::set<Oid>{red88, nir88, red89, nir89}));
+  EXPECT_EQ(chain_sub.base_sources, chain_div.base_sources);
   // Querying the concept returns instances of both classes.
   QueryRequest req;
   req.target = "vegetation_change";
@@ -279,10 +286,13 @@ TEST_F(KernelTest, Figure5CompoundProcessEndToEnd) {
   // Expansion ran three primitive tasks (two classify + one detect).
   EXPECT_EQ(kernel_->tasks().size(), 3u);
   // Lineage depth: changes <- landcover <- landsat.
-  LineageGraph lineage = kernel_->lineage();
-  ASSERT_OK_AND_ASSIGN(auto tree, lineage.Tree(changes));
-  EXPECT_EQ(tree->Depth(), 2);
-  EXPECT_EQ(tree->TaskCount(), 3);
+  ASSERT_OK_AND_ASSIGN(provenance::ChainResult chain,
+                       kernel_->ProvenanceChain(changes));
+  EXPECT_EQ(chain.chain.size(), 2u);
+  ASSERT_OK_AND_ASSIGN(provenance::ClosureResult history,
+                       kernel_->ProvenanceAncestors(changes));
+  EXPECT_EQ(history.depth, 2);
+  EXPECT_EQ(history.tasks.size(), 3u);
 }
 
 TEST_F(KernelTest, ConceptHierarchyQueries) {
@@ -353,8 +363,9 @@ TEST_F(KernelTest, EverythingPersistsAcrossReopen) {
   ASSERT_OK_AND_ASSIGN(const Task* task, kernel_->tasks().Producer(landcover));
   EXPECT_EQ(task->process_name, "unsupervised-classification");
   // And the old task replays to an identical object.
-  LineageGraph lineage = kernel_->lineage();
-  EXPECT_EQ(lineage.Ancestors(landcover),
+  ASSERT_OK_AND_ASSIGN(provenance::ClosureResult ancestors,
+                       kernel_->ProvenanceAncestors(landcover));
+  EXPECT_EQ(std::set<Oid>(ancestors.oids.begin(), ancestors.oids.end()),
             std::set<Oid>(bands.begin(), bands.end()));
 }
 
@@ -553,6 +564,20 @@ TEST_F(KernelTest, EvictRefusesBaseAndConsumedObjects) {
   EXPECT_EQ(kernel_->Evict(landcover).code(), StatusCode::kFailedPrecondition);
   // The terminal product is evictable.
   ASSERT_OK(kernel_->Evict(changes));
+
+  // After a reopen the consumer check answers from the provenance index
+  // that CatchUp rebuilt from the task log: its files are removed first, so
+  // nothing carries over from the previous session.
+  ASSERT_OK(kernel_->Flush());
+  kernel_.reset();
+  for (const char* name : {"prov_in.idx", "prov_out.idx", "prov.meta"}) {
+    ASSERT_TRUE(std::filesystem::remove(dir_->file(name))) << name;
+  }
+  Open();
+  EXPECT_EQ(kernel_->provenance_index().indexed_through(),
+            kernel_->tasks().size());
+  EXPECT_EQ(kernel_->Evict(landcover).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(kernel_->Evict(bands[0]).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(KernelTest, OpenValidatesOptions) {

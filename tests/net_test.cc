@@ -235,25 +235,94 @@ TEST(FrameTest, HostileElementCountIsRejectedBeforeAllocating) {
   auto request = DecodeDeriveRequest(&r);
   ASSERT_FALSE(request.ok());
   EXPECT_EQ(request.status().code(), StatusCode::kCorruption);
-
-  BinaryWriter lw;
-  lw.PutU32(0xFFFFFFFFu);  // hostile chain-step count
-  BinaryReader lr(lw.buffer());
-  auto reply = DecodeLineageReply(&lr);
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), StatusCode::kCorruption);
 }
 
-TEST(FrameTest, LineageReplyCodecRoundTrip) {
-  LineageReply reply;
-  reply.chain = {"classify@2", "ndvi@1"};
-  reply.base_sources = {11, 12};
-  BinaryWriter w;
-  EncodeLineageReply(reply, &w);
-  BinaryReader r(w.buffer());
-  ASSERT_OK_AND_ASSIGN(LineageReply decoded, DecodeLineageReply(&r));
-  EXPECT_EQ(decoded.chain, reply.chain);
-  EXPECT_EQ(decoded.base_sources, reply.base_sources);
+constexpr ProvenanceKind kAllProvenanceKinds[] = {
+    ProvenanceKind::kAncestors, ProvenanceKind::kDescendants,
+    ProvenanceKind::kWhy,       ProvenanceKind::kWhere,
+    ProvenanceKind::kDiff,      ProvenanceKind::kChain,
+};
+
+TEST(FrameTest, ProvenanceRequestCodecRoundTrip) {
+  for (ProvenanceKind kind : kAllProvenanceKinds) {
+    ProvenanceRequest request;
+    request.kind = kind;
+    request.oid = 42;
+    request.oid_b = 43;
+    request.max_depth = 7;
+    BinaryWriter w;
+    EncodeProvenanceRequest(request, &w);
+    BinaryReader r(w.buffer());
+    ASSERT_OK_AND_ASSIGN(ProvenanceRequest decoded,
+                         DecodeProvenanceRequest(&r));
+    EXPECT_EQ(decoded.kind, kind);
+    EXPECT_EQ(decoded.oid, 42u);
+    EXPECT_EQ(decoded.oid_b, 43u);
+    EXPECT_EQ(decoded.max_depth, 7u);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+}
+
+TEST(FrameTest, ProvenanceReplyCodecRoundTrip) {
+  for (ProvenanceKind kind : kAllProvenanceKinds) {
+    ProvenanceReply reply;
+    reply.kind = kind;
+    reply.oids = {11, 12};
+    reply.tasks = {3};
+    reply.text = "chain: classify:v2 ndvi:v1\nbase sources: #11 #12\n";
+    reply.json = "{\"query\":\"chain\"}";
+    BinaryWriter w;
+    EncodeProvenanceReply(reply, &w);
+    BinaryReader r(w.buffer());
+    ASSERT_OK_AND_ASSIGN(ProvenanceReply decoded, DecodeProvenanceReply(&r));
+    EXPECT_EQ(decoded.kind, kind);
+    EXPECT_EQ(decoded.oids, reply.oids);
+    EXPECT_EQ(decoded.tasks, reply.tasks);
+    EXPECT_EQ(decoded.text, reply.text);
+    EXPECT_EQ(decoded.json, reply.json);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+}
+
+TEST(FrameTest, ProvenanceCodecsRejectBadKindAndHostileCounts) {
+  // The first kind tag past kChain.
+  const uint8_t bad_kind = static_cast<uint8_t>(ProvenanceKind::kChain) + 1;
+  BinaryWriter rw;
+  rw.PutU8(bad_kind);
+  rw.PutU64(1);
+  rw.PutU64(0);
+  rw.PutU32(0);
+  BinaryReader rr(rw.buffer());
+  EXPECT_EQ(DecodeProvenanceRequest(&rr).status().code(),
+            StatusCode::kCorruption);
+
+  BinaryWriter kw;
+  kw.PutU8(bad_kind);
+  kw.PutU32(0);
+  kw.PutU32(0);
+  kw.PutString("");
+  kw.PutString("");
+  BinaryReader kr(kw.buffer());
+  EXPECT_EQ(DecodeProvenanceReply(&kr).status().code(),
+            StatusCode::kCorruption);
+
+  // ~4 billion oids claimed, none follow.
+  BinaryWriter ow;
+  ow.PutU8(static_cast<uint8_t>(ProvenanceKind::kChain));
+  ow.PutU32(0xFFFFFFFFu);
+  BinaryReader orr(ow.buffer());
+  EXPECT_EQ(DecodeProvenanceReply(&orr).status().code(),
+            StatusCode::kCorruption);
+
+  // A valid oid list, then ~4 billion tasks claimed.
+  BinaryWriter tw;
+  tw.PutU8(static_cast<uint8_t>(ProvenanceKind::kAncestors));
+  tw.PutU32(1);
+  tw.PutU64(5);
+  tw.PutU32(0xFFFFFFFFu);
+  BinaryReader tr(tw.buffer());
+  EXPECT_EQ(DecodeProvenanceReply(&tr).status().code(),
+            StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,11 +527,17 @@ CLASS remote_out (
   EXPECT_EQ(again, derived);
   EXPECT_TRUE(cache_hit);
 
-  ASSERT_OK_AND_ASSIGN(LineageReply lineage, client->Lineage(derived));
-  ASSERT_EQ(lineage.chain.size(), 1u);
-  EXPECT_EQ(lineage.chain[0], "remote-ident:v1");
-  ASSERT_EQ(lineage.base_sources.size(), 1u);
-  EXPECT_EQ(lineage.base_sources[0], input);
+  ProvenanceRequest chain_request;
+  chain_request.kind = ProvenanceKind::kChain;
+  chain_request.oid = derived;
+  ASSERT_OK_AND_ASSIGN(ProvenanceReply chain,
+                       client->Provenance(chain_request));
+  EXPECT_EQ(chain.kind, ProvenanceKind::kChain);
+  EXPECT_EQ(chain.oids, std::vector<Oid>{input});  // the base sources
+  EXPECT_EQ(chain.text, "chain: remote-ident:v1\nbase sources: #" +
+                            std::to_string(input) + "\n");
+  EXPECT_NE(chain.json.find("\"chain\":[\"remote-ident:v1\"]"),
+            std::string::npos);
 
   ASSERT_OK_AND_ASSIGN(std::string stats, client->StatsJson());
   EXPECT_NE(stats.find("\"server\":"), std::string::npos);
@@ -869,6 +944,27 @@ TEST_F(NetTest, BadHelloAndHandshakeBypassAreRejected) {
   EncodeRequestHeader(ping, &w2);
   ASSERT_OK(SendPayload(fd, w2.buffer()));
   EXPECT_EQ(AwaitResponse(fd).code, StatusCode::kFailedPrecondition);
+  ::close(fd);
+}
+
+TEST_F(NetTest, RetiredLineageTypeIsAnUnknownRequest) {
+  StartServer(GaeaServer::Options());
+  int fd = RawConnect(server_->port());
+  RawHandshake(fd);
+  // Type 7 was Lineage before protocol v4. It must be refused like any
+  // unknown type, not reach a worker.
+  BinaryWriter w;
+  w.PutU8(7);
+  w.PutU64(2);  // request id
+  w.PutU32(0);  // deadline
+  w.PutU64(0);  // idem
+  w.PutU64(0);  // trace id
+  w.PutU64(0);  // min lsn
+  w.PutU64(1);  // the old body: an oid
+  ASSERT_OK(SendPayload(fd, w.buffer()));
+  ResponseHeader reply = AwaitResponse(fd);
+  EXPECT_EQ(reply.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(reply.message.find("unknown request type 7"), std::string::npos);
   ::close(fd);
 }
 

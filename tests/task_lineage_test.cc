@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "core/lineage.h"
+#include <map>
+#include <mutex>
+
 #include "core/task.h"
+#include "provenance/prov_index.h"
+#include "provenance/prov_query.h"
 #include "test_util.h"
 
 namespace gaea {
@@ -68,15 +72,6 @@ TEST(TaskLogTest, ProducerUniquePerObject) {
             StatusCode::kAlreadyExists);
 }
 
-TEST(TaskLogTest, ConsumersTracked) {
-  auto log = TaskLog::InMemory();
-  ASSERT_OK(log->Append(MakeTask("p", 1, {{"in", {1}}}, {10})).status());
-  ASSERT_OK(log->Append(MakeTask("q", 1, {{"in", {1, 10}}}, {11})).status());
-  EXPECT_EQ(log->Consumers(1).size(), 2u);
-  EXPECT_EQ(log->Consumers(10).size(), 1u);
-  EXPECT_TRUE(log->Consumers(999).empty());
-}
-
 TEST(TaskLogTest, DurableReplayAcrossReopen) {
   TempDir dir("tasklog");
   std::string path = dir.file("tasks.journal");
@@ -88,7 +83,6 @@ TEST(TaskLogTest, DurableReplayAcrossReopen) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<TaskLog> log, TaskLog::Open(path));
   EXPECT_EQ(log->size(), 2u);
   EXPECT_EQ(log->Producer(11).value()->process_name, "q");
-  EXPECT_EQ(log->Consumers(10).size(), 1u);
   // Appends continue with the right id.
   ASSERT_OK_AND_ASSIGN(TaskId next,
                        log->Append(MakeTask("r", 1, {{"in", {11}}}, {12})));
@@ -123,6 +117,66 @@ TEST(TaskLogTest, FindCompletedMatchesExactBindings) {
             (std::vector<Oid>{12, 10}));
 }
 
+// Counts fetches per task id on top of another source.
+class CountingSource : public provenance::TaskSource {
+ public:
+  explicit CountingSource(const provenance::TaskSource* inner)
+      : inner_(inner) {}
+
+  StatusOr<Task> Fetch(TaskId id) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++fetches_[id];
+    }
+    return inner_->Fetch(id);
+  }
+  uint64_t MaxTaskId() const override { return inner_->MaxTaskId(); }
+
+  std::map<TaskId, int> fetches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fetches_;
+  }
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mu_);
+    fetches_.clear();
+  }
+
+ private:
+  const provenance::TaskSource* const inner_;
+  mutable std::mutex mu_;
+  mutable std::map<TaskId, int> fetches_;
+};
+
+// An in-memory task log with a provenance index in a temp dir, kept current
+// by the log's commit hook, and an engine over both.
+class IndexedLog {
+ public:
+  IndexedLog() : dir_("lineage"), log_(TaskLog::InMemory()) {
+    auto index = provenance::ProvenanceIndex::Open(dir_.path());
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    index_ = *std::move(index);
+    EXPECT_TRUE(index_->CatchUp(*log_).ok());
+    provenance::ProvenanceIndex* raw = index_.get();
+    log_->SetCommitHook(
+        [raw](const Task& task) { return raw->IndexTask(task); });
+    source_ = std::make_unique<provenance::DbTaskSource>(
+        Env::Default(), dir_.path(), log_.get());
+  }
+
+  TaskLog* log() { return log_.get(); }
+  const provenance::ProvenanceIndex* index() const { return index_.get(); }
+  const provenance::TaskSource* source() const { return source_.get(); }
+  provenance::ProvenanceEngine engine() const {
+    return provenance::ProvenanceEngine(index_.get(), source_.get());
+  }
+
+ private:
+  TempDir dir_;
+  std::unique_ptr<TaskLog> log_;
+  std::unique_ptr<provenance::ProvenanceIndex> index_;
+  std::unique_ptr<provenance::DbTaskSource> source_;
+};
+
 // Lineage fixture: the paper's §1 two-scientists scenario.
 //   base NDVI 1988 = oid 1, NDVI 1989 = oid 2
 //   scientist A: veg change by subtraction  -> oid 3
@@ -131,86 +185,103 @@ TEST(TaskLogTest, FindCompletedMatchesExactBindings) {
 class LineageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    log_ = TaskLog::InMemory();
     ASSERT_OK(
-        log_->Append(MakeTask("ndvi-subtract", 1, {{"a", {1}}, {"b", {2}}},
-                              {3}))
+        log()->Append(MakeTask("ndvi-subtract", 1, {{"a", {1}}, {"b", {2}}},
+                               {3}))
             .status());
     ASSERT_OK(
-        log_->Append(MakeTask("ndvi-divide", 1, {{"a", {1}}, {"b", {2}}}, {4}))
+        log()->Append(MakeTask("ndvi-divide", 1, {{"a", {1}}, {"b", {2}}}, {4}))
             .status());
     ASSERT_OK(
-        log_->Append(MakeTask("threshold", 1, {{"x", {3}}}, {5})).status());
+        log()->Append(MakeTask("threshold", 1, {{"x", {3}}}, {5})).status());
   }
 
-  std::unique_ptr<TaskLog> log_;
+  TaskLog* log() { return db_.log(); }
+
+  std::vector<Oid> Ancestors(Oid oid) const {
+    return db_.engine().Ancestors(oid).value().oids;
+  }
+  std::vector<Oid> Descendants(Oid oid) const {
+    return db_.engine().Descendants(oid).value().oids;
+  }
+  provenance::ChainResult Chain(Oid oid) const {
+    return db_.engine().Chain(oid).value();
+  }
+  provenance::DerivationComparison Compare(Oid a, Oid b) const {
+    return provenance::Compare(Chain(a), Chain(b));
+  }
+
+  IndexedLog db_;
 };
 
 TEST_F(LineageTest, AncestorsAndDescendants) {
-  LineageGraph g(log_.get());
-  EXPECT_EQ(g.Ancestors(5), (std::set<Oid>{1, 2, 3}));
-  EXPECT_EQ(g.Ancestors(3), (std::set<Oid>{1, 2}));
-  EXPECT_TRUE(g.Ancestors(1).empty());
-  EXPECT_EQ(g.Descendants(1), (std::set<Oid>{3, 4, 5}));
-  EXPECT_EQ(g.Descendants(3), std::set<Oid>{5});
-  EXPECT_TRUE(g.Descendants(5).empty());
+  EXPECT_EQ(Ancestors(5), (std::vector<Oid>{1, 2, 3}));
+  EXPECT_EQ(Ancestors(3), (std::vector<Oid>{1, 2}));
+  EXPECT_TRUE(Ancestors(1).empty());
+  EXPECT_EQ(Descendants(1), (std::vector<Oid>{3, 4, 5}));
+  EXPECT_EQ(Descendants(3), std::vector<Oid>{5});
+  EXPECT_TRUE(Descendants(5).empty());
 }
 
 TEST_F(LineageTest, BaseClassification) {
-  LineageGraph g(log_.get());
-  EXPECT_TRUE(g.IsBase(1));
-  EXPECT_FALSE(g.IsBase(3));
-  EXPECT_EQ(g.BaseSources(5), (std::set<Oid>{1, 2}));
-  EXPECT_EQ(g.BaseSources(1), std::set<Oid>{1});
+  EXPECT_TRUE(Chain(1).chain.empty());
+  EXPECT_FALSE(Chain(3).chain.empty());
+  EXPECT_EQ(Chain(5).base_sources, (std::vector<Oid>{1, 2}));
+  EXPECT_EQ(Chain(1).base_sources, std::vector<Oid>{1});
+  // The chain's base sources are why-provenance's base witness.
+  ASSERT_OK_AND_ASSIGN(provenance::WhyResult why, db_.engine().Why(5));
+  EXPECT_EQ(why.base_witnesses, Chain(5).base_sources);
 }
 
-TEST_F(LineageTest, DerivationTreeStructure) {
-  LineageGraph g(log_.get());
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DerivationNode> tree, g.Tree(5));
-  EXPECT_EQ(tree->oid, 5u);
-  ASSERT_NE(tree->task, nullptr);
-  EXPECT_EQ(tree->task->process_name, "threshold");
-  ASSERT_EQ(tree->inputs.size(), 1u);
-  EXPECT_EQ(tree->inputs[0]->oid, 3u);
-  EXPECT_EQ(tree->inputs[0]->inputs.size(), 2u);
-  EXPECT_EQ(tree->Depth(), 2);
-  EXPECT_EQ(tree->TaskCount(), 2);
-  // Base object tree is a leaf.
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DerivationNode> base, g.Tree(1));
-  EXPECT_EQ(base->task, nullptr);
-  EXPECT_EQ(base->Depth(), 0);
+TEST_F(LineageTest, DerivationHistoryStructure) {
+  // 5 <- threshold <- 3 <- ndvi-subtract <- {1, 2}: two tasks, depth 2.
+  ASSERT_OK_AND_ASSIGN(provenance::ClosureResult history,
+                       db_.engine().Ancestors(5));
+  EXPECT_EQ(history.tasks, (std::vector<TaskId>{1, 3}));
+  EXPECT_EQ(history.depth, 2);
+  EXPECT_EQ(Chain(5).chain.size(), 2u);
+  ASSERT_OK_AND_ASSIGN(provenance::WhyResult why, db_.engine().Why(5));
+  EXPECT_EQ(why.process, "threshold");
+  ASSERT_EQ(why.witnesses.size(), 1u);
+  EXPECT_EQ(why.witnesses[0].second, std::vector<Oid>{3});
+  // A base object's history is empty.
+  ASSERT_OK_AND_ASSIGN(provenance::ClosureResult base,
+                       db_.engine().Ancestors(1));
+  EXPECT_TRUE(base.tasks.empty());
+  EXPECT_EQ(base.depth, 0);
 }
 
 TEST_F(LineageTest, ProcessChains) {
-  LineageGraph g(log_.get());
-  EXPECT_EQ(g.ProcessChain(5).value(),
+  EXPECT_EQ(Chain(5).chain,
             (std::vector<std::string>{"threshold:v1", "ndvi-subtract:v1"}));
-  EXPECT_EQ(g.ProcessChain(4).value(),
-            (std::vector<std::string>{"ndvi-divide:v1"}));
-  EXPECT_TRUE(g.ProcessChain(1).value().empty());
+  EXPECT_EQ(Chain(4).chain, (std::vector<std::string>{"ndvi-divide:v1"}));
+  EXPECT_TRUE(Chain(1).chain.empty());
+  EXPECT_EQ(Chain(5).ToText(),
+            "chain: threshold:v1 ndvi-subtract:v1\nbase sources: #1 #2\n");
+  EXPECT_EQ(Chain(4).ToJson(),
+            "{\"query\":\"chain\",\"root\":4,\"chain\":[\"ndvi-divide:v1\"],"
+            "\"base_sources\":[1,2]}");
 }
 
 TEST_F(LineageTest, CompareResolvesTwoScientistsScenario) {
   // "if only the resultant images are stored ... there is no way to share
   // and compare the produced data unless the derivation procedures are
   // known": with the task log, Compare names the exact divergence.
-  LineageGraph g(log_.get());
-  ASSERT_OK_AND_ASSIGN(DerivationComparison cmp, g.Compare(3, 4));
+  provenance::DerivationComparison cmp = Compare(3, 4);
   EXPECT_FALSE(cmp.same_procedure);
   EXPECT_NE(cmp.explanation.find("ndvi-subtract:v1 vs ndvi-divide:v1"),
             std::string::npos);
   // Same object compared with itself.
-  ASSERT_OK_AND_ASSIGN(DerivationComparison same, g.Compare(3, 3));
+  provenance::DerivationComparison same = Compare(3, 3);
   EXPECT_TRUE(same.same_procedure);
   // Two base objects.
-  ASSERT_OK_AND_ASSIGN(DerivationComparison bases, g.Compare(1, 2));
+  provenance::DerivationComparison bases = Compare(1, 2);
   EXPECT_TRUE(bases.same_procedure);
   EXPECT_NE(bases.explanation.find("base data"), std::string::npos);
 }
 
 TEST_F(LineageTest, CompareDetectsDepthDivergence) {
-  LineageGraph g(log_.get());
-  ASSERT_OK_AND_ASSIGN(DerivationComparison cmp, g.Compare(5, 3));
+  provenance::DerivationComparison cmp = Compare(5, 3);
   EXPECT_FALSE(cmp.same_procedure);
   EXPECT_EQ(cmp.chain_a.size(), 2u);
   EXPECT_EQ(cmp.chain_b.size(), 1u);
@@ -219,30 +290,101 @@ TEST_F(LineageTest, CompareDetectsDepthDivergence) {
 TEST_F(LineageTest, SameProcedureDifferentInputsCompareEqual) {
   // A second subtraction over different epochs: same procedure.
   ASSERT_OK(
-      log_->Append(MakeTask("ndvi-subtract", 1, {{"a", {2}}, {"b", {1}}}, {6}))
+      log()->Append(MakeTask("ndvi-subtract", 1, {{"a", {2}}, {"b", {1}}}, {6}))
           .status());
-  LineageGraph g(log_.get());
-  ASSERT_OK_AND_ASSIGN(DerivationComparison cmp, g.Compare(3, 6));
-  EXPECT_TRUE(cmp.same_procedure);
+  EXPECT_TRUE(Compare(3, 6).same_procedure);
 }
 
 TEST_F(LineageTest, DifferentVersionsCompareUnequal) {
   ASSERT_OK(
-      log_->Append(MakeTask("ndvi-subtract", 2, {{"a", {1}}, {"b", {2}}}, {7}))
+      log()->Append(MakeTask("ndvi-subtract", 2, {{"a", {1}}, {"b", {2}}}, {7}))
           .status());
-  LineageGraph g(log_.get());
-  ASSERT_OK_AND_ASSIGN(DerivationComparison cmp, g.Compare(3, 7));
-  EXPECT_FALSE(cmp.same_procedure);  // v1 vs v2: edited process
+  EXPECT_FALSE(Compare(3, 7).same_procedure);  // v1 vs v2: edited process
 }
 
 TEST_F(LineageTest, DotRendering) {
-  LineageGraph g(log_.get());
-  ASSERT_OK_AND_ASSIGN(std::string dot, g.ToDot(5));
+  ASSERT_OK_AND_ASSIGN(std::string dot, db_.engine().Dot(5));
   EXPECT_NE(dot.find("digraph lineage"), std::string::npos);
   EXPECT_NE(dot.find("threshold v1"), std::string::npos);
   EXPECT_NE(dot.find("obj 1 (base)"), std::string::npos);
-  // Object 4 (the other scientist's result) is not in 5's tree.
+  // Object 4 (the other scientist's result) is not in 5's history.
   EXPECT_EQ(dot.find("obj 4"), std::string::npos);
+}
+
+size_t CountOf(const std::string& haystack, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// out_k = p(a: out_{k-1}, b: out_{k-2}): every object below the tip is
+// reachable along exponentially many paths. Unfolding the DAG into a tree
+// costs ~1.6^k; the engine must walk it once.
+TEST(LineageScaleTest, SharedInputHistoryFetchesEachTaskOnce) {
+  constexpr int kTasks = 40;
+  IndexedLog db;
+  // Base objects 1 and 2; task k produces object k + 2.
+  for (Oid k = 1; k <= kTasks; ++k) {
+    ASSERT_OK(db.log()
+                  ->Append(MakeTask("p", 1, {{"a", {k + 1}}, {"b", {k}}},
+                                    {k + 2}))
+                  .status());
+  }
+  const Oid tip = kTasks + 2;
+  CountingSource counting(db.source());
+  provenance::ProvenanceEngine engine(db.index(), &counting);
+
+  ASSERT_OK_AND_ASSIGN(provenance::ChainResult chain, engine.Chain(tip));
+  EXPECT_EQ(chain.chain.size(), static_cast<size_t>(kTasks));
+  EXPECT_EQ(chain.base_sources, (std::vector<Oid>{1, 2}));
+  std::map<TaskId, int> fetches = counting.fetches();
+  EXPECT_EQ(fetches.size(), static_cast<size_t>(kTasks));
+  for (const auto& [id, n] : fetches) EXPECT_EQ(n, 1) << "task #" << id;
+
+  counting.Reset();
+  ASSERT_OK_AND_ASSIGN(std::string dot, engine.Dot(tip));
+  EXPECT_EQ(CountOf(dot, "[shape=box"), static_cast<size_t>(kTasks));
+  EXPECT_EQ(CountOf(dot, "[shape=ellipse"), static_cast<size_t>(kTasks + 2));
+  EXPECT_EQ(CountOf(dot, "(base)"), 2u);
+  fetches = counting.fetches();
+  EXPECT_EQ(fetches.size(), static_cast<size_t>(kTasks));
+  for (const auto& [id, n] : fetches) EXPECT_EQ(n, 1) << "task #" << id;
+}
+
+// Serves a fixed set of tasks, whatever they say.
+class FixedSource : public provenance::TaskSource {
+ public:
+  explicit FixedSource(std::vector<Task> tasks) : tasks_(std::move(tasks)) {}
+  StatusOr<Task> Fetch(TaskId id) const override {
+    if (id == kInvalidTaskId || id > tasks_.size()) {
+      return Status::NotFound("no task " + std::to_string(id));
+    }
+    return tasks_[id - 1];
+  }
+  uint64_t MaxTaskId() const override { return tasks_.size(); }
+
+ private:
+  std::vector<Task> tasks_;
+};
+
+TEST(LineageScaleTest, CycleInDamagedIndexEndsInError) {
+  // Task 1 makes 10 from 11 and task 2 makes 11 from 10: no well-formed log
+  // holds this, but a damaged index can.
+  TempDir dir("lineage_cycle");
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<provenance::ProvenanceIndex> index,
+                       provenance::ProvenanceIndex::Open(dir.path()));
+  std::vector<Task> tasks = {MakeTask("p", 1, {{"in", {11}}}, {10}),
+                             MakeTask("q", 1, {{"in", {10}}}, {11})};
+  tasks[0].id = 1;
+  tasks[1].id = 2;
+  for (const Task& task : tasks) ASSERT_OK(index->IndexTask(task));
+  FixedSource source(tasks);
+  provenance::ProvenanceEngine engine(index.get(), &source);
+  EXPECT_EQ(engine.Chain(10).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(engine.Dot(11).status().code(), StatusCode::kInternal);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 
 #include "gaea/kernel.h"
 #include "net/client.h"
+#include "net/server.h"
 #include "util/string_util.h"
 
 namespace {
@@ -88,47 +89,6 @@ bool ParseLine(const std::string& line, gaea::net::ProvenanceRequest* request,
     return false;
   }
   return true;
-}
-
-// Runs one parsed query against a local kernel; fills text+json renderings.
-gaea::Status RunLocal(gaea::GaeaKernel* kernel,
-                      const gaea::net::ProvenanceRequest& request,
-                      std::string* text, std::string* json) {
-  switch (request.kind) {
-    case gaea::net::ProvenanceKind::kAncestors:
-    case gaea::net::ProvenanceKind::kDescendants: {
-      bool anc = request.kind == gaea::net::ProvenanceKind::kAncestors;
-      int depth = static_cast<int>(request.max_depth);
-      auto closure = anc ? kernel->ProvenanceAncestors(request.oid, depth)
-                         : kernel->ProvenanceDescendants(request.oid, depth);
-      if (!closure.ok()) return closure.status();
-      *text = closure->ToText();
-      *json = closure->ToJson();
-      return gaea::Status::OK();
-    }
-    case gaea::net::ProvenanceKind::kWhy: {
-      auto why = kernel->ProvenanceWhy(request.oid);
-      if (!why.ok()) return why.status();
-      *text = why->ToText();
-      *json = why->ToJson();
-      return gaea::Status::OK();
-    }
-    case gaea::net::ProvenanceKind::kWhere: {
-      auto where = kernel->ProvenanceWhere(request.oid);
-      if (!where.ok()) return where.status();
-      *text = where->ToText();
-      *json = where->ToJson();
-      return gaea::Status::OK();
-    }
-    case gaea::net::ProvenanceKind::kDiff: {
-      auto diff = kernel->ProvenanceDiff(request.oid, request.oid_b);
-      if (!diff.ok()) return diff.status();
-      *text = diff->ToText();
-      *json = diff->ToJson();
-      return gaea::Status::OK();
-    }
-  }
-  return gaea::Status::InvalidArgument("bad provenance kind");
 }
 
 }  // namespace
@@ -204,30 +164,20 @@ int main(int argc, char** argv) {
       ++failures;
       continue;
     }
-    std::string text, json;
-    gaea::Status status = gaea::Status::OK();
-    if (kernel != nullptr) {
-      status = RunLocal(kernel.get(), request, &text, &json);
-    } else {
-      auto reply = client->Provenance(request);
-      if (reply.ok()) {
-        text = reply->text;
-        json = reply->json;
-      } else {
-        status = reply.status();
-      }
-    }
-    if (!status.ok()) {
+    auto reply = kernel != nullptr
+                     ? gaea::net::AnswerProvenance(kernel.get(), request)
+                     : client->Provenance(request);
+    if (!reply.ok()) {
       std::printf("%s\n", text_output
-                              ? ("error: " + status.ToString()).c_str()
-                              : JsonError(status).c_str());
+                              ? ("error: " + reply.status().ToString()).c_str()
+                              : JsonError(reply.status()).c_str());
       ++failures;
       continue;
     }
     if (text_output) {
-      std::printf("%s", text.c_str());
+      std::printf("%s", reply->text.c_str());
     } else {
-      std::printf("%s\n", json.c_str());
+      std::printf("%s\n", reply->json.c_str());
     }
   }
   return failures > 0 ? 1 : 0;
