@@ -1,7 +1,8 @@
 // Q5 — the storage substrate (Postgres substitute): object store put/get
 // across payload sizes (tuples to rasters), B+tree insert/lookup/scan, and
 // buffer-pool hit vs miss, validating that the substrate is not the
-// bottleneck of the derivation benches above.
+// bottleneck of the derivation benches above; plus the CRC-32 every journal
+// record and wire frame is checksummed with, dispatched and portable.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/journal.h"
 #include "storage/object_store.h"
+#include "util/crc32.h"
 
 namespace gaea {
 namespace {
@@ -201,6 +203,26 @@ void BM_JournalAppendSync(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 256);
 }
 BENCHMARK(BM_JournalAppendSync);
+
+// One checksum per iteration of a state.range(0)-byte buffer: a small wire
+// frame, a 4 KiB object, a 1 MiB raster frame.
+template <uint32_t (*kCrc)(const void*, size_t)>
+void BM_Crc(benchmark::State& state) {
+  const std::string data = Payload(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kCrc(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+// Crc32 as dispatched on this CPU (the PCLMUL fold where available).
+void BM_Crc32(benchmark::State& state) { BM_Crc<Crc32>(state); }
+// The slicing-by-16 loop alone: the CPU-independent fallback.
+void BM_Crc32Portable(benchmark::State& state) {
+  BM_Crc<Crc32Portable>(state);
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_Crc32Portable)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace gaea

@@ -1,6 +1,6 @@
 #include "core/derivation_cache.h"
 
-#include "storage/journal.h"  // Crc32
+#include "util/crc32.h"
 #include "util/serialize.h"
 
 namespace gaea {

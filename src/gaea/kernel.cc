@@ -1308,9 +1308,18 @@ class ProvQueryScope {
 };
 }  // namespace
 
+Status GaeaKernel::CheckProvenanceSubject(Oid oid) const {
+  GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+  if (stored) return Status::OK();
+  GAEA_ASSIGN_OR_RETURN(TaskId producer, ProvEngine().ProducerIdOf(oid));
+  if (producer != kInvalidTaskId) return Status::OK();
+  return Status::NotFound("object " + std::to_string(oid) + " is not stored");
+}
+
 StatusOr<provenance::ClosureResult> GaeaKernel::ProvenanceAncestors(
     Oid oid, int max_depth) {
   ProvQueryScope scope(&metrics_, env_, "ancestors");
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(oid));
   provenance::ProvenanceEngine::Limits limits;
   limits.max_depth = max_depth;
   return ProvEngine().Ancestors(oid, limits);
@@ -1319,6 +1328,7 @@ StatusOr<provenance::ClosureResult> GaeaKernel::ProvenanceAncestors(
 StatusOr<provenance::ClosureResult> GaeaKernel::ProvenanceDescendants(
     Oid oid, int max_depth) {
   ProvQueryScope scope(&metrics_, env_, "descendants");
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(oid));
   provenance::ProvenanceEngine::Limits limits;
   limits.max_depth = max_depth;
   return ProvEngine().Descendants(oid, limits);
@@ -1326,26 +1336,32 @@ StatusOr<provenance::ClosureResult> GaeaKernel::ProvenanceDescendants(
 
 StatusOr<provenance::WhyResult> GaeaKernel::ProvenanceWhy(Oid oid) {
   ProvQueryScope scope(&metrics_, env_, "why");
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(oid));
   return ProvEngine().Why(oid);
 }
 
 StatusOr<provenance::WhereResult> GaeaKernel::ProvenanceWhere(Oid oid) {
   ProvQueryScope scope(&metrics_, env_, "where");
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(oid));
   return ProvEngine().Where(oid);
 }
 
 StatusOr<provenance::DiffResult> GaeaKernel::ProvenanceDiff(Oid a, Oid b) {
   ProvQueryScope scope(&metrics_, env_, "diff");
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(a));
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(b));
   return ProvEngine().Diff(a, b);
 }
 
 StatusOr<provenance::ChainResult> GaeaKernel::ProvenanceChain(Oid oid) {
   ProvQueryScope scope(&metrics_, env_, "chain");
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(oid));
   return ProvEngine().Chain(oid);
 }
 
 StatusOr<std::string> GaeaKernel::ProvenanceDot(Oid oid) {
   ProvQueryScope scope(&metrics_, env_, "dot");
+  GAEA_RETURN_IF_ERROR(CheckProvenanceSubject(oid));
   return ProvEngine().Dot(oid);
 }
 

@@ -398,7 +398,9 @@ class GaeaKernel {
   // Indexed lineage queries: closure/why/where/chain/dot resolve through the
   // B+tree index (never a log scan); diff additionally reads the versioned
   // process registry. All are reads — replicas serve them over the wire.
-  // max_depth 0 = unbounded.
+  // max_depth 0 = unbounded. Each answers kNotFound ("object N is not
+  // stored") for an OID that is neither stored nor the output of a recorded
+  // task, rather than reading it as base data.
   StatusOr<provenance::ClosureResult> ProvenanceAncestors(Oid oid,
                                                           int max_depth = 0);
   StatusOr<provenance::ClosureResult> ProvenanceDescendants(Oid oid,
@@ -461,6 +463,10 @@ class GaeaKernel {
     return provenance::ProvenanceEngine(prov_index_.get(), prov_source_.get(),
                                         &processes_);
   }
+  // kNotFound("object N is not stored") for an OID this database never
+  // held: neither in the object store nor the output of a recorded task.
+  // An evicted derived object keeps its producer, so it still answers.
+  Status CheckProvenanceSubject(Oid oid) const;
   // record_count of one replication component's journal (0 when the
   // component has no journal on this kernel).
   uint64_t ComponentRecordCount(const std::string& component) const;

@@ -7,7 +7,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "storage/journal.h"  // Crc32
+#include "util/crc32.h"
 
 namespace gaea::net {
 

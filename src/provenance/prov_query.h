@@ -207,11 +207,13 @@ class ProvenanceEngine {
   // every task appears once.
   StatusOr<std::string> Dot(Oid oid) const;
 
+  // The id of the task that produced `oid`; kInvalidTaskId for base data
+  // (and for an OID no task ever output).
+  StatusOr<TaskId> ProducerIdOf(Oid oid) const;
+
  private:
   struct Dag;
 
-  // The id of the task that produced `oid`; kInvalidTaskId for base data.
-  StatusOr<TaskId> ProducerIdOf(Oid oid) const;
   // The producing task of `oid`, kNotFound for base data.
   StatusOr<Task> ProducerOf(Oid oid) const;
   StatusOr<Dag> BuildDag(Oid root) const;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <set>
 
+#include "util/crc32.h"
 #include "util/serialize.h"
 
 namespace gaea {

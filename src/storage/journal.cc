@@ -2,64 +2,9 @@
 
 #include <cstring>
 
+#include "util/crc32.h"
+
 namespace gaea {
-
-namespace {
-
-// Slicing-by-16 tables for the reflected IEEE polynomial. t[0] is the
-// classic bytewise table; t[k][i] is the CRC of byte i followed by k zero
-// bytes, so one step folds 16 input bytes with 16 independent lookups
-// instead of a 16-long dependency chain of single-byte steps.
-struct CrcTables {
-  uint32_t t[16][256];
-  CrcTables() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[0][i] = c;
-    }
-    for (int k = 1; k < 16; ++k) {
-      for (int i = 0; i < 256; ++i) {
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
-      }
-    }
-  }
-};
-
-// Little-endian load, independent of host byte order (compilers emit one
-// move on little-endian targets).
-inline uint32_t LoadLe32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t size) {
-  // Magic-static: initialization is thread-safe, unlike the old lazy flag.
-  static const CrcTables tables;
-  const auto& t = tables.t;
-  uint32_t crc = 0xFFFFFFFFu;
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (; size >= 16; size -= 16, p += 16) {
-    uint32_t a = LoadLe32(p) ^ crc;
-    uint32_t b = LoadLe32(p + 4);
-    uint32_t c = LoadLe32(p + 8);
-    uint32_t d = LoadLe32(p + 12);
-    crc = t[15][a & 0xFF] ^ t[14][(a >> 8) & 0xFF] ^ t[13][(a >> 16) & 0xFF] ^
-          t[12][a >> 24] ^ t[11][b & 0xFF] ^ t[10][(b >> 8) & 0xFF] ^
-          t[9][(b >> 16) & 0xFF] ^ t[8][b >> 24] ^ t[7][c & 0xFF] ^
-          t[6][(c >> 8) & 0xFF] ^ t[5][(c >> 16) & 0xFF] ^ t[4][c >> 24] ^
-          t[3][d & 0xFF] ^ t[2][(d >> 8) & 0xFF] ^ t[1][(d >> 16) & 0xFF] ^
-          t[0][d >> 24];
-  }
-  for (; size > 0; --size, ++p) {
-    crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 std::string EncodeJournalFrame(std::string_view record) {
   uint32_t len = static_cast<uint32_t>(record.size());

@@ -27,13 +27,6 @@
 
 namespace gaea {
 
-// CRC-32 (IEEE 802.3 polynomial) of `data`: the checksum of every journal,
-// snapshot, manifest and archive frame, every wire frame, and the params
-// hash inside DerivationCache keys. Computed by slicing-by-16; the values are
-// those of the classic bytewise table loop, so stored and in-flight bytes
-// from any earlier build still verify.
-uint32_t Crc32(const void* data, size_t size);
-
 // One journal frame ([u32 len][u32 crc][payload]) as bytes. Snapshot files
 // and archive segments (src/recovery/) share the journal's on-disk framing,
 // so one reader — Journal::ReplayFile — parses all three.

@@ -542,6 +542,58 @@ TEST_F(KernelTest, EvictedDerivedDataIsRederivedOnDemand) {
   EXPECT_EQ(obj.Get(*def, "numclass").value(), Value::Int(4));
 }
 
+// An OID the database never held is not base data: every provenance view
+// answers kNotFound for it. An evicted derived object keeps its producing
+// task, so it still answers.
+TEST_F(KernelTest, ProvenanceOfAnOidNeverStoredIsNotFound) {
+  Box region(0, 0, 10, 10);
+  std::vector<Oid> bands = {InsertBand(0, AbsTime(1), region),
+                            InsertBand(1, AbsTime(1), region),
+                            InsertBand(2, AbsTime(1), region)};
+  QueryRequest req;
+  req.target = "landcover";
+  ASSERT_OK_AND_ASSIGN(QueryResult result, kernel_->Query(req));
+  ASSERT_EQ(result.answers.size(), 1u);
+  const Oid derived = result.answers[0].oids[0];
+
+  const Oid unknown = 999999;
+  const std::string message = "object 999999 is not stored";
+  auto expect_not_stored = [&](const Status& status, const char* view) {
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << view;
+    EXPECT_EQ(status.message(), message) << view;
+  };
+  expect_not_stored(kernel_->ProvenanceAncestors(unknown).status(),
+                    "ancestors");
+  expect_not_stored(kernel_->ProvenanceDescendants(unknown).status(),
+                    "descendants");
+  expect_not_stored(kernel_->ProvenanceWhy(unknown).status(), "why");
+  expect_not_stored(kernel_->ProvenanceWhere(unknown).status(), "where");
+  expect_not_stored(kernel_->ProvenanceChain(unknown).status(), "chain");
+  expect_not_stored(kernel_->ProvenanceDot(unknown).status(), "dot");
+  expect_not_stored(kernel_->ProvenanceDiff(unknown, derived).status(),
+                    "diff, first oid");
+  expect_not_stored(kernel_->ProvenanceDiff(derived, unknown).status(),
+                    "diff, second oid");
+
+  // Stored base data still answers as base data.
+  ASSERT_OK_AND_ASSIGN(provenance::ChainResult base_chain,
+                       kernel_->ProvenanceChain(bands[0]));
+  EXPECT_TRUE(base_chain.chain.empty());
+  EXPECT_EQ(base_chain.base_sources, std::vector<Oid>{bands[0]});
+
+  // Evicted: bytes gone, producer kept, every view still answers.
+  ASSERT_OK(kernel_->Evict(derived));
+  ASSERT_FALSE(kernel_->catalog().ContainsObject(derived).value());
+  ASSERT_OK_AND_ASSIGN(provenance::ClosureResult ancestors,
+                       kernel_->ProvenanceAncestors(derived));
+  EXPECT_EQ(ancestors.tasks.size(), 1u);
+  EXPECT_OK(kernel_->ProvenanceWhy(derived).status());
+  EXPECT_OK(kernel_->ProvenanceWhere(derived).status());
+  EXPECT_OK(kernel_->ProvenanceChain(derived).status());
+  EXPECT_OK(kernel_->ProvenanceDot(derived).status());
+  EXPECT_OK(kernel_->ProvenanceDiff(derived, derived).status());
+}
+
 TEST_F(KernelTest, EvictRefusesBaseAndConsumedObjects) {
   Box region(0, 0, 10, 10);
   std::vector<Oid> bands = {InsertBand(0, AbsTime(1), region),

@@ -100,6 +100,35 @@ TEST(FrameTest, CorruptPayloadIsRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
 }
 
+// A 1 MiB payload (a GetObject raster reply's size) round-trips through
+// EncodeFrameHeader, FrameBuffer and Next, and a one-bit flip anywhere in it
+// fails the receiver's checksum.
+TEST(FrameTest, MebibyteFrameRoundTripsAndRejectsABitFlip) {
+  const std::string sent = PseudoRandomBytes(1u << 20, 3);
+  const std::string frame = Frame(sent);
+  {
+    FrameBuffer fb;
+    ASSERT_OK(Feed(&fb, frame));
+    std::string payload;
+    ASSERT_OK_AND_ASSIGN(bool have, fb.Next(&payload));
+    ASSERT_TRUE(have);
+    EXPECT_TRUE(payload == sent);
+    EXPECT_EQ(fb.buffered(), 0u);
+  }
+  for (size_t at : {sizeof(FrameHeader), sizeof(FrameHeader) + (1u << 19),
+                    frame.size() - 1}) {
+    std::string flipped = frame;
+    flipped[at] ^= 0x01;
+    FrameBuffer fb;
+    ASSERT_OK(Feed(&fb, flipped));
+    std::string payload;
+    auto result = fb.Next(&payload);
+    ASSERT_FALSE(result.ok()) << "flip at " << at;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << "flip at " << at;
+  }
+}
+
 TEST(FrameTest, OversizedLengthIsRejected) {
   uint32_t len = kMaxFramePayload + 1;
   uint32_t crc = 0;
@@ -538,6 +567,18 @@ CLASS remote_out (
                             std::to_string(input) + "\n");
   EXPECT_NE(chain.json.find("\"chain\":[\"remote-ident:v1\"]"),
             std::string::npos);
+
+  // An OID never stored is an error over the wire too, not base data.
+  for (ProvenanceKind kind : kAllProvenanceKinds) {
+    ProvenanceRequest unknown;
+    unknown.kind = kind;
+    unknown.oid = 999999;
+    unknown.oid_b = derived;
+    auto reply = client->Provenance(unknown);
+    ASSERT_FALSE(reply.ok()) << static_cast<int>(kind);
+    EXPECT_EQ(reply.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(reply.status().message(), "object 999999 is not stored");
+  }
 
   ASSERT_OK_AND_ASSIGN(std::string stats, client->StatsJson());
   EXPECT_NE(stats.find("\"server\":"), std::string::npos);

@@ -13,6 +13,7 @@
 #include "storage/journal.h"
 #include "storage/object_store.h"
 #include "test_util.h"
+#include "util/crc32.h"
 #include "util/env.h"
 
 namespace gaea {
@@ -610,6 +611,8 @@ TEST(JournalTest, Crc32KnownVector) {
   // CRC-32 of "123456789" is 0xCBF43926 (standard check value).
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32Portable("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32Portable("", 0), 0u);
 }
 
 // The reference: the one-byte-per-step table loop every stored and
@@ -633,24 +636,72 @@ uint32_t BytewiseCrc32(const void* data, size_t size) {
 }
 
 TEST(JournalTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0..4099 cover every tail length of the 16-byte main loop many
-  // times over; offsets 0..7 cover every misalignment of the input.
+  // Both paths: Crc32 as dispatched on this CPU (the carry-less-multiply
+  // fold from 64 bytes on, where the CPU has it) and the portable
+  // slicing-by-16 loop, which Crc32 alone would no longer reach above 63
+  // bytes on such a CPU. Lengths 0..4099 cover every tail length of the
+  // 16-byte main loops and the fold's 64-byte cutoff many times over;
+  // offsets 0..7 cover every misalignment of the input.
   std::string buf = PseudoRandomBytes(4099 + 8, 1);
   for (size_t offset = 0; offset < 8; ++offset) {
     for (size_t len = 0; len <= 4099; ++len) {
       const char* p = buf.data() + offset;
-      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len))
+      const uint32_t want = BytewiseCrc32(p, len);
+      ASSERT_EQ(Crc32(p, len), want)
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32Portable(p, len), want)
           << "offset " << offset << " length " << len;
     }
   }
   std::string mib = PseudoRandomBytes(1 << 20, 2);
-  EXPECT_EQ(Crc32(mib.data(), mib.size()),
-            BytewiseCrc32(mib.data(), mib.size()));
+  const uint32_t mib_crc = BytewiseCrc32(mib.data(), mib.size());
+  EXPECT_EQ(Crc32(mib.data(), mib.size()), mib_crc);
+  EXPECT_EQ(Crc32Portable(mib.data(), mib.size()), mib_crc);
   // All-ones input exercises the high table rows that random data rarely
-  // lines up.
+  // lines up, and the fold's carries with every bit set.
   std::string ones(4096, '\xFF');
-  EXPECT_EQ(Crc32(ones.data(), ones.size()),
-            BytewiseCrc32(ones.data(), ones.size()));
+  const uint32_t ones_crc = BytewiseCrc32(ones.data(), ones.size());
+  EXPECT_EQ(Crc32(ones.data(), ones.size()), ones_crc);
+  EXPECT_EQ(Crc32Portable(ones.data(), ones.size()), ones_crc);
+}
+
+// A 1 MiB record (a raster-sized payload, checksummed by the fold where the
+// CPU has it) replays intact, and a one-bit flip inside it is caught.
+TEST(JournalTest, MebibyteRecordReplaysAndDetectsABitFlip) {
+  TempDir dir("journal");
+  std::string path = dir.file("j.log");
+  const std::string big = PseudoRandomBytes(1 << 20, 3);
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Journal> j, Journal::Open(path));
+    ASSERT_OK(j->Append(big));
+    ASSERT_OK(j->Append("after"));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Journal> j, Journal::Open(path));
+    std::vector<std::string> records;
+    ASSERT_OK(j->Replay([&records](const std::string& r) {
+      records.push_back(r);
+      return Status::OK();
+    }));
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_TRUE(records[0] == big);
+    EXPECT_EQ(records[1], "after");
+  }
+  // Flip one bit in the middle of the big record's payload (past its 8-byte
+  // frame header); the record after it makes this corruption, not a torn
+  // tail.
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::streamoff at = 8 + (1 << 19);
+    f.seekg(at);
+    char c = 0;
+    f.get(c);
+    f.seekp(at);
+    f.put(static_cast<char>(c ^ 0x10));
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Journal> j, Journal::Open(path));
+  Status replay = j->Replay([](const std::string&) { return Status::OK(); });
+  EXPECT_EQ(replay.code(), StatusCode::kCorruption);
 }
 
 TEST(JournalTest, TornTailIsTruncatedSoAppendsStayReplayable) {

@@ -30,8 +30,8 @@
 #include "raster/image_ops.h"
 #include "raster/matrix.h"
 #include "raster/scene.h"
-#include "storage/journal.h"
 #include "test_util.h"
+#include "util/crc32.h"
 
 using ::gaea::testing::TempDir;
 
