@@ -1,11 +1,16 @@
 // F3 — Figure 3 (the unsupervised-classification process P20): cost of
 // instantiating the process as tasks over 3-band scenes, swept by image
-// size, and decomposed into guard checking vs full derivation.
+// size, and decomposed into guard checking vs full derivation, plus the
+// `unsuperclassify` operator (k-means) on its own.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "bench_util.h"
+#include "core/tile_pool.h"
 #include "gaea/kernel.h"
+#include "raster/classify.h"
 #include "raster/scene.h"
 
 namespace gaea {
@@ -96,6 +101,46 @@ void BM_InstantiateP20(benchmark::State& state) {
 }
 BENCHMARK(BM_InstantiateP20)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
+
+// The `unsuperclassify` operator alone, k = 12, on the end-to-end
+// benchmark's two inputs: a 64x64 scene of 8-bit digital numbers (one tile)
+// and a 256x256 float64 scene (four tiles), at tile-pool widths 1 and 4.
+// Items are pixels labelled per call.
+void BM_UnsupervisedClassify(benchmark::State& state) {
+  const int size = static_cast<int>(state.range(0));
+  SceneSpec spec;
+  spec.nrow = size;
+  spec.ncol = size;
+  spec.nbands = 3;
+  std::vector<Image> bands = GenerateScene(spec).value();
+  if (size == 64) {  // ingest_mixed's scenes; classify_cold's are float64
+    for (Image& band : bands) {
+      std::vector<double> dn;
+      for (int r = 0; r < size; ++r) {
+        for (int c = 0; c < size; ++c) {
+          dn.push_back(std::round(255.0 * band.Get(r, c)));
+        }
+      }
+      band = Image::FromValues(size, size, dn, PixelType::kUInt8).value();
+    }
+  }
+  std::vector<const Image*> ptrs;
+  for (const Image& band : bands) ptrs.push_back(&band);
+  TilePool& pool = TilePool::Global();
+  const int before = pool.max_parallel();
+  pool.SetMaxParallel(static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    auto labels = UnsupervisedClassify(ptrs, 12);
+    BENCH_CHECK_OK(labels.status());
+    benchmark::DoNotOptimize(&*labels);
+  }
+  pool.SetMaxParallel(before);
+  state.SetItemsProcessed(state.iterations() * size * size);
+}
+BENCHMARK(BM_UnsupervisedClassify)
+    ->ArgNames({"size", "threads"})
+    ->Args({64, 1})->Args({64, 4})->Args({256, 1})->Args({256, 4})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Guard checking alone: evaluate the three ASSERTIONS against bound
 // objects, without running the mappings.

@@ -287,7 +287,10 @@ class Shell {
 
   bool Objects(std::istringstream& words) {
     std::string name;
-    words >> name;
+    if (!(words >> name)) {
+      std::printf("usage: objects <class>\n");
+      return true;
+    }
     auto cls = kernel_->catalog().classes().LookupByName(name);
     if (!cls.ok()) {
       PrintStatus(cls.status());

@@ -9,6 +9,7 @@
 
 #include "core/tile_pool.h"
 #include "raster/image_ops.h"
+#include "raster/nearest_row.h"
 
 namespace gaea {
 
@@ -37,61 +38,70 @@ void BandRows(const std::vector<Image>& stack, int64_t r,
   for (size_t j = 0; j < stack.size(); ++j) (*rows)[j] = stack[j].RowF64(r);
 }
 
-// Nearest-center kernel. Two doubles per vector is the baseline width of
-// every x86-64 and AArch64 target, so GCC and Clang lower these generic
-// vectors without -march or intrinsics. The kernel is written out by hand
-// because GCC does not if-convert the argmin's conditional update across
-// pixels, so it will not vectorize that loop (docs/PERF.md §2).
-using V2d = double __attribute__((vector_size(16)));
-using V2i = int64_t __attribute__((vector_size(16)));
+// Nearest-center kernel, written once over the lane count L. GCC does not
+// if-convert the argmin's conditional update across pixels, so it will not
+// vectorize that loop itself (docs/PERF.md §2); this kernel is the argmin
+// in GCC/Clang generic vectors. GCC drops `vector_size` on a dependent
+// size, so each width's lane types are an explicit specialization.
+template <int L>
+struct Lanes;
+template <>
+struct Lanes<2> {  // SSE2/NEON baseline: every x86-64 and AArch64 CPU
+  using D = double __attribute__((vector_size(16)));
+  using I = int64_t __attribute__((vector_size(16)));
+};
+template <>
+struct Lanes<4> {  // AVX2, inside NearestRowAvx2 only
+  using D = double __attribute__((vector_size(32)));
+  using I = int64_t __attribute__((vector_size(32)));
+};
 
-// Pixels per kernel block: four independent 2-lane chains.
-constexpr int64_t kBlock = 8;
-
-inline V2d Load2(const double* p) {
-  V2d v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-// Labels the 8 pixels at [col, col+8) of one row given as band planes
-// (`rows[j]` is band j's row). Each label is the index of the nearest of the
-// k row-major `centers`, exactly as the scalar scan computes it: a distance
-// is 0 + sum_j (x_j - c_j)^2 accumulated in band order, and a branch-free
-// strict `<` over ascending centers keeps the lowest index on ties and never
-// selects a NaN distance.
-void NearestBlock(const double* const* rows, int64_t col,
-                  const double* centers, int64_t k, int64_t nb,
-                  int32_t* out) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  V2d best[4] = {{kInf, kInf}, {kInf, kInf}, {kInf, kInf}, {kInf, kInf}};
-  V2i label[4] = {};
+// Labels the 4L pixels at [col, col + 4L) of one row as four independent
+// L-lane chains; each lane computes what NearestOne computes for its pixel.
+// always_inline: the kernel is compiled only inside each width's row
+// function, for that function's target. Wide generic vectors emitted out of
+// line for the baseline ISA run several times slower than the 2-lane code.
+// The chain loops are unrolled by pragma because at -O2 GCC otherwise keeps
+// the chains in stack arrays, which costs the 4-lane kernel its gain.
+template <int L>
+__attribute__((always_inline)) inline void NearestBlock(
+    const double* const* rows, int64_t col, const double* centers, int64_t k,
+    int64_t nb, int32_t* out) {
+  using D = typename Lanes<L>::D;
+  using I = typename Lanes<L>::I;
+  const D inf = D{} + std::numeric_limits<double>::infinity();
+  D best[4] = {inf, inf, inf, inf};
+  I label[4] = {};
   for (int64_t c = 0; c < k; ++c) {
     const double* center = centers + c * nb;
-    V2d d[4] = {};
+    D d[4] = {};
     for (int64_t j = 0; j < nb; ++j) {
-      const double* x = rows[j] + col;
-      const V2d m = {center[j], center[j]};
-      for (int q = 0; q < 4; ++q) {
-        V2d t = Load2(x + 2 * q) - m;
+#pragma GCC unroll 4
+      for (int64_t q = 0; q < 4; ++q) {
+        D x;
+        std::memcpy(&x, rows[j] + col + L * q, sizeof(x));
+        const D t = x - center[j];
         d[q] += t * t;
       }
     }
-    const V2i index = {c, c};
-    for (int q = 0; q < 4; ++q) {
-      V2i take = reinterpret_cast<V2i>(d[q] < best[q]);
-      best[q] = reinterpret_cast<V2d>((reinterpret_cast<V2i>(d[q]) & take) |
-                                      (reinterpret_cast<V2i>(best[q]) & ~take));
-      label[q] = (index & take) | (label[q] & ~take);
+#pragma GCC unroll 4
+    for (int64_t q = 0; q < 4; ++q) {
+      const I take = reinterpret_cast<I>(d[q] < best[q]);
+      best[q] = reinterpret_cast<D>((reinterpret_cast<I>(d[q]) & take) |
+                                    (reinterpret_cast<I>(best[q]) & ~take));
+      label[q] = (take & c) | (label[q] & ~take);
     }
   }
-  for (int q = 0; q < 4; ++q) {
-    out[2 * q] = static_cast<int32_t>(label[q][0]);
-    out[2 * q + 1] = static_cast<int32_t>(label[q][1]);
+#pragma GCC unroll 4
+  for (int64_t q = 0; q < 4; ++q) {
+#pragma GCC unroll 4
+    for (int64_t i = 0; i < L; ++i) {
+      out[L * q + i] = static_cast<int32_t>(label[q][i]);
+    }
   }
 }
 
-// The same selection for one pixel: the `ncol % 8` tail of a row.
+// The same selection for one pixel: the `ncol % 4L` tail of a row.
 int32_t NearestOne(const double* const* rows, int64_t col,
                    const double* centers, int64_t k, int64_t nb) {
   int32_t best = 0;
@@ -111,7 +121,57 @@ int32_t NearestOne(const double* const* rows, int64_t col,
   return best;
 }
 
+template <int L>
+__attribute__((always_inline)) inline void NearestRow(
+    const double* const* rows, int64_t ncol, const double* centers, int64_t k,
+    int64_t nb, int32_t* out) {
+  constexpr int64_t kBlock = int64_t{4} * L;
+  int64_t c = 0;
+  for (; c + kBlock <= ncol; c += kBlock) {
+    NearestBlock<L>(rows, c, centers, k, nb, out + c);
+  }
+  for (; c < ncol; ++c) out[c] = NearestOne(rows, c, centers, k, nb);
+}
+
+using NearestRowFn = void (*)(const double* const*, int64_t, const double*,
+                              int64_t, int64_t, int32_t*);
+
+// The widest row kernel this CPU runs, chosen once.
+NearestRowFn NearestRowKernel() {
+#ifdef GAEA_NEAREST_ROW_HAVE_AVX2
+  if (CpuHasAvx2()) return NearestRowAvx2;
+#endif
+  return NearestRowPortable;
+}
+
 }  // namespace
+
+void NearestRowPortable(const double* const* rows, int64_t ncol,
+                        const double* centers, int64_t k, int64_t nb,
+                        int32_t* out) {
+  NearestRow<2>(rows, ncol, centers, k, nb, out);
+}
+
+#ifdef GAEA_NEAREST_ROW_HAVE_AVX2
+__attribute__((target("avx2"))) void NearestRowAvx2(
+    const double* const* rows, int64_t ncol, const double* centers, int64_t k,
+    int64_t nb, int32_t* out) {
+  NearestRow<4>(rows, ncol, centers, k, nb, out);
+}
+#endif
+
+bool CpuHasAvx2() {
+#ifdef GAEA_NEAREST_ROW_HAVE_AVX2
+  // Function-local static: thread-safe, probed on first use.
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
 
 StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
                                      int k, const KMeansOptions& opts) {
@@ -196,15 +256,22 @@ StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
   // order, so every center is the same floating-point expression at every
   // pool width.
   const size_t kn = static_cast<size_t>(k * nb);
+  // Each tile's sums and counts start a cache line past the end of the
+  // previous tile's, so no two tiles' accumulators share a line (when they
+  // did, a 256x256 step's per-pixel sums took ~3x as long at 4 threads).
+  const size_t sum_stride = kn + 64 / sizeof(double);
+  const size_t count_stride = static_cast<size_t>(k) + 64 / sizeof(int64_t);
   std::vector<int32_t> assign(static_cast<size_t>(npix), 0);
   std::vector<uint8_t> tile_moved(static_cast<size_t>(ntiles), 0);
-  std::vector<double> sum_partial(static_cast<size_t>(ntiles) * kn);
-  std::vector<int64_t> count_partial(static_cast<size_t>(ntiles * k));
+  std::vector<double> sum_partial(static_cast<size_t>(ntiles) * sum_stride);
+  std::vector<int64_t> count_partial(static_cast<size_t>(ntiles) *
+                                     count_stride);
+  const NearestRowFn nearest_row = NearestRowKernel();
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     pool.ParallelRows("kmeans_step", nrows, [&](int64_t r0, int64_t r1) {
       const size_t tile = static_cast<size_t>(r0 / TilePool::kTileRows);
-      double* sums = sum_partial.data() + tile * kn;
-      int64_t* counts = count_partial.data() + tile * static_cast<size_t>(k);
+      double* sums = sum_partial.data() + tile * sum_stride;
+      int64_t* counts = count_partial.data() + tile * count_stride;
       std::fill(sums, sums + kn, 0.0);
       std::fill(counts, counts + k, 0);
       std::vector<const double*> rows(static_cast<size_t>(nb));
@@ -212,17 +279,9 @@ StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
       bool moved = false;
       for (int64_t r = r0; r < r1; ++r) {
         BandRows(stack, r, &rows);
-        int64_t c = 0;
-        for (; c + kBlock <= ncol; c += kBlock) {
-          NearestBlock(rows.data(), c, centers.data(), k, nb,
-                       nearest.data() + c);
-        }
-        for (; c < ncol; ++c) {
-          nearest[static_cast<size_t>(c)] =
-              NearestOne(rows.data(), c, centers.data(), k, nb);
-        }
+        nearest_row(rows.data(), ncol, centers.data(), k, nb, nearest.data());
         int32_t* arow = assign.data() + r * ncol;
-        for (c = 0; c < ncol; ++c) {
+        for (int64_t c = 0; c < ncol; ++c) {
           const int32_t label = nearest[static_cast<size_t>(c)];
           moved |= arow[c] != label;
           arow[c] = label;
@@ -240,10 +299,10 @@ StatusOr<Image> UnsupervisedClassify(const std::vector<const Image*>& bands,
 
     std::vector<double> sums(kn, 0.0);
     std::vector<int64_t> counts(static_cast<size_t>(k), 0);
-    for (int64_t t = 0; t < ntiles; ++t) {
-      const double* sp = sum_partial.data() + static_cast<size_t>(t) * kn;
+    for (size_t t = 0; t < static_cast<size_t>(ntiles); ++t) {
+      const double* sp = sum_partial.data() + t * sum_stride;
       for (size_t i = 0; i < kn; ++i) sums[i] += sp[i];
-      const int64_t* cp = count_partial.data() + t * k;
+      const int64_t* cp = count_partial.data() + t * count_stride;
       for (int64_t i = 0; i < k; ++i) counts[static_cast<size_t>(i)] += cp[i];
     }
     for (int64_t c = 0; c < k; ++c) {

@@ -5,10 +5,13 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "core/tile_pool.h"
 #include "raster/classify.h"
+#include "raster/nearest_row.h"
 #include "raster/scene.h"
 #include "test_util.h"
 
@@ -265,6 +268,111 @@ TEST(KMeansGoldenTest, DistanceSumOrderDecidesExactTies) {
   ExpectGolden("unsuperclassify ties", ties, [&] {
     return UnsupervisedClassify(ptrs, 2, seeds_only).value();
   });
+}
+
+// ---- every kernel width -----------------------------------------------------
+//
+// UnsupervisedClassify labels with the widest nearest-center row kernel the
+// CPU runs, so on a given host the digests above pin only that one. Here the
+// AVX2 kernel must return the 2-lane kernel's labels, label for label, on
+// random rows: every width 1..130 (16-pixel blocks and every tail length),
+// 1-7 bands and k = 1..20, over four kinds of data.
+
+enum class RowData {
+  kFloat,      // uniform doubles
+  kDn,         // small integers: many pixels tie exactly with several centers
+  kTies,       // every pixel ties two centers in real arithmetic; rounding
+               // in band order decides
+  kNonFinite,  // NaN and +-inf scattered over bands and centers
+};
+
+struct RowCase {
+  std::vector<std::vector<double>> bands;  // nb x ncol
+  std::vector<double> centers;             // k x nb
+};
+
+RowCase MakeRowCase(std::mt19937_64& rng, RowData kind, int64_t ncol,
+                    int64_t nb, int64_t k) {
+  std::uniform_real_distribution<double> uniform(-3.0, 3.0);
+  std::uniform_int_distribution<int> dn(0, 7);
+  std::uniform_int_distribution<int> tenth(0, 9);
+  auto value = [&] {
+    if (kind == RowData::kDn) return static_cast<double>(dn(rng));
+    if (kind == RowData::kNonFinite) {
+      switch (tenth(rng)) {
+        case 0: return std::numeric_limits<double>::quiet_NaN();
+        case 1: return std::numeric_limits<double>::infinity();
+        case 2: return -std::numeric_limits<double>::infinity();
+        default: break;
+      }
+    }
+    return uniform(rng);
+  };
+  RowCase rc;
+  rc.bands.assign(static_cast<size_t>(nb),
+                  std::vector<double>(static_cast<size_t>(ncol)));
+  for (auto& band : rc.bands) {
+    for (double& x : band) x = value();
+  }
+  rc.centers.resize(static_cast<size_t>(k * nb));
+  for (double& x : rc.centers) x = value();
+  if (kind == RowData::kTies && nb >= 2 && k >= 2) {
+    // Centers A = (0, m, a) and B = (a, m, 0), middle bands m shared, and
+    // pixels p = (s, x, s): p - A and p - B are the same offsets with the
+    // first and last band swapped, so the two distances are equal in real
+    // arithmetic and differ only by the order their squares are summed in.
+    const size_t last = static_cast<size_t>(nb - 1);
+    const auto pick = [&rng](int64_t n) {
+      return static_cast<int64_t>(rng() % static_cast<uint64_t>(n));
+    };
+    const int64_t ia = pick(k);
+    const int64_t ib = (ia + 1 + pick(k - 1)) % k;
+    double* ca = rc.centers.data() + ia * nb;
+    double* cb = rc.centers.data() + ib * nb;
+    const double a = uniform(rng);
+    for (size_t j = 1; j < last; ++j) cb[j] = ca[j];
+    ca[0] = 0.0;
+    ca[last] = a;
+    cb[0] = a;
+    cb[last] = 0.0;
+    for (size_t c = 0; c < static_cast<size_t>(ncol); ++c) {
+      rc.bands[last][c] = rc.bands[0][c];
+    }
+  }
+  return rc;
+}
+
+TEST(NearestRowTest, EveryWidthReturnsThePortableLabels) {
+#ifndef GAEA_NEAREST_ROW_HAVE_AVX2
+  GTEST_SKIP() << "no AVX2 row kernel on this architecture";
+#else
+  if (!CpuHasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  std::mt19937_64 rng(20240501);
+  for (RowData kind : {RowData::kFloat, RowData::kDn, RowData::kTies,
+                       RowData::kNonFinite}) {
+    int64_t i = 0;
+    for (int64_t nb = 1; nb <= 7; ++nb) {
+      for (int64_t k = 1; k <= 20; ++k) {
+        for (int rep = 0; rep < 2; ++rep, ++i) {
+          // 67 is prime to 130: each kind's 280 rows take every width.
+          const int64_t ncol = 1 + (i * 67) % 130;
+          RowCase rc = MakeRowCase(rng, kind, ncol, nb, k);
+          std::vector<const double*> rows;
+          for (const auto& band : rc.bands) rows.push_back(band.data());
+          std::vector<int32_t> portable(static_cast<size_t>(ncol), -1);
+          std::vector<int32_t> avx2(static_cast<size_t>(ncol), -2);
+          NearestRowPortable(rows.data(), ncol, rc.centers.data(), k, nb,
+                             portable.data());
+          NearestRowAvx2(rows.data(), ncol, rc.centers.data(), k, nb,
+                         avx2.data());
+          ASSERT_EQ(avx2, portable)
+              << "data kind " << static_cast<int>(kind) << ", ncol " << ncol
+              << ", nb " << nb << ", k " << k;
+        }
+      }
+    }
+  }
+#endif
 }
 
 // k is the number of ground-truth training classes here.
