@@ -62,16 +62,17 @@ constexpr int kSeedObjects = 64;     // sample objects with recorded derives
 
 // Pure attribute-reference process: replayable on the replicas without
 // operator registration, so shipped task records rematerialize there.
-ProcessDef MakeIdentProcess() {
-  ProcessDef def("ident", "ident_out");
-  BENCH_CHECK_OK(def.AddArg({"in", "sample", false, 1}));
-  BENCH_CHECK_OK(def.AddMapping("v", Expr::AttrRef("in", "v")));
-  BENCH_CHECK_OK(
-      def.AddMapping("spatialextent", Expr::AttrRef("in", "spatialextent")));
-  BENCH_CHECK_OK(
-      def.AddMapping("timestamp", Expr::AttrRef("in", "timestamp")));
-  return def;
+constexpr char kIdentProcess[] = R"(
+DEFINE PROCESS ident
+OUTPUT ident_out
+ARGUMENT ( sample in )
+TEMPLATE {
+  MAPPINGS:
+    ident_out.v = in.v;
+    ident_out.spatialextent = in.spatialextent;
+    ident_out.timestamp = in.timestamp;
 }
+)";
 
 std::unique_ptr<GaeaKernel> OpenReplicated(const std::string& dir) {
   GaeaKernel::Options options;
@@ -204,7 +205,7 @@ int Run() {
 
   auto primary = OpenReplicated(primary_dir);
   BENCH_CHECK_OK(primary->ExecuteDdl(kSchema));
-  BENCH_CHECK_OK(primary->DefineProcess(MakeIdentProcess()).status());
+  BENCH_CHECK_OK(primary->ExecuteDdl(kIdentProcess));
   std::vector<Oid> seed_inputs;
   std::map<Oid, Oid> seed_outputs;
   for (int i = 0; i < kSeedObjects; ++i) {

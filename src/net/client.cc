@@ -112,24 +112,15 @@ StatusOr<GaeaClient::Reply> GaeaClient::CallOnceLocked(
   // reply, and mints a trace id if the caller has none; the id rides the
   // request header so the server's spans land in the same trace. A retry
   // makes a fresh rpc span but keeps the trace.
-  obs::SpanGuard rpc_span(std::string("rpc:") + MsgTypeName(type), "client");
+  const Verb& verb = VerbOf(type);
+  obs::SpanGuard rpc_span(std::string("rpc:") + verb.name, "client");
   RequestHeader header;
   header.type = type;
   header.id = id;
   header.deadline_ms = options_.deadline_ms;
   header.trace_id = obs::Tracer::CurrentContext().trace_id;
   header.min_lsn = min_lsn_.load(std::memory_order_relaxed);
-  // Read-only / replication-plumbing requests carry no idempotency nonce:
-  // re-executing them is harmless and remembering their (often large)
-  // responses would churn the server's dedup cache. kInsertObject is a
-  // mutation and keeps the nonce.
-  if (type != MsgType::kHello && type != MsgType::kPing &&
-      type != MsgType::kStats && type != MsgType::kMetrics &&
-      type != MsgType::kLint && type != MsgType::kCheckpoint &&
-      type != MsgType::kSubscribe && type != MsgType::kShipBatch &&
-      type != MsgType::kReplicaStatus && type != MsgType::kGetObject) {
-    header.idem = options_.idem_nonce;
-  }
+  if (verb.retry == OnRetry::kReplay) header.idem = options_.idem_nonce;
   BinaryWriter payload;
   EncodeRequestHeader(header, &payload);
   payload.PutRaw(body.data(), body.size());
@@ -218,15 +209,6 @@ Status GaeaClient::ExecuteDdl(const std::string& source) {
   return Call(MsgType::kDdl, body.buffer()).status();
 }
 
-StatusOr<int> GaeaClient::DefineProcess(const ProcessDef& def) {
-  BinaryWriter body;
-  def.Serialize(&body);
-  GAEA_ASSIGN_OR_RETURN(Reply reply,
-                        Call(MsgType::kDefineProcess, body.buffer()));
-  BinaryReader reader(reply.body());
-  return reader.GetI32();
-}
-
 StatusOr<Oid> GaeaClient::Derive(
     const std::string& process,
     const std::map<std::string, std::vector<Oid>>& inputs, int version,
@@ -301,15 +283,6 @@ StatusOr<CheckpointReply> GaeaClient::Checkpoint() {
   GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kCheckpoint, {}));
   BinaryReader reader(reply.body());
   return DecodeCheckpointReply(&reader);
-}
-
-StatusOr<SubscribeReply> GaeaClient::Subscribe(const std::string& replica_id) {
-  BinaryWriter body;
-  body.PutString(replica_id);
-  GAEA_ASSIGN_OR_RETURN(Reply reply,
-                        Call(MsgType::kSubscribe, body.buffer()));
-  BinaryReader reader(reply.body());
-  return DecodeSubscribeReply(&reader);
 }
 
 StatusOr<ShipReply> GaeaClient::ShipBatch(const ShipRequest& request) {

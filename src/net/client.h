@@ -10,10 +10,11 @@
 // a call that fails with kUnavailable (overload, deadline expiry, server
 // draining) or a transport error (broken/closed connection) is retried with
 // exponential backoff plus jitter, reconnecting first when the transport
-// died. Every request carries the client's idempotency nonce and keeps the
-// same request id across retries, so the server can detect a retry of work
-// it already executed and replay the recorded response instead of running
-// the request twice.
+// died. A retry keeps the request id, and the writes whose kVerbs row
+// replays (ddl, derive, derive-batch, insert-object) carry the client's
+// idempotency nonce, so the server can detect a retry of work it already
+// executed and replay the recorded response instead of running the
+// request twice. Every other request is simply executed again.
 
 #ifndef GAEA_NET_CLIENT_H_
 #define GAEA_NET_CLIENT_H_
@@ -27,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "core/process.h"
 #include "core/scheduler.h"
 #include "net/wire.h"
 #include "util/status.h"
@@ -53,9 +53,9 @@ class GaeaClient {
     // server-side queue wait, not the network round trip.
     uint32_t deadline_ms = 0;
     RetryPolicy retry;
-    // Idempotency nonce stamped on every kernel-bound request; 0 means
-    // "pick one at random" (the normal case). Tests pin it to prove the
-    // exactly-once behavior of retried derives.
+    // Idempotency nonce stamped on every request whose row replays; 0
+    // means "pick one at random" (the normal case). Tests pin it to prove
+    // the exactly-once behavior of retried derives.
     uint64_t idem_nonce = 0;
   };
 
@@ -83,9 +83,6 @@ class GaeaClient {
   // Remote GaeaKernel::ExecuteDdl.
   Status ExecuteDdl(const std::string& source);
 
-  // Remote GaeaKernel::DefineProcess; returns the assigned version.
-  StatusOr<int> DefineProcess(const ProcessDef& def);
-
   // Remote single derivation (server-side cache consulted). `cache_hit`,
   // when non-null, reports whether the result was memoized.
   StatusOr<Oid> Derive(const std::string& process,
@@ -108,25 +105,20 @@ class GaeaClient {
   StatusOr<std::string> Metrics();
 
   // Remote GaeaKernel::LintCatalog: every static-analysis finding over the
-  // server's current catalog, normalized (sorted, deduped). Idempotent and
-  // safe to retry (no idem nonce is attached).
+  // server's current catalog, normalized (sorted, deduped).
   StatusOr<std::vector<Diagnostic>> Lint();
 
   // Remote GaeaKernel::Checkpoint: takes one fuzzy checkpoint on the server
-  // and reports its sequence number and sizes. Safe to retry (no idem
-  // nonce): a second run just takes the next checkpoint.
+  // and reports its sequence number and sizes. A retry just takes the next
+  // checkpoint.
   StatusOr<CheckpointReply> Checkpoint();
 
   // ---- replication RPCs (docs/NET.md "Replication") ----
 
-  // Announces `replica_id` to the shipping server; the reply carries its
-  // current per-component journal lengths (a fresh replica's start cursors).
-  StatusOr<SubscribeReply> Subscribe(const std::string& replica_id);
-
   // Pulls every component's tail past the request's cursors.
   StatusOr<ShipReply> ShipBatch(const ShipRequest& request);
 
-  // Role, cluster LSN and subscribed peers of the connected server.
+  // Role, cluster LSN and shipping peers of the connected server.
   StatusOr<ReplicaStatusReply> ReplicaStatus();
 
   // Inserts a base object on the server (primary only); returns its OID.

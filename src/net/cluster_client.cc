@@ -5,6 +5,17 @@
 
 namespace gaea::net {
 
+namespace {
+
+// The status of a call's result, whether it returns Status or StatusOr.
+const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const StatusOr<T>& result) {
+  return result.status();
+}
+
+}  // namespace
+
 GaeaClusterClient::GaeaClusterClient(Endpoint primary,
                                      std::vector<Endpoint> replicas,
                                      Options options)
@@ -60,75 +71,52 @@ bool GaeaClusterClient::BounceToPrimary(const Status& status) {
 }
 
 template <typename Call>
-std::invoke_result_t<const Call&, GaeaClient*> GaeaClusterClient::OnPrimary(
-    const Call& call) {
+std::invoke_result_t<const Call&, GaeaClient*> GaeaClusterClient::Route(
+    MsgType type, const Call& call) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (VerbOf(type).replica == OnReplica::kServe && !replicas_.empty()) {
+    Conn& conn = replicas_[next_replica_++ % replicas_.size()];
+    GaeaClient* replica = Dial(&conn, /*primary=*/false);
+    replica->set_min_lsn(token_.load());
+    auto result = call(replica);
+    Absorb(replica);
+    if (!BounceToPrimary(StatusOf(result))) return result;
+  }
   GaeaClient* primary = Dial(&primary_, /*primary=*/true);
   auto result = call(primary);
   Absorb(primary);
   return result;
 }
 
-template <typename Call>
-std::invoke_result_t<const Call&, GaeaClient*> GaeaClusterClient::ReplicaFirst(
-    bool read_your_writes, const Call& call) {
-  if (!replicas_.empty()) {
-    Conn& conn = replicas_[next_replica_++ % replicas_.size()];
-    GaeaClient* replica = Dial(&conn, /*primary=*/false);
-    if (read_your_writes) replica->set_min_lsn(token_.load());
-    auto result = call(replica);
-    Absorb(replica);
-    if (result.ok() || !BounceToPrimary(result.status())) return result;
-  }
-  return OnPrimary(call);
-}
-
 Status GaeaClusterClient::ExecuteDdl(const std::string& source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return OnPrimary([&](GaeaClient* c) { return c->ExecuteDdl(source); });
-}
-
-StatusOr<int> GaeaClusterClient::DefineProcess(const ProcessDef& def) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return OnPrimary([&](GaeaClient* c) { return c->DefineProcess(def); });
+  return Route(MsgType::kDdl,
+               [&](GaeaClient* c) { return c->ExecuteDdl(source); });
 }
 
 StatusOr<Oid> GaeaClusterClient::InsertObject(
     const InsertObjectRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return OnPrimary([&](GaeaClient* c) { return c->InsertObject(request); });
-}
-
-StatusOr<std::vector<DeriveOutcome>> GaeaClusterClient::DeriveBatch(
-    const std::vector<DeriveRequest>& requests) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return OnPrimary([&](GaeaClient* c) { return c->DeriveBatch(requests); });
+  return Route(MsgType::kInsertObject,
+               [&](GaeaClient* c) { return c->InsertObject(request); });
 }
 
 StatusOr<Oid> GaeaClusterClient::Derive(
     const std::string& process,
     const std::map<std::string, std::vector<Oid>>& inputs, int version,
     bool* cache_hit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReplicaFirst(true, [&](GaeaClient* c) {
+  return Route(MsgType::kDerive, [&](GaeaClient* c) {
     return c->Derive(process, inputs, version, cache_hit);
   });
 }
 
+StatusOr<std::vector<DeriveOutcome>> GaeaClusterClient::DeriveBatch(
+    const std::vector<DeriveRequest>& requests) {
+  return Route(MsgType::kDeriveBatch,
+               [&](GaeaClient* c) { return c->DeriveBatch(requests); });
+}
+
 StatusOr<std::string> GaeaClusterClient::GetObjectRaw(Oid oid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReplicaFirst(true,
-                      [&](GaeaClient* c) { return c->GetObjectRaw(oid); });
-}
-
-StatusOr<std::string> GaeaClusterClient::StatsJson() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Stats answer about the endpoint itself; any replica may serve them.
-  return ReplicaFirst(false, [](GaeaClient* c) { return c->StatsJson(); });
-}
-
-StatusOr<ReplicaStatusReply> GaeaClusterClient::PrimaryStatus() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return OnPrimary([](GaeaClient* c) { return c->ReplicaStatus(); });
+  return Route(MsgType::kGetObject,
+               [&](GaeaClient* c) { return c->GetObjectRaw(oid); });
 }
 
 }  // namespace gaea::net

@@ -1,13 +1,13 @@
 // GaeaClusterClient: one client over a primary + N read replicas
 // (docs/ROBUSTNESS.md "Replication & failover").
 //
-// Routing policy:
-//   * writes (ddl, define-process, insert-object, derive-batch) pin to the
-//     primary and use the full retry/idempotency machinery, so a primary
-//     that is killed and supervised back to life mid-batch costs latency,
-//     never correctness — the retried request is deduplicated server-side;
-//   * reads (get-object, stats) and single derives fan out to the
-//     replicas round-robin, stamped with the client's read-your-writes
+// Routing policy, read from each verb's kVerbs row (wire.h):
+//   * verbs a replica refuses (ddl, insert-object) go to the primary and
+//     use the full retry/idempotency machinery, so a primary that is
+//     killed and supervised back to life mid-call costs latency, never
+//     correctness — the retried request is deduplicated server-side;
+//   * every other verb (derive, derive-batch, get-object) tries one
+//     replica, round-robin, stamped with the client's read-your-writes
 //     token (the largest applied_lsn any response has carried), falling
 //     back to the primary when the replica is behind (kUnavailable), does
 //     not know the derivation (kNotFound), refuses it (kFailedPrecondition)
@@ -53,22 +53,14 @@ class GaeaClusterClient {
   GaeaClusterClient(Endpoint primary, std::vector<Endpoint> replicas,
                     Options options);
 
-  // ---- writes: primary only ----
   Status ExecuteDdl(const std::string& source);
-  StatusOr<int> DefineProcess(const ProcessDef& def);
   StatusOr<Oid> InsertObject(const InsertObjectRequest& request);
-  StatusOr<std::vector<DeriveOutcome>> DeriveBatch(
-      const std::vector<DeriveRequest>& requests);
-
-  // ---- reads / recorded derives: replicas first, primary fallback ----
   StatusOr<Oid> Derive(const std::string& process,
                        const std::map<std::string, std::vector<Oid>>& inputs,
                        int version = 0, bool* cache_hit = nullptr);
+  StatusOr<std::vector<DeriveOutcome>> DeriveBatch(
+      const std::vector<DeriveRequest>& requests);
   StatusOr<std::string> GetObjectRaw(Oid oid);
-  StatusOr<std::string> StatsJson();
-
-  // Replica-status of the primary (peer lags) — monitoring helper.
-  StatusOr<ReplicaStatusReply> PrimaryStatus();
 
   // The read-your-writes token: largest cluster LSN any response (from any
   // endpoint) has carried. Replica-bound reads demand at least this much
@@ -89,17 +81,14 @@ class GaeaClusterClient {
   // True when `status` means "this replica can't answer; ask the primary".
   static bool BounceToPrimary(const Status& status);
 
-  // The two routes. Each runs `call` (GaeaClient* -> Status or StatusOr)
-  // with mu_ held and folds the answering endpoint's LSN into the token.
-  //
-  // The primary only.
+  // Runs `call` (GaeaClient* -> Status or StatusOr), which sends one
+  // `type` request, under mu_, and folds the answering endpoints' LSNs
+  // into the token. A verb replicas serve gets one replica attempt
+  // (round-robin, stamped with the token as min_lsn) before the primary;
+  // a verb they refuse goes to the primary only.
   template <typename Call>
-  std::invoke_result_t<const Call&, GaeaClient*> OnPrimary(const Call& call);
-  // One replica attempt (round-robin; stamped with the token as min_lsn
-  // when `read_your_writes`), then the primary if the replica bounces.
-  template <typename Call>
-  std::invoke_result_t<const Call&, GaeaClient*> ReplicaFirst(
-      bool read_your_writes, const Call& call);
+  std::invoke_result_t<const Call&, GaeaClient*> Route(MsgType type,
+                                                       const Call& call);
 
   std::mutex mu_;
   Options options_;

@@ -11,10 +11,10 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "catalog/class_def.h"
 #include "catalog/data_object.h"
-#include "core/process.h"
 #include "obs/trace.h"
 
 namespace gaea::net {
@@ -168,16 +168,11 @@ void GaeaServer::AcceptLoop() {
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       uint64_t id = next_session_id_++;
-      session = std::make_shared<Session>(this, fd, id);
+      session = std::make_shared<Session>(this, fd);
       sessions_[id] = session;
     }
     session->Start();
   }
-}
-
-void GaeaServer::OnSessionDone(uint64_t) {
-  // Reaping happens on the accept thread (and in Shutdown); the reader
-  // thread that calls this must not destroy its own Session.
 }
 
 void GaeaServer::ReapDoneSessions() {
@@ -251,7 +246,7 @@ void GaeaServer::HandleFrame(std::shared_ptr<Session> session,
   auto header_or = DecodeRequestHeader(&reader);
   requests_total_->Inc();
   if (!header_or.ok()) {
-    Respond(*session, 0, MsgType::kPing, 0, header_or.status(), {});
+    Respond(*session, RequestHeader{}, header_or.status());
     session->Close();
     return;
   }
@@ -262,66 +257,35 @@ void GaeaServer::HandleFrame(std::shared_ptr<Session> session,
   if (header.trace_id == 0 && obs::Tracer::Global().enabled()) {
     header.trace_id = obs::Tracer::Global().NewTraceId();
   }
-
-  if (header.type == MsgType::kHello) {
-    Status hello = DecodeAndCheckHello(&reader);
-    if (hello.ok()) {
-      session->set_handshaken();
-      BinaryWriter body;
-      body.PutU16(kProtocolVersion);
-      Respond(*session, header.id, header.type, header.trace_id, hello,
-              body.buffer());
-    } else {
-      Respond(*session, header.id, header.type, header.trace_id, hello, {});
-      session->Close();
-    }
-    return;
-  }
-  if (!session->handshaken()) {
-    Respond(*session, header.id, header.type, header.trace_id,
-            Status::FailedPrecondition("hello handshake required"), {});
+  const bool hello = header.type == MsgType::kHello;
+  if (!hello && !session->handshaken()) {
+    Respond(*session, header,
+            Status::FailedPrecondition("hello handshake required"));
     session->Close();
     return;
   }
-  session->counters().requests.fetch_add(1, std::memory_order_relaxed);
 
-  switch (header.type) {
-    case MsgType::kPing:
-      Respond(*session, header.id, header.type, header.trace_id, Status::OK(),
-              {});
-      return;
-    case MsgType::kStats: {
-      std::string json = StatsJson();
-      BinaryWriter body;
-      body.PutString(json);
-      Respond(*session, header.id, header.type, header.trace_id, Status::OK(),
-              body.buffer());
-      return;
-    }
-    case MsgType::kMetrics: {
-      // Prometheus text exposition of every instrument in the kernel's
-      // registry (gaea_* kernel metrics and gaead_* serving metrics). The
-      // shared lock keeps the scrape-time collectors from racing a DDL.
-      std::string text;
-      {
-        std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-        text = kernel_->metrics().Render();
+  const Verb& verb = VerbOf(header.type);
+  if (verb.runs == RunsOn::kReader) {
+    BinaryWriter body(std::string(kOkResponseHeaderBytes, '\0'));
+    Status result = Run(verb, &reader, &body);
+    CountResponse(result);
+    (void)session->Send(EncodeResponse(header, result, &body));
+    if (hello) {
+      if (result.ok()) {
+        session->set_handshaken();
+      } else {
+        session->Close();
       }
-      BinaryWriter body;
-      body.PutString(text);
-      Respond(*session, header.id, header.type, header.trace_id, Status::OK(),
-              body.buffer());
-      return;
     }
-    default:
-      break;
+    return;
   }
 
-  // Kernel-bound request: idempotency check, bounded admission, then the
-  // worker pool.
-  if (header.idem != 0 && DedupBegin(*session, header)) return;
+  // Worker verb: idempotency check, bounded admission, then the pool.
+  if (Dedups(verb, header) && DedupBegin(*session, header)) return;
   Job job;
   job.session = std::move(session);
+  job.verb = &verb;
   job.header = header;
   job.body_offset = reader.position();
   job.payload = std::move(payload);
@@ -348,9 +312,8 @@ void GaeaServer::HandleFrame(std::shared_ptr<Session> session,
   }
   if (!rejected.ok()) {
     // The request never ran; a retry must be allowed to execute.
-    if (header.idem != 0) DedupAbort(header);
-    Respond(*job.session, header.id, header.type, header.trace_id, rejected,
-            {});
+    if (Dedups(verb, header)) DedupAbort(header);
+    Respond(*job.session, header, rejected);
     return;
   }
   queue_cv_.notify_one();
@@ -378,10 +341,9 @@ bool GaeaServer::DedupBegin(Session& session, const RequestHeader& header) {
   if (pending) {
     // The original is still executing; answering anything else could make
     // the retry observe a different outcome than the first send.
-    Respond(session, header.id, header.type, header.trace_id,
+    Respond(session, header,
             Status::Unavailable("request " + std::to_string(header.id) +
-                                " is still executing; retry later"),
-            {});
+                                " is still executing; retry later"));
     return true;
   }
   dedup_hits_->Inc();
@@ -438,6 +400,7 @@ void GaeaServer::WorkerLoop() {
 
 void GaeaServer::ExecuteJob(Job job) {
   const RequestHeader& header = job.header;
+  const bool dedups = Dedups(*job.verb, header);
   if (header.deadline_ms > 0) {
     uint64_t now_us = env_->NowMicros();
     uint64_t waited_us = now_us > job.admitted_us ? now_us - job.admitted_us : 0;
@@ -446,9 +409,8 @@ void GaeaServer::ExecuteJob(Job job) {
       Status expired = Status::Unavailable(
           "deadline of " + std::to_string(header.deadline_ms) +
           " ms expired before execution");
-      if (header.idem != 0) DedupAbort(header);
-      Respond(*job.session, header.id, header.type, header.trace_id, expired,
-              {});
+      if (dedups) DedupAbort(header);
+      Respond(*job.session, header, expired);
       FinishJob(job, expired);
       return;
     }
@@ -462,8 +424,8 @@ void GaeaServer::ExecuteJob(Job job) {
   if (header.min_lsn > 0) {
     Status wait = WaitForMinLsn(header.min_lsn);
     if (!wait.ok()) {
-      if (header.idem != 0) DedupAbort(header);
-      Respond(*job.session, header.id, header.type, header.trace_id, wait, {});
+      if (dedups) DedupAbort(header);
+      Respond(*job.session, header, wait);
       FinishJob(job, wait);
       return;
     }
@@ -473,8 +435,8 @@ void GaeaServer::ExecuteJob(Job job) {
   // every span below (kernel derive-batch, scheduler tasks, operators)
   // parents into it.
   obs::ScopedContext trace_scope(obs::TraceContext{header.trace_id, 0});
-  obs::SpanGuard request_span(
-      std::string("request:") + MsgTypeName(header.type), "server");
+  obs::SpanGuard request_span(std::string("request:") + job.verb->name,
+                              "server");
 
   // Capacity-modeling stall for benchmarks (Options::service_floor_us):
   // occupies the worker exactly like a slow storage or external-procedure
@@ -485,209 +447,13 @@ void GaeaServer::ExecuteJob(Job job) {
   }
 
   BinaryReader reader(std::string_view(job.payload).substr(job.body_offset));
-  Status result = Status::OK();
-  // The reply is built in one buffer: the body is encoded behind room for
-  // an OK response header, which is filled in once the result is known, so
-  // a large body (a GetObject raster) is never copied to be framed.
   BinaryWriter body(std::string(kOkResponseHeaderBytes, '\0'));
-  switch (header.type) {
-    case MsgType::kDdl: {
-      if (options_.replica) {
-        result = Status::FailedPrecondition(
-            "replica is read-only; run ddl on the primary");
-        break;
-      }
-      auto source = reader.GetString();
-      if (!source.ok()) {
-        result = source.status();
-        break;
-      }
-      std::unique_lock<std::shared_mutex> lock(kernel_mu_);
-      result = kernel_->ExecuteDdl(*source);
-      break;
-    }
-    case MsgType::kDefineProcess: {
-      if (options_.replica) {
-        result = Status::FailedPrecondition(
-            "replica is read-only; define processes on the primary");
-        break;
-      }
-      auto def = ProcessDef::Deserialize(&reader);
-      if (!def.ok()) {
-        result = def.status();
-        break;
-      }
-      std::unique_lock<std::shared_mutex> lock(kernel_mu_);
-      auto version = kernel_->DefineProcess(*std::move(def));
-      if (version.ok()) {
-        body.PutI32(*version);
-      } else {
-        result = version.status();
-      }
-      break;
-    }
-    case MsgType::kDerive: {
-      auto request = DecodeDeriveRequest(&reader);
-      if (!request.ok()) {
-        result = request.status();
-        break;
-      }
-      std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-      if (options_.replica) {
-        // Replicas only answer derivations that already ran somewhere:
-        // a novel request is kNotFound and the client bounces it to the
-        // primary, so history never forks.
-        auto oid = kernel_->TryRecordedDerive(request->process,
-                                              request->inputs,
-                                              request->version);
-        if (!oid.ok()) {
-          result = oid.status();
-        } else {
-          body.PutU64(*oid);
-          body.PutBool(true);
-        }
-        break;
-      }
-      auto outcomes = kernel_->DeriveBatch({*request});
-      if (!outcomes.ok()) {
-        result = outcomes.status();
-      } else if (!(*outcomes)[0].status.ok()) {
-        result = (*outcomes)[0].status;
-      } else {
-        body.PutU64((*outcomes)[0].oid);
-        body.PutBool((*outcomes)[0].cache_hit);
-      }
-      break;
-    }
-    case MsgType::kDeriveBatch: {
-      std::vector<DeriveRequest> requests;
-      auto count = reader.GetU32();
-      if (!count.ok()) {
-        result = count.status();
-        break;
-      }
-      // A DeriveRequest encodes to at least 12 bytes (process length prefix,
-      // version, input count), bounding how many fit in the payload.
-      result = CheckCount(reader, *count, 12);
-      if (!result.ok()) break;
-      requests.reserve(*count);
-      for (uint32_t i = 0; i < *count && result.ok(); ++i) {
-        auto request = DecodeDeriveRequest(&reader);
-        if (!request.ok()) {
-          result = request.status();
-        } else {
-          requests.push_back(*std::move(request));
-        }
-      }
-      if (!result.ok()) break;
-      std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-      if (options_.replica) {
-        // All-or-nothing: one novel request bounces the whole batch to the
-        // primary (the partial answers would be recomputed there anyway).
-        body.PutU32(static_cast<uint32_t>(requests.size()));
-        for (const DeriveRequest& request : requests) {
-          auto oid = kernel_->TryRecordedDerive(request.process,
-                                                request.inputs,
-                                                request.version);
-          if (!oid.ok()) {
-            result = oid.status();
-            break;
-          }
-          DeriveOutcome outcome;
-          outcome.oid = *oid;
-          outcome.cache_hit = true;
-          EncodeDeriveOutcome(outcome, &body);
-        }
-        break;
-      }
-      auto outcomes = kernel_->DeriveBatch(requests);
-      if (!outcomes.ok()) {
-        result = outcomes.status();
-        break;
-      }
-      body.PutU32(static_cast<uint32_t>(outcomes->size()));
-      for (const DeriveOutcome& outcome : *outcomes) {
-        EncodeDeriveOutcome(outcome, &body);
-      }
-      break;
-    }
-    case MsgType::kProvenance: {
-      // Pure read over the provenance index — replica-servable: the index
-      // is rebuilt from the same replicated task history the primary holds.
-      auto request = DecodeProvenanceRequest(&reader);
-      if (!request.ok()) {
-        result = request.status();
-        break;
-      }
-      std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-      auto reply = AnswerProvenance(kernel_, *request);
-      if (!reply.ok()) {
-        result = reply.status();
-        break;
-      }
-      EncodeProvenanceReply(*reply, &body);
-      break;
-    }
-    case MsgType::kLint: {
-      // Read-only to callers, but LintCatalog memoizes into the kernel's
-      // analysis cache, so it takes the exclusive lock like a DDL.
-      std::unique_lock<std::shared_mutex> lock(kernel_mu_);
-      EncodeLintReply(kernel_->LintCatalog(), &body);
-      break;
-    }
-    case MsgType::kCheckpoint: {
-      // Shared: checkpoints are fuzzy against derivations and inserts, and
-      // the shared lock excludes exactly what they must not race — DDL
-      // (process/experiment definition runs exclusive). Concurrent
-      // checkpoint requests serialize on the kernel's internal mutex.
-      std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-      auto info = kernel_->Checkpoint();
-      if (!info.ok()) {
-        result = info.status();
-        break;
-      }
-      CheckpointReply reply;
-      reply.seq = info->seq;
-      reply.duration_us = info->duration_us;
-      reply.snapshot_bytes = info->snapshot_bytes;
-      reply.truncated_records = info->truncated_records;
-      EncodeCheckpointReply(reply, &body);
-      break;
-    }
-    case MsgType::kSubscribe:
-      result = HandleSubscribe(&reader, &body);
-      break;
-    case MsgType::kShipBatch:
-      result = HandleShipBatch(&reader, &body);
-      break;
-    case MsgType::kReplicaStatus:
-      result = HandleReplicaStatus(&body);
-      break;
-    case MsgType::kInsertObject:
-      result = HandleInsertObject(&reader, &body);
-      break;
-    case MsgType::kGetObject:
-      result = HandleGetObject(&reader, &body);
-      break;
-    default:
-      result = Status::Internal(std::string("request type ") +
-                                MsgTypeName(header.type) +
-                                " on the worker path");
-      break;
-  }
-  std::string encoded = EncodeResponsePayload(header.id, header.type,
-                                              header.trace_id, result, {});
-  if (result.ok()) {
-    // The body sits behind room for exactly this header.
-    assert(encoded.size() == kOkResponseHeaderBytes);
-    std::string reply = body.Release();
-    std::memcpy(reply.data(), encoded.data(), encoded.size());
-    encoded = std::move(reply);
-  }
+  Status result = Run(*job.verb, &reader, &body);
+  std::string encoded = EncodeResponse(header, result, &body);
   // Record the response in the idempotency cache BEFORE it can reach the
   // client: once the client holds the reply it may retry immediately, and
   // that retry must find the completed entry, not the pending marker.
-  if (header.idem != 0) DedupFinish(header, result, encoded);
+  if (dedups) DedupFinish(header, result, encoded);
   CountResponse(result);
   (void)job.session->Send(encoded);
   FinishJob(job, result);
@@ -716,24 +482,26 @@ void GaeaServer::FinishJob(const Job& job, const Status& result) {
   drained_cv_.notify_all();
 }
 
-std::string GaeaServer::EncodeResponsePayload(uint64_t id,
-                                              MsgType request_type,
-                                              uint64_t trace_id,
-                                              const Status& status,
-                                              std::string_view body) const {
+std::string GaeaServer::EncodeResponse(const RequestHeader& request,
+                                       const Status& status,
+                                       BinaryWriter* body) const {
   ResponseHeader header;
-  header.id = id;
-  header.request_type = request_type;
+  header.id = request.id;
+  header.request_type = request.type;
   header.code = status.code();
   header.message = status.message();
-  header.trace_id = trace_id;
+  header.trace_id = request.trace_id;
   // Every response — even an error — carries the server's current cluster
   // LSN; clients max it into their read-your-writes token.
   header.applied_lsn = kernel_->ClusterLsn();
-  BinaryWriter payload;
-  EncodeResponseHeader(header, &payload);
-  if (status.ok()) payload.PutRaw(body.data(), body.size());
-  return payload.buffer();
+  BinaryWriter encoded;
+  EncodeResponseHeader(header, &encoded);
+  if (!status.ok() || body == nullptr) return encoded.Release();
+  // The body sits behind room for exactly this header.
+  assert(encoded.size() == kOkResponseHeaderBytes);
+  std::string reply = body->Release();
+  std::memcpy(reply.data(), encoded.buffer().data(), kOkResponseHeaderBytes);
+  return reply;
 }
 
 Status GaeaServer::WithExclusiveKernel(const std::function<Status()>& fn) {
@@ -755,21 +523,153 @@ Status GaeaServer::WaitForMinLsn(uint64_t min_lsn) {
       " < requested min_lsn " + std::to_string(min_lsn));
 }
 
-Status GaeaServer::HandleSubscribe(BinaryReader* r, BinaryWriter* body) {
-  GAEA_ASSIGN_OR_RETURN(std::string replica_id, r->GetString());
-  SubscribeReply reply;
-  {
-    std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-    reply.cluster_lsn = kernel_->ClusterLsn();
-    for (const auto& [component, count] : kernel_->ReplicationCursors()) {
-      reply.components.push_back(ShipCursor{component, count});
+constexpr GaeaServer::Route GaeaServer::kRoutes[] = {
+    {MsgType::kHello, &GaeaServer::HandleHello},
+    {MsgType::kPing, &GaeaServer::HandlePing},
+    {MsgType::kDdl, &GaeaServer::HandleDdl},
+    {MsgType::kDerive, &GaeaServer::HandleDerive},
+    {MsgType::kDeriveBatch, &GaeaServer::HandleDeriveBatch},
+    {MsgType::kStats, &GaeaServer::HandleStats},
+    {MsgType::kMetrics, &GaeaServer::HandleMetrics},
+    {MsgType::kLint, &GaeaServer::HandleLint},
+    {MsgType::kCheckpoint, &GaeaServer::HandleCheckpoint},
+    {MsgType::kShipBatch, &GaeaServer::HandleShipBatch},
+    {MsgType::kReplicaStatus, &GaeaServer::HandleReplicaStatus},
+    {MsgType::kInsertObject, &GaeaServer::HandleInsertObject},
+    {MsgType::kGetObject, &GaeaServer::HandleGetObject},
+    {MsgType::kProvenance, &GaeaServer::HandleProvenance},
+};
+
+Status GaeaServer::Run(const Verb& verb, BinaryReader* r, BinaryWriter* body) {
+  // kRoutes has exactly as many entries as kVerbs has rows; a missing
+  // trailing route would be zero-filled, with type 0, and fail here too.
+  static_assert(
+      [] {
+        for (size_t i = 0; i < std::size(kVerbs); ++i) {
+          if (kRoutes[i].type != kVerbs[i].type) return false;
+        }
+        return true;
+      }(),
+      "kRoutes must hold one handler per kVerbs row, in row order");
+  if (options_.replica && verb.replica == OnReplica::kRefuse) {
+    return Status::FailedPrecondition(
+        std::string("replica is read-only; send ") + verb.name +
+        " to the primary");
+  }
+  const Handler handler = kRoutes[&verb - kVerbs].handler;
+  switch (verb.lock) {
+    case KernelLock::kShared: {
+      std::shared_lock<std::shared_mutex> lock(kernel_mu_);
+      return (this->*handler)(r, body);
     }
+    case KernelLock::kExclusive: {
+      std::unique_lock<std::shared_mutex> lock(kernel_mu_);
+      return (this->*handler)(r, body);
+    }
+    case KernelLock::kNone:
+      break;
   }
-  if (!replica_id.empty()) {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    peers_[replica_id].last_seen_us = env_->NowMicros();
+  return (this->*handler)(r, body);
+}
+
+Status GaeaServer::HandleHello(BinaryReader* r, BinaryWriter* body) {
+  GAEA_RETURN_IF_ERROR(DecodeAndCheckHello(r));
+  body->PutU16(kProtocolVersion);
+  return Status::OK();
+}
+
+Status GaeaServer::HandlePing(BinaryReader*, BinaryWriter*) {
+  return Status::OK();
+}
+
+Status GaeaServer::HandleDdl(BinaryReader* r, BinaryWriter*) {
+  GAEA_ASSIGN_OR_RETURN(std::string source, r->GetString());
+  return kernel_->ExecuteDdl(source);
+}
+
+Status GaeaServer::HandleDerive(BinaryReader* r, BinaryWriter* body) {
+  GAEA_ASSIGN_OR_RETURN(DeriveRequest request, DecodeDeriveRequest(r));
+  if (options_.replica) {
+    // Replicas only answer derivations that already ran somewhere: a novel
+    // request is kNotFound and the client bounces it to the primary, so
+    // history never forks.
+    GAEA_ASSIGN_OR_RETURN(Oid oid,
+                          kernel_->TryRecordedDerive(request.process,
+                                                     request.inputs,
+                                                     request.version));
+    body->PutU64(oid);
+    body->PutBool(true);
+    return Status::OK();
   }
-  EncodeSubscribeReply(reply, body);
+  GAEA_ASSIGN_OR_RETURN(std::vector<DeriveOutcome> outcomes,
+                        kernel_->DeriveBatch({request}));
+  GAEA_RETURN_IF_ERROR(outcomes[0].status);
+  body->PutU64(outcomes[0].oid);
+  body->PutBool(outcomes[0].cache_hit);
+  return Status::OK();
+}
+
+Status GaeaServer::HandleDeriveBatch(BinaryReader* r, BinaryWriter* body) {
+  GAEA_ASSIGN_OR_RETURN(uint32_t count, r->GetU32());
+  // A DeriveRequest encodes to at least 12 bytes (process length prefix,
+  // version, input count), bounding how many fit in the payload.
+  GAEA_RETURN_IF_ERROR(CheckCount(*r, count, 12));
+  std::vector<DeriveRequest> requests;
+  requests.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    GAEA_ASSIGN_OR_RETURN(DeriveRequest request, DecodeDeriveRequest(r));
+    requests.push_back(std::move(request));
+  }
+  body->PutU32(static_cast<uint32_t>(requests.size()));
+  if (options_.replica) {
+    // All-or-nothing: one novel request bounces the whole batch to the
+    // primary (the partial answers would be recomputed there anyway).
+    for (const DeriveRequest& request : requests) {
+      DeriveOutcome outcome;
+      GAEA_ASSIGN_OR_RETURN(outcome.oid,
+                            kernel_->TryRecordedDerive(request.process,
+                                                       request.inputs,
+                                                       request.version));
+      outcome.cache_hit = true;
+      EncodeDeriveOutcome(outcome, body);
+    }
+    return Status::OK();
+  }
+  GAEA_ASSIGN_OR_RETURN(std::vector<DeriveOutcome> outcomes,
+                        kernel_->DeriveBatch(requests));
+  for (const DeriveOutcome& outcome : outcomes) {
+    EncodeDeriveOutcome(outcome, body);
+  }
+  return Status::OK();
+}
+
+Status GaeaServer::HandleStats(BinaryReader*, BinaryWriter* body) {
+  body->PutString("{\"server\":" + stats().ToJson() + ",\"kernel\":" +
+                  kernel_->GetStats().ToJson() + "}");
+  return Status::OK();
+}
+
+Status GaeaServer::HandleMetrics(BinaryReader*, BinaryWriter* body) {
+  // Prometheus text exposition of every instrument in the kernel's
+  // registry (gaea_* kernel metrics and gaead_* serving metrics).
+  body->PutString(kernel_->metrics().Render());
+  return Status::OK();
+}
+
+Status GaeaServer::HandleLint(BinaryReader*, BinaryWriter* body) {
+  EncodeLintReply(kernel_->LintCatalog(), body);
+  return Status::OK();
+}
+
+Status GaeaServer::HandleCheckpoint(BinaryReader*, BinaryWriter* body) {
+  // Concurrent checkpoint requests serialize on the kernel's own mutex.
+  GAEA_ASSIGN_OR_RETURN(auto info, kernel_->Checkpoint());
+  CheckpointReply reply;
+  reply.seq = info.seq;
+  reply.duration_us = info.duration_us;
+  reply.snapshot_bytes = info.snapshot_bytes;
+  reply.truncated_records = info.truncated_records;
+  EncodeCheckpointReply(reply, body);
   return Status::OK();
 }
 
@@ -782,27 +682,21 @@ Status GaeaServer::HandleShipBatch(BinaryReader* r, BinaryWriter* body) {
   // Keep the whole reply under the frame bound even if every component's
   // per-component byte budget is maxed out.
   size_t budget = static_cast<size_t>(12) << 20;
-  {
-    std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-    reply.primary_lsn = kernel_->ClusterLsn();
-    for (const ShipCursor& cursor : request.cursors) {
-      acked += cursor.from;
-      if (budget == 0) break;
-      ShipSegment segment;
-      segment.component = cursor.component;
-      segment.from = cursor.from;
-      uint64_t next = cursor.from;
-      GAEA_RETURN_IF_ERROR(kernel_->ShipRange(
-          cursor.component, cursor.from, request.max_records,
-          std::min<size_t>(request.max_bytes, budget), &segment.records,
-          &next));
-      for (const std::string& record : segment.records) {
-        budget -= std::min(budget, record.size());
-      }
-      if (!segment.records.empty()) {
-        reply.segments.push_back(std::move(segment));
-      }
+  reply.primary_lsn = kernel_->ClusterLsn();
+  for (const ShipCursor& cursor : request.cursors) {
+    acked += cursor.from;
+    if (budget == 0) break;
+    ShipSegment segment;
+    segment.component = cursor.component;
+    segment.from = cursor.from;
+    uint64_t next = cursor.from;
+    GAEA_RETURN_IF_ERROR(kernel_->ShipRange(
+        cursor.component, cursor.from, request.max_records,
+        std::min<size_t>(request.max_bytes, budget), &segment.records, &next));
+    for (const std::string& record : segment.records) {
+      budget -= std::min(budget, record.size());
     }
+    if (!segment.records.empty()) reply.segments.push_back(std::move(segment));
   }
   if (!request.replica_id.empty()) {
     std::lock_guard<std::mutex> lock(peers_mu_);
@@ -814,14 +708,11 @@ Status GaeaServer::HandleShipBatch(BinaryReader* r, BinaryWriter* body) {
   return Status::OK();
 }
 
-Status GaeaServer::HandleReplicaStatus(BinaryWriter* body) {
+Status GaeaServer::HandleReplicaStatus(BinaryReader*, BinaryWriter* body) {
   ReplicaStatusReply reply;
   reply.role = options_.replica ? 1 : 0;
   reply.primary = options_.primary;
-  {
-    std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-    reply.cluster_lsn = kernel_->ClusterLsn();
-  }
+  reply.cluster_lsn = kernel_->ClusterLsn();
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
     for (const auto& [id, peer] : peers_) {
@@ -836,13 +727,6 @@ Status GaeaServer::HandleReplicaStatus(BinaryWriter* body) {
 Status GaeaServer::HandleInsertObject(BinaryReader* r, BinaryWriter* body) {
   GAEA_ASSIGN_OR_RETURN(InsertObjectRequest request,
                         DecodeInsertObjectRequest(r));
-  if (options_.replica) {
-    return Status::FailedPrecondition(
-        "replica is read-only; insert objects on the primary");
-  }
-  // Shared, like a derive: object insertion serializes on the catalog's own
-  // mutex; the shared kernel lock only excludes concurrent DDL.
-  std::shared_lock<std::shared_mutex> lock(kernel_mu_);
   GAEA_ASSIGN_OR_RETURN(
       const ClassDef* def,
       kernel_->catalog().classes().LookupByName(request.class_name));
@@ -857,7 +741,6 @@ Status GaeaServer::HandleInsertObject(BinaryReader* r, BinaryWriter* body) {
 
 Status GaeaServer::HandleGetObject(BinaryReader* r, BinaryWriter* body) {
   GAEA_ASSIGN_OR_RETURN(uint64_t oid, r->GetU64());
-  std::shared_lock<std::shared_mutex> lock(kernel_mu_);
   // The object's bytes go from the heap pages straight into the reply,
   // behind a u32 length prefix that is patched once the size is known —
   // the same bytes PutString would have written.
@@ -867,6 +750,14 @@ Status GaeaServer::HandleGetObject(BinaryReader* r, BinaryWriter* body) {
   GAEA_RETURN_IF_ERROR(kernel_->catalog().store()->GetInto(oid, reply));
   uint32_t len = static_cast<uint32_t>(reply->size() - len_at - 4);
   std::memcpy(reply->data() + len_at, &len, 4);
+  return Status::OK();
+}
+
+Status GaeaServer::HandleProvenance(BinaryReader* r, BinaryWriter* body) {
+  GAEA_ASSIGN_OR_RETURN(ProvenanceRequest request, DecodeProvenanceRequest(r));
+  GAEA_ASSIGN_OR_RETURN(ProvenanceReply reply,
+                        AnswerProvenance(kernel_, request));
+  EncodeProvenanceReply(reply, body);
   return Status::OK();
 }
 
@@ -880,15 +771,12 @@ void GaeaServer::CountResponse(const Status& status) {
   }
 }
 
-void GaeaServer::Respond(Session& session, uint64_t id, MsgType request_type,
-                         uint64_t trace_id, const Status& status,
-                         std::string_view body) {
-  std::string payload =
-      EncodeResponsePayload(id, request_type, trace_id, status, body);
+void GaeaServer::Respond(Session& session, const RequestHeader& request,
+                         const Status& status) {
   CountResponse(status);
   // A failed send means the peer vanished; its reader will notice and the
   // session gets reaped, so the error is intentionally not propagated.
-  (void)session.Send(payload);
+  (void)session.Send(EncodeResponse(request, status, nullptr));
 }
 
 ServerStats GaeaServer::stats() const {
@@ -913,16 +801,6 @@ ServerStats GaeaServer::stats() const {
   stats.latency_micros_max =
       latency_micros_max_.load(std::memory_order_relaxed);
   return stats;
-}
-
-std::string GaeaServer::StatsJson() const {
-  std::string kernel_json;
-  {
-    std::shared_lock<std::shared_mutex> lock(kernel_mu_);
-    kernel_json = kernel_->GetStats().ToJson();
-  }
-  return "{\"server\":" + stats().ToJson() + ",\"kernel\":" + kernel_json +
-         "}";
 }
 
 void GaeaServer::Shutdown() {

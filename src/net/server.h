@@ -3,16 +3,17 @@
 // Threading model (docs/NET.md):
 //   * an accept thread polls the listening socket and spawns one reader
 //     thread per connection (net/session.h);
-//   * readers decode frames and answer hello/ping/stats inline; kernel
-//     work (ddl, define-process, derive, derive-batch, provenance) is admitted
-//     onto a bounded worker pool feeding Kernel::DeriveBatch and friends;
+//   * every request type is one row of net::kVerbs (wire.h) plus one
+//     handler here; the row says whether the reader thread answers it
+//     inline (hello, ping, stats, metrics) or a bounded worker pool runs
+//     it, which kernel lock the handler runs under, whether a replica
+//     refuses it and whether a retry replays the recorded reply;
 //   * admission is limited by max_inflight — when the pool is saturated the
 //     request is answered kUnavailable immediately instead of queueing
 //     without bound, and a request whose deadline_ms elapsed while queued is
 //     answered kUnavailable without touching the kernel;
-//   * definitions (ddl / define-process) take an exclusive kernel lock,
-//     derivations and reads take it shared, so catalog mutation never races
-//     the ProcessRegistry reads inside a derivation.
+//   * the dispatcher takes the row's lock and applies its replica policy,
+//     so handlers hold no kernel lock of their own.
 //
 // Shutdown() — wired to SIGTERM in tools/gaead.cc — stops accepting, lets
 // queued work drain, flushes the kernel's journals, and only then tears the
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <list>
 #include <map>
 #include <utility>
@@ -90,11 +92,11 @@ class GaeaServer {
     // lock, so checkpoints ride along with serving without blocking it.
     // 0 disables the thread (checkpoints then only happen on request).
     int checkpoint_poll_ms = 0;
-    // Replica mode (docs/ROBUSTNESS.md "Replication"): writes (ddl,
-    // define-process, insert-object) are refused with kFailedPrecondition,
-    // and derive requests answer from the recorded history only
-    // (GaeaKernel::TryRecordedDerive) — a novel derivation is kNotFound so
-    // the client bounces it to the primary.
+    // Replica mode (docs/ROBUSTNESS.md "Replication"): the verbs whose row
+    // says OnReplica::kRefuse (ddl, insert-object) are refused with
+    // kFailedPrecondition, and derive requests answer from the recorded
+    // history only (GaeaKernel::TryRecordedDerive) — a novel derivation is
+    // kNotFound so the client bounces it to the primary.
     bool replica = false;
     // How long a request carrying min_lsn may wait for the local cluster
     // LSN to catch up before it is answered kUnavailable (the client then
@@ -129,9 +131,6 @@ class GaeaServer {
 
   ServerStats stats() const;
 
-  // {"server": {...}, "kernel": {...}} — the stats RPC's payload.
-  std::string StatsJson() const;
-
   // Runs fn under the exclusive kernel lock, serialized against every
   // in-flight request. The replication applier uses this so replaying a
   // shipped batch never races a concurrently served derive or read.
@@ -142,14 +141,15 @@ class GaeaServer {
 
   struct Job {
     std::shared_ptr<Session> session;
+    const Verb* verb = nullptr;  // the row of header.type
     RequestHeader header;
     std::string payload;      // the whole request frame, decoded in place
     size_t body_offset = 0;   // where the body starts, after the header
     uint64_t admitted_us = 0; // Env::NowMicros at admission
   };
 
-  // Reader-thread entry point: parse the header, answer light requests
-  // inline, admit heavy ones onto the worker queue.
+  // Reader-thread entry point: parse the header, answer reader-thread
+  // verbs inline, admit worker verbs onto the queue.
   void HandleFrame(std::shared_ptr<Session> session, std::string payload);
 
   void AcceptLoop();
@@ -158,36 +158,66 @@ class GaeaServer {
   void ExecuteJob(Job job);
   void FinishJob(const Job& job, const Status& result);
 
-  // `trace_id` is echoed in the response header (0 = request untraced).
-  void Respond(Session& session, uint64_t id, MsgType request_type,
-               uint64_t trace_id, const Status& status, std::string_view body);
-  // Non-static: stamps the kernel's current cluster LSN into the response
-  // header's applied_lsn, the token clients carry for read-your-writes.
-  std::string EncodeResponsePayload(uint64_t id, MsgType request_type,
-                                    uint64_t trace_id, const Status& status,
-                                    std::string_view body) const;
-  void CountResponse(const Status& status);
+  // A verb's handler: decodes the request body from `r` and, on success,
+  // encodes the reply body into `body`. It runs under the lock its row
+  // names, and never on a replica when the row refuses replicas.
+  using Handler = Status (GaeaServer::*)(BinaryReader* r, BinaryWriter* body);
+  struct Route {
+    MsgType type;
+    Handler handler;
+  };
+  // One handler per kVerbs row, in row order (checked at compile time).
+  static const Route kRoutes[std::size(kVerbs)];
 
-  // ---- replication handlers (called from ExecuteJob; each takes the
-  // kernel lock it needs) ----
-  Status HandleSubscribe(BinaryReader* r, BinaryWriter* body);
+  // Runs `verb`'s handler under the row's lock and replica policy.
+  Status Run(const Verb& verb, BinaryReader* r, BinaryWriter* body);
+
+  Status HandleHello(BinaryReader* r, BinaryWriter* body);
+  Status HandlePing(BinaryReader* r, BinaryWriter* body);
+  Status HandleDdl(BinaryReader* r, BinaryWriter* body);
+  Status HandleDerive(BinaryReader* r, BinaryWriter* body);
+  Status HandleDeriveBatch(BinaryReader* r, BinaryWriter* body);
+  Status HandleStats(BinaryReader* r, BinaryWriter* body);
+  Status HandleMetrics(BinaryReader* r, BinaryWriter* body);
+  Status HandleLint(BinaryReader* r, BinaryWriter* body);
+  Status HandleCheckpoint(BinaryReader* r, BinaryWriter* body);
   Status HandleShipBatch(BinaryReader* r, BinaryWriter* body);
-  Status HandleReplicaStatus(BinaryWriter* body);
+  Status HandleReplicaStatus(BinaryReader* r, BinaryWriter* body);
   Status HandleInsertObject(BinaryReader* r, BinaryWriter* body);
   Status HandleGetObject(BinaryReader* r, BinaryWriter* body);
+  Status HandleProvenance(BinaryReader* r, BinaryWriter* body);
+
+  // The response payload answering `request` with `status`. When `status`
+  // is OK and `body` is non-null, the reply is `body`'s buffer, whose
+  // first kOkResponseHeaderBytes were left free for the header: a large
+  // body (a GetObject raster) is never copied to be framed. Non-static:
+  // stamps the kernel's current cluster LSN into the header's applied_lsn,
+  // the token clients carry for read-your-writes.
+  std::string EncodeResponse(const RequestHeader& request,
+                             const Status& status, BinaryWriter* body) const;
+  // Sends a response without a body (an error, typically) and counts it.
+  void Respond(Session& session, const RequestHeader& request,
+               const Status& status);
+  void CountResponse(const Status& status);
+
   // Blocks until the kernel's cluster LSN reaches header.min_lsn or
   // replica_wait_ms elapses; kUnavailable on timeout so the client can
   // bounce the read to the primary instead of seeing stale state.
   Status WaitForMinLsn(uint64_t min_lsn);
 
   // ---- idempotency cache ----
-  // A request with header.idem != 0 is looked up in a bounded LRU keyed by
-  // (idem, id) *before* admission. A recorded response is replayed verbatim
-  // (the request is not re-executed); a pending marker means the original
-  // is still in flight, answered kUnavailable so the client backs off and
-  // retries. kUnavailable results are never recorded — the request never
-  // executed, so a retry must be allowed to run.
+  // A request whose row replays (OnRetry::kReplay) and that carries
+  // header.idem != 0 is looked up in a bounded LRU keyed by (idem, id)
+  // *before* admission; every other request ignores idem. A recorded
+  // response is replayed verbatim (the request is not re-executed); a
+  // pending marker means the original is still in flight, answered
+  // kUnavailable so the client backs off and retries. kUnavailable results
+  // are never recorded — the request never executed, so a retry must be
+  // allowed to run.
   using DedupKey = std::pair<uint64_t, uint64_t>;  // (idem, request id)
+  static bool Dedups(const Verb& verb, const RequestHeader& header) {
+    return verb.retry == OnRetry::kReplay && header.idem != 0;
+  }
   // Returns true when the frame was fully answered here (cache hit or
   // pending collision); false means a pending marker was installed and the
   // caller must admit the job (and later DedupFinish or DedupAbort it).
@@ -196,7 +226,6 @@ class GaeaServer {
                    std::string encoded);
   void DedupAbort(const RequestHeader& header);
 
-  void OnSessionDone(uint64_t id);
   void ReapDoneSessions();  // joins and drops finished sessions
 
   void AddBytesIn(uint64_t n) { bytes_in_->Inc(n); }
@@ -216,8 +245,8 @@ class GaeaServer {
   std::thread checkpoint_thread_;
   std::vector<std::thread> workers_;
 
-  // Serializes catalog/process mutation against derivations (shared for
-  // derive/provenance/stats, exclusive for ddl/define-process).
+  // Serializes catalog/process mutation against derivations; each verb
+  // takes it as its kVerbs row says.
   mutable std::shared_mutex kernel_mu_;
 
   mutable std::mutex sessions_mu_;
@@ -234,7 +263,7 @@ class GaeaServer {
   std::list<DedupKey> dedup_lru_;  // completed entries, oldest first
 
   // Replica bookkeeping on the shipping side: last cursor position each
-  // subscriber acknowledged (the cursors it sent with its latest ship
+  // replica acknowledged (the cursors it sent with its latest ship
   // request) and when it was last heard from. Surfaced by replica-status.
   struct PeerState {
     uint64_t acked_lsn = 0;

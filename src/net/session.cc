@@ -7,8 +7,7 @@
 
 namespace gaea::net {
 
-Session::Session(GaeaServer* server, int fd, uint64_t id)
-    : server_(server), fd_(fd), id_(id) {}
+Session::Session(GaeaServer* server, int fd) : server_(server), fd_(fd) {}
 
 Session::~Session() {
   if (reader_.joinable()) {
@@ -34,11 +33,7 @@ Status Session::Send(std::string_view payload) {
   FrameHeader header = EncodeFrameHeader(payload);
   std::lock_guard<std::mutex> lock(write_mu_);
   Status status = SendFrame(fd_, header, payload);
-  if (status.ok()) {
-    uint64_t bytes = header.size() + payload.size();
-    counters_.bytes_out.fetch_add(bytes, std::memory_order_relaxed);
-    server_->AddBytesOut(bytes);
-  }
+  if (status.ok()) server_->AddBytesOut(header.size() + payload.size());
   return status;
 }
 
@@ -61,13 +56,12 @@ void Session::ReaderLoop() {
     bool closed = false;
     Status status = RecvInto(fd_, &frames, &closed);
     if (!status.ok() || closed) break;
-    size_t got = frames.buffered() - before;
-    counters_.bytes_in.fetch_add(got, std::memory_order_relaxed);
-    server_->AddBytesIn(got);
+    server_->AddBytesIn(frames.buffered() - before);
   }
 out:
+  // Reaping happens on the accept thread (and in Shutdown): this reader
+  // thread must not destroy its own Session.
   done_.store(true, std::memory_order_release);
-  server_->OnSessionDone(id_);
 }
 
 }  // namespace gaea::net

@@ -1,5 +1,5 @@
 // One accepted gaead connection: socket ownership, the reader thread that
-// decodes frames, serialized response writes, and per-session counters.
+// decodes frames, and serialized response writes.
 //
 // A Session outlives its socket: worker threads hold shared_ptr<Session>
 // while a request is in flight, so a response write after the peer hung up
@@ -26,15 +26,7 @@ class GaeaServer;
 
 class Session : public std::enable_shared_from_this<Session> {
  public:
-  // Monotonically increasing per-session counters, readable while the
-  // session runs (stats RPC) — hence atomics.
-  struct Counters {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-  };
-
-  Session(GaeaServer* server, int fd, uint64_t id);
+  Session(GaeaServer* server, int fd);
   ~Session();
 
   Session(const Session&) = delete;
@@ -51,15 +43,13 @@ class Session : public std::enable_shared_from_this<Session> {
   void Join();
 
   bool done() const { return done_.load(std::memory_order_acquire); }
-  uint64_t id() const { return id_; }
-  Counters& counters() { return counters_; }
 
   // Frames and writes one response payload without copying it (header
   // and payload gathered by one sendmsg); serialized across the reader
-  // (hello/ping/stats) and any worker finishing a request.
+  // (verbs it answers inline) and any worker finishing a request.
   Status Send(std::string_view payload);
 
-  // True until the hello exchange succeeds; no other request is served
+  // False until the hello exchange succeeds; no other request is served
   // before it.
   bool handshaken() const { return handshaken_.load(std::memory_order_acquire); }
   void set_handshaken() { handshaken_.store(true, std::memory_order_release); }
@@ -69,12 +59,10 @@ class Session : public std::enable_shared_from_this<Session> {
 
   GaeaServer* server_;
   int fd_;
-  uint64_t id_;
   std::thread reader_;
   std::mutex write_mu_;
   std::atomic<bool> done_{false};
   std::atomic<bool> handshaken_{false};
-  Counters counters_;
 };
 
 }  // namespace gaea::net

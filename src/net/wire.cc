@@ -4,8 +4,10 @@
 #include <sys/uio.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "util/crc32.h"
 
@@ -88,42 +90,32 @@ StatusOr<bool> FrameBuffer::Next(std::string* payload) {
   return true;
 }
 
-const char* MsgTypeName(MsgType type) {
-  switch (type) {
-    case MsgType::kHello: return "Hello";
-    case MsgType::kPing: return "Ping";
-    case MsgType::kDdl: return "Ddl";
-    case MsgType::kDefineProcess: return "DefineProcess";
-    case MsgType::kDerive: return "Derive";
-    case MsgType::kDeriveBatch: return "DeriveBatch";
-    case MsgType::kStats: return "Stats";
-    case MsgType::kResponse: return "Response";
-    case MsgType::kMetrics: return "Metrics";
-    case MsgType::kLint: return "Lint";
-    case MsgType::kCheckpoint: return "Checkpoint";
-    case MsgType::kSubscribe: return "Subscribe";
-    case MsgType::kShipBatch: return "ShipBatch";
-    case MsgType::kReplicaStatus: return "ReplicaStatus";
-    case MsgType::kInsertObject: return "InsertObject";
-    case MsgType::kGetObject: return "GetObject";
-    case MsgType::kProvenance: return "Provenance";
-  }
-  return "Unknown";
-}
-
 namespace {
 
-// Type 7 was Lineage, retired in protocol v4.
-constexpr uint8_t kRetiredLineageType = 7;
-
-bool IsKnownRequestType(uint8_t raw) {
-  return raw >= static_cast<uint8_t>(MsgType::kHello) &&
-         raw <= static_cast<uint8_t>(MsgType::kProvenance) &&
-         raw != static_cast<uint8_t>(MsgType::kResponse) &&
-         raw != kRetiredLineageType;
+// One row per type, in type order: a second row for a type would never be
+// found, and docs/NET.md lists the verbs in the same order.
+constexpr bool VerbsAreSortedAndUnique() {
+  for (size_t i = 1; i < std::size(kVerbs); ++i) {
+    if (kVerbs[i - 1].type >= kVerbs[i].type) return false;
+  }
+  return true;
 }
+static_assert(VerbsAreSortedAndUnique(), "kVerbs rows must ascend by type");
 
 }  // namespace
+
+const Verb* FindVerb(uint8_t raw) {
+  for (const Verb& verb : kVerbs) {
+    if (static_cast<uint8_t>(verb.type) == raw) return &verb;
+  }
+  return nullptr;
+}
+
+const Verb& VerbOf(MsgType type) {
+  const Verb* verb = FindVerb(static_cast<uint8_t>(type));
+  assert(verb != nullptr);
+  return *verb;
+}
 
 void EncodeRequestHeader(const RequestHeader& header, BinaryWriter* w) {
   w->PutU8(static_cast<uint8_t>(header.type));
@@ -136,7 +128,7 @@ void EncodeRequestHeader(const RequestHeader& header, BinaryWriter* w) {
 
 StatusOr<RequestHeader> DecodeRequestHeader(BinaryReader* r) {
   GAEA_ASSIGN_OR_RETURN(uint8_t raw, r->GetU8());
-  if (!IsKnownRequestType(raw)) {
+  if (FindVerb(raw) == nullptr) {
     return Status::InvalidArgument("unknown request type " +
                                    std::to_string(raw));
   }
@@ -395,30 +387,6 @@ StatusOr<ShipReply> DecodeShipReply(BinaryReader* r) {
       s.records.push_back(std::move(rec));
     }
     reply.segments.push_back(std::move(s));
-  }
-  return reply;
-}
-
-void EncodeSubscribeReply(const SubscribeReply& reply, BinaryWriter* w) {
-  w->PutU64(reply.cluster_lsn);
-  w->PutU32(static_cast<uint32_t>(reply.components.size()));
-  for (const ShipCursor& c : reply.components) {
-    w->PutString(c.component);
-    w->PutU64(c.from);
-  }
-}
-
-StatusOr<SubscribeReply> DecodeSubscribeReply(BinaryReader* r) {
-  SubscribeReply reply;
-  GAEA_ASSIGN_OR_RETURN(reply.cluster_lsn, r->GetU64());
-  GAEA_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
-  GAEA_RETURN_IF_ERROR(CheckCount(*r, n, sizeof(uint32_t) + sizeof(uint64_t)));
-  reply.components.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ShipCursor c;
-    GAEA_ASSIGN_OR_RETURN(c.component, r->GetString());
-    GAEA_ASSIGN_OR_RETURN(c.from, r->GetU64());
-    reply.components.push_back(std::move(c));
   }
   return reply;
 }

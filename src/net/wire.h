@@ -41,10 +41,13 @@ constexpr uint32_t kMagic = 0x47414541;  // "GAEA"
 // LSN token a replica must reach before answering) and
 // ResponseHeader.applied_lsn (the answering server's cluster LSN).
 // v4 removed Lineage (type 7); ProvenanceKind::kChain answers it.
+// v5 removed DefineProcess (type 4; Ddl's DEFINE PROCESS reaches the same
+// kernel call) and Subscribe (type 13; no caller), and sends and honours
+// `idem` only on the kVerbs rows that replay.
 // Both sides of the protocol live in this tree, so the version is bumped
 // rather than relying on trailing-byte tolerance for fields the server
 // must act on.
-constexpr uint16_t kProtocolVersion = 4;
+constexpr uint16_t kProtocolVersion = 5;
 
 // Upper bound on one frame's payload; anything larger is a protocol error
 // (kCorruption) and the connection is dropped rather than buffered.
@@ -117,43 +120,124 @@ class FrameBuffer {
 // Messages
 // ---------------------------------------------------------------------------
 
+// Request bodies and replies per type are in docs/NET.md; what each
+// request type does on the server and client is its kVerbs row below.
 enum class MsgType : uint8_t {
-  kHello = 1,          // body: u32 magic, u16 version
-  kPing = 2,           // body: empty
-  kDdl = 3,            // body: string source
-  kDefineProcess = 4,  // body: ProcessDef::Serialize
-  kDerive = 5,         // body: DeriveRequest
-  kDeriveBatch = 6,    // body: u32 n, n * DeriveRequest
+  kHello = 1,
+  kPing = 2,
+  kDdl = 3,
+  // 4 was DefineProcess (protocol <= 4); Ddl's DEFINE PROCESS replaced it.
+  kDerive = 5,
+  kDeriveBatch = 6,
   // 7 was Lineage (protocol <= 3); ProvenanceKind::kChain replaced it.
-  kStats = 8,          // body: empty
-  kResponse = 9,       // ResponseHeader + per-request-type body
-  kMetrics = 10,       // body: empty; reply: Prometheus text exposition
-  kLint = 11,          // body: empty; reply: diagnostic list (LintReply)
-  kCheckpoint = 12,    // body: empty; reply: CheckpointReply
-  // ---- replication (docs/NET.md "Replication") ----
-  kSubscribe = 13,     // body: string replica_id; reply: SubscribeReply
-  kShipBatch = 14,     // body: ShipRequest; reply: ShipReply
-  kReplicaStatus = 15, // body: empty; reply: ReplicaStatusReply
-  // ---- remote object access (writes pin to the primary) ----
-  kInsertObject = 16,  // body: InsertObjectRequest; reply: u64 oid
-  kGetObject = 17,     // body: u64 oid; reply: string (DataObject bytes)
-  // ---- provenance (docs/PROVENANCE.md; replica-servable read) ----
-  kProvenance = 18,    // body: ProvenanceRequest; reply: ProvenanceReply
+  kStats = 8,
+  kResponse = 9,  // tags every response payload; never a request
+  kMetrics = 10,
+  kLint = 11,
+  kCheckpoint = 12,
+  // 13 was Subscribe (protocol <= 4); nothing called it.
+  kShipBatch = 14,
+  kReplicaStatus = 15,
+  kInsertObject = 16,
+  kGetObject = 17,
+  kProvenance = 18,
 };
 
-const char* MsgTypeName(MsgType type);
+// The kernel lock a verb's handler runs under. Definitions take it
+// exclusive, derivations and reads shared, so catalog mutation never races
+// the process registry reads inside a derivation.
+enum class KernelLock : uint8_t { kNone, kShared, kExclusive };
+
+// Where the server runs a verb: inline on the connection's reader thread
+// (cheap, lock-free or read-only probes that must answer even when the
+// worker pool is saturated) or on the bounded worker pool.
+enum class RunsOn : uint8_t { kReader, kWorker };
+
+// What a replica does with a verb: serve it from its replicated state, or
+// refuse it with kFailedPrecondition (a write, which only the primary may
+// take; the cluster client sends these to the primary directly).
+enum class OnReplica : uint8_t { kServe, kRefuse };
+
+// Whether a retry of an executed request re-executes it or is answered
+// with the recorded reply. kReplay verbs carry the client's idempotency
+// nonce, and the server remembers (idem, id) -> reply for them, so a
+// retried write lands exactly once. Every other verb is sent without a
+// nonce and the server ignores one: re-running a read is harmless, and
+// recording its reply would evict the writes' entries.
+enum class OnRetry : uint8_t { kReexecute, kReplay };
+
+// One wire verb: everything the server's dispatch, the client's nonce
+// stamping and the cluster client's routing decide about a request type.
+// `name` names the client's "rpc:<name>" and the server's
+// "request:<name>" spans.
+struct Verb {
+  MsgType type;
+  const char* name;
+  KernelLock lock;
+  RunsOn runs;
+  OnReplica replica;
+  OnRetry retry;
+};
+
+// Every request type the server answers, in type order. Adding a verb is
+// one row here plus one GaeaServer handler (docs/NET.md).
+inline constexpr Verb kVerbs[] = {
+    {MsgType::kHello, "Hello", KernelLock::kNone, RunsOn::kReader,
+     OnReplica::kServe, OnRetry::kReexecute},
+    {MsgType::kPing, "Ping", KernelLock::kNone, RunsOn::kReader,
+     OnReplica::kServe, OnRetry::kReexecute},
+    {MsgType::kDdl, "Ddl", KernelLock::kExclusive, RunsOn::kWorker,
+     OnReplica::kRefuse, OnRetry::kReplay},
+    {MsgType::kDerive, "Derive", KernelLock::kShared, RunsOn::kWorker,
+     OnReplica::kServe, OnRetry::kReplay},
+    {MsgType::kDeriveBatch, "DeriveBatch", KernelLock::kShared,
+     RunsOn::kWorker, OnReplica::kServe, OnRetry::kReplay},
+    {MsgType::kStats, "Stats", KernelLock::kShared, RunsOn::kReader,
+     OnReplica::kServe, OnRetry::kReexecute},
+    {MsgType::kMetrics, "Metrics", KernelLock::kShared, RunsOn::kReader,
+     OnReplica::kServe, OnRetry::kReexecute},
+    // Read-only to callers, but LintCatalog memoizes into the kernel's
+    // analysis cache, so it is exclusive like a definition.
+    {MsgType::kLint, "Lint", KernelLock::kExclusive, RunsOn::kWorker,
+     OnReplica::kServe, OnRetry::kReexecute},
+    // Checkpoints are fuzzy against derivations and inserts; the shared
+    // lock fences out only definitions. A retry takes the next checkpoint.
+    {MsgType::kCheckpoint, "Checkpoint", KernelLock::kShared, RunsOn::kWorker,
+     OnReplica::kServe, OnRetry::kReexecute},
+    {MsgType::kShipBatch, "ShipBatch", KernelLock::kShared, RunsOn::kWorker,
+     OnReplica::kServe, OnRetry::kReexecute},
+    {MsgType::kReplicaStatus, "ReplicaStatus", KernelLock::kShared,
+     RunsOn::kWorker, OnReplica::kServe, OnRetry::kReexecute},
+    // Shared, like a derive: object insertion serializes on the catalog's
+    // own mutex.
+    {MsgType::kInsertObject, "InsertObject", KernelLock::kShared,
+     RunsOn::kWorker, OnReplica::kRefuse, OnRetry::kReplay},
+    {MsgType::kGetObject, "GetObject", KernelLock::kShared, RunsOn::kWorker,
+     OnReplica::kServe, OnRetry::kReexecute},
+    // The provenance index is rebuilt from the same replicated task history
+    // the primary holds, so replicas answer it.
+    {MsgType::kProvenance, "Provenance", KernelLock::kShared, RunsOn::kWorker,
+     OnReplica::kServe, OnRetry::kReexecute},
+};
+
+// The row of request type `raw`; nullptr when no verb has that type (the
+// response tag, a retired type, anything past the last row).
+const Verb* FindVerb(uint8_t raw);
+
+// The row of `type`, which must be a request type.
+const Verb& VerbOf(MsgType type);
 
 // Every request payload starts with this. `deadline_ms` (0 = none) bounds
 // the time between the server admitting the request and a worker starting
 // it; an expired request is answered kUnavailable without touching the
-// kernel. `idem` (0 = none) is a client-chosen random nonce: the server
-// remembers (idem, id) -> response for executed mutations, so a client that
-// retried after a lost response gets the recorded answer instead of a
-// second execution (docs/ROBUSTNESS.md). `trace_id` (0 = none) names the
-// distributed trace this request belongs to: the server parents all spans
-// for the request under it and echoes it in the response, so one trace can
-// follow a derivation from client call to per-operator execution
-// (docs/OBSERVABILITY.md).
+// kernel. `idem` (0 = none) is a client-chosen random nonce: for the verbs
+// whose row says OnRetry::kReplay the server remembers (idem, id) ->
+// response, so a client that retried after a lost response gets the
+// recorded answer instead of a second execution (docs/ROBUSTNESS.md).
+// `trace_id` (0 = none) names the distributed trace this request belongs
+// to: the server parents all spans for the request under it and echoes it
+// in the response, so one trace can follow a derivation from client call
+// to per-operator execution (docs/OBSERVABILITY.md).
 struct RequestHeader {
   MsgType type = MsgType::kPing;
   uint64_t id = 0;
@@ -261,10 +345,7 @@ struct ProvenanceReply {
 void EncodeProvenanceReply(const ProvenanceReply& reply, BinaryWriter* w);
 StatusOr<ProvenanceReply> DecodeProvenanceReply(BinaryReader* r);
 
-// Checkpoint response body (GaeaKernel::Checkpoint on the server). Like
-// Lint, the request is sent without an idempotency nonce: re-running a
-// checkpoint after a lost response is safe (the retry just takes the next
-// sequence number) and cheaper than remembering responses for it.
+// Checkpoint response body (GaeaKernel::Checkpoint on the server).
 struct CheckpointReply {
   uint64_t seq = 0;
   uint64_t duration_us = 0;
@@ -311,17 +392,7 @@ struct ShipReply {
 void EncodeShipReply(const ShipReply& reply, BinaryWriter* w);
 StatusOr<ShipReply> DecodeShipReply(BinaryReader* r);
 
-// kSubscribe reply: where the primary's history currently ends, per
-// component — the replica's starting point for ShipBatch polling.
-struct SubscribeReply {
-  uint64_t cluster_lsn = 0;
-  std::vector<ShipCursor> components;  // component -> record_count
-};
-
-void EncodeSubscribeReply(const SubscribeReply& reply, BinaryWriter* w);
-StatusOr<SubscribeReply> DecodeSubscribeReply(BinaryReader* r);
-
-// kReplicaStatus reply. On a primary, `peers` lists every subscribed
+// kReplicaStatus reply. On a primary, `peers` lists every shipping
 // replica with the cluster LSN its last ShipBatch acknowledged; on a
 // replica, `peers` is empty and `primary` names the endpoint it ships from.
 struct ReplicaStatusReply {

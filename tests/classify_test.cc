@@ -240,10 +240,11 @@ TEST(KMeansGoldenTest, LabelsMatchPinnedDigests) {
 // Which center wins therefore depends only on how the squared band
 // differences round, so a distance sum taken in any other order relabels
 // some probes. With one iteration the seeds are the centers: the first is a
-// B pixel, the second the farthest pixel from it, an A pixel. Rows are 13
-// wide so probes fall both in 8-pixel blocks and in the tail.
+// B pixel, the second the farthest pixel from it, an A pixel. Rows are 37
+// wide so probes fall in the AVX2 kernel's 16-pixel blocks, in the portable
+// kernel's 8-pixel blocks and in either kernel's tail (the last 5 pixels).
 TEST(KMeansGoldenTest, DistanceSumOrderDecidesExactTies) {
-  constexpr int kCols = 13;
+  constexpr int kCols = 37;
   std::vector<double> v[3];
   for (int i = 0; i < 2 * kCols; ++i) {
     double s = 2.0 + 0.037 * i;
@@ -264,7 +265,7 @@ TEST(KMeansGoldenTest, DistanceSumOrderDecidesExactTies) {
   KMeansOptions seeds_only;
   seeds_only.max_iterations = 1;
   const GoldenCase ties = {4, kCols, 3, 2, Bands::kFloat,
-                           0x312856eed100062cull};
+                           0xa3e7355933166944ull};
   ExpectGolden("unsuperclassify ties", ties, [&] {
     return UnsupervisedClassify(ptrs, 2, seeds_only).value();
   });

@@ -46,15 +46,17 @@ CLASS ident_out (
 )
 )";
 
-ProcessDef MakeIdentProcess() {
-  ProcessDef def("ident", "ident_out");
-  EXPECT_OK(def.AddArg({"in", "sample", false, 1}));
-  EXPECT_OK(def.AddMapping("v", Expr::AttrRef("in", "v")));
-  EXPECT_OK(
-      def.AddMapping("spatialextent", Expr::AttrRef("in", "spatialextent")));
-  EXPECT_OK(def.AddMapping("timestamp", Expr::AttrRef("in", "timestamp")));
-  return def;
+constexpr char kIdentProcess[] = R"(
+DEFINE PROCESS ident
+OUTPUT ident_out
+ARGUMENT ( sample in )
+TEMPLATE {
+  MAPPINGS:
+    ident_out.v = in.v;
+    ident_out.spatialextent = in.spatialextent;
+    ident_out.timestamp = in.timestamp;
 }
+)";
 
 // One gaead child process. Start() blocks until the daemon has written its
 // port file, so a returned Gaead is accepting connections.
@@ -238,7 +240,7 @@ TEST(GaeadTest, PrimarySigkillMidWorkloadIsInvisibleToClients) {
       {{"127.0.0.1", replica1->port()}, {"127.0.0.1", replica2->port()}},
       options);
   ASSERT_OK(cluster.ExecuteDdl(kSchema));
-  ASSERT_OK(cluster.DefineProcess(MakeIdentProcess()));
+  ASSERT_OK(cluster.ExecuteDdl(kIdentProcess));
 
   constexpr int kRounds = 20;
   constexpr int kKillAt = 10;

@@ -11,6 +11,8 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -526,7 +528,7 @@ TEST_F(NetTest, LoopbackRoundTrip) {
   ASSERT_OK(client->Ping());
 
   // Definitions travel over the wire: a new class and the process deriving
-  // it both arrive via RPC, then a derivation uses them.
+  // it both arrive in one Ddl request, then a derivation uses them.
   ASSERT_OK(client->ExecuteDdl(R"(
 CLASS remote_out (
   ATTRIBUTES:
@@ -535,11 +537,16 @@ CLASS remote_out (
   TEMPORAL EXTENT: timestamp = abstime;
   DERIVED BY: remote-ident
 )
+DEFINE PROCESS remote-ident
+OUTPUT remote_out
+ARGUMENT ( sample in )
+TEMPLATE {
+  MAPPINGS:
+    remote_out.v = in.v;
+    remote_out.spatialextent = in.spatialextent;
+    remote_out.timestamp = in.timestamp;
+}
 )"));
-  ASSERT_OK_AND_ASSIGN(
-      int version, client->DefineProcess(MakeIdentityProcess(
-                       "remote-ident", "remote_out", nullptr)));
-  EXPECT_EQ(version, 1);
 
   Oid input = InsertSample(7);
   bool cache_hit = true;
@@ -963,50 +970,66 @@ void RawHandshake(int fd) {
 TEST_F(NetTest, BadHelloAndHandshakeBypassAreRejected) {
   StartServer(GaeaServer::Options());
 
-  // Wrong magic in the hello: kFailedPrecondition, then the server hangs up.
-  int fd = RawConnect(server_->port());
+  // Wrong magic, or the protocol before DefineProcess and Subscribe
+  // retired: kFailedPrecondition, then the server hangs up.
   RequestHeader hello;
   hello.type = MsgType::kHello;
   hello.id = 1;
-  BinaryWriter w;
-  EncodeRequestHeader(hello, &w);
-  w.PutU32(0xDEADBEEF);
-  w.PutU16(kProtocolVersion);
-  ASSERT_OK(SendPayload(fd, w.buffer()));
-  EXPECT_EQ(AwaitResponse(fd).code, StatusCode::kFailedPrecondition);
-  ::close(fd);
+  const std::pair<uint32_t, uint16_t> bad_hellos[] = {
+      {0xDEADBEEF, kProtocolVersion}, {kMagic, 4}};
+  for (auto [magic, version] : bad_hellos) {
+    int fd = RawConnect(server_->port());
+    BinaryWriter w;
+    EncodeRequestHeader(hello, &w);
+    w.PutU32(magic);
+    w.PutU16(version);
+    ASSERT_OK(SendPayload(fd, w.buffer()));
+    EXPECT_EQ(AwaitResponse(fd).code, StatusCode::kFailedPrecondition)
+        << "version " << version;
+    ::close(fd);
+  }
 
   // Skipping the handshake entirely is just as unacceptable.
-  fd = RawConnect(server_->port());
+  int fd = RawConnect(server_->port());
   RequestHeader ping;
   ping.type = MsgType::kPing;
   ping.id = 1;
-  BinaryWriter w2;
-  EncodeRequestHeader(ping, &w2);
-  ASSERT_OK(SendPayload(fd, w2.buffer()));
+  BinaryWriter w;
+  EncodeRequestHeader(ping, &w);
+  ASSERT_OK(SendPayload(fd, w.buffer()));
   EXPECT_EQ(AwaitResponse(fd).code, StatusCode::kFailedPrecondition);
   ::close(fd);
 }
 
+// Retired types (4 DefineProcess, 7 Lineage, 13 Subscribe), the response
+// tag and the first type past the last verb have no kVerbs row: each is
+// refused like any unknown type, and the connection closed, without
+// reaching a worker.
 TEST_F(NetTest, RetiredLineageTypeIsAnUnknownRequest) {
   StartServer(GaeaServer::Options());
-  int fd = RawConnect(server_->port());
-  RawHandshake(fd);
-  // Type 7 was Lineage before protocol v4. It must be refused like any
-  // unknown type, not reach a worker.
-  BinaryWriter w;
-  w.PutU8(7);
-  w.PutU64(2);  // request id
-  w.PutU32(0);  // deadline
-  w.PutU64(0);  // idem
-  w.PutU64(0);  // trace id
-  w.PutU64(0);  // min lsn
-  w.PutU64(1);  // the old body: an oid
-  ASSERT_OK(SendPayload(fd, w.buffer()));
-  ResponseHeader reply = AwaitResponse(fd);
-  EXPECT_EQ(reply.code, StatusCode::kInvalidArgument);
-  EXPECT_NE(reply.message.find("unknown request type 7"), std::string::npos);
-  ::close(fd);
+  const int past_last = static_cast<int>(std::end(kVerbs)[-1].type) + 1;
+  for (int type : {4, 7, 9, 13, past_last}) {
+    SCOPED_TRACE("type " + std::to_string(type));
+    int fd = RawConnect(server_->port());
+    RawHandshake(fd);
+    BinaryWriter w;
+    w.PutU8(static_cast<uint8_t>(type));
+    w.PutU64(2);  // request id
+    w.PutU32(0);  // deadline
+    w.PutU64(0);  // idem
+    w.PutU64(0);  // trace id
+    w.PutU64(0);  // min lsn
+    w.PutU64(1);  // a body, as the retired verbs carried
+    ASSERT_OK(SendPayload(fd, w.buffer()));
+    ResponseHeader reply = AwaitResponse(fd);
+    EXPECT_EQ(reply.code, StatusCode::kInvalidArgument);
+    EXPECT_NE(
+        reply.message.find("unknown request type " + std::to_string(type)),
+        std::string::npos)
+        << reply.message;
+    ::close(fd);
+  }
+  EXPECT_EQ(server_->stats().requests_ok, 5u);  // the five handshakes
 }
 
 // ---------------------------------------------------------------------------
@@ -1118,6 +1141,121 @@ TEST_F(NetTest, DedupReplayEchoesOriginalTraceAndCountsNothingTwice) {
       completed_after_first);
   EXPECT_EQ(server_->stats().requests_ok, ok_after_first);
   ::close(fd);
+}
+
+// Only the verbs whose row replays are remembered: reads sent with the
+// same nonce neither evict a recorded write nor get replayed themselves.
+TEST_F(NetTest, ReadsDoNotCrowdWritesOutOfTheReplayCache) {
+  GaeaServer::Options options;
+  options.dedup_capacity = 4;
+  StartServer(options);
+  ASSERT_OK(kernel_->DefineProcess(
+      MakeIdentityProcess("remote-ident", "ident_out", nullptr)));
+  Oid input = InsertSample(7);
+
+  int fd = RawConnect(server_->port());
+  RawHandshake(fd);
+  constexpr uint64_t kIdem = 0xFEEDFACE;
+  auto send = [&](MsgType type, uint64_t id, uint64_t trace_id,
+                  const BinaryWriter& body) -> ResponseHeader {
+    RequestHeader header;
+    header.type = type;
+    header.id = id;
+    header.idem = kIdem;
+    header.trace_id = trace_id;
+    BinaryWriter w;
+    EncodeRequestHeader(header, &w);
+    w.PutRaw(body.buffer().data(), body.buffer().size());
+    Status sent = SendPayload(fd, w.buffer());
+    EXPECT_TRUE(sent.ok()) << sent.ToString();
+    return AwaitResponse(fd);
+  };
+  BinaryWriter derive;
+  DeriveRequest request;
+  request.process = "remote-ident";
+  request.inputs["in"] = {input};
+  EncodeDeriveRequest(request, &derive);
+  BinaryWriter ancestors;
+  ProvenanceRequest why;
+  why.kind = ProvenanceKind::kAncestors;
+  why.oid = input;
+  EncodeProvenanceRequest(why, &ancestors);
+
+  EXPECT_EQ(send(MsgType::kDerive, 1, 0, derive).code, StatusCode::kOk);
+  // As many reads as the cache has entries, all under the same nonce.
+  for (uint64_t id = 2; id <= 5; ++id) {
+    EXPECT_EQ(send(MsgType::kProvenance, id, 0, ancestors).code,
+              StatusCode::kOk);
+  }
+  // The derive's entry survived them: its retry is a replay.
+  EXPECT_EQ(send(MsgType::kDerive, 1, 0, derive).code, StatusCode::kOk);
+  EXPECT_EQ(server_->stats().dedup_hits, 1u);
+
+  // A read sent twice under the same (idem, id) executes twice: the
+  // second reply echoes the retry's own trace id, not the first one's.
+  uint64_t ok_before = server_->stats().requests_ok;
+  EXPECT_EQ(send(MsgType::kProvenance, 6, 301, ancestors).trace_id, 301u);
+  EXPECT_EQ(send(MsgType::kProvenance, 6, 302, ancestors).trace_id, 302u);
+  EXPECT_EQ(server_->stats().requests_ok, ok_before + 2);
+  EXPECT_EQ(server_->stats().dedup_hits, 1u);
+  ::close(fd);
+}
+
+// Every kVerbs row gets one OK round trip through GaeaClient. A verb
+// added to the table without a case here fails the test.
+TEST_F(NetTest, EveryVerbRoundTrips) {
+  StartServer(GaeaServer::Options());
+  ASSERT_OK(kernel_->DefineProcess(
+      MakeIdentityProcess("remote-ident", "ident_out", nullptr)));
+  Oid input = InsertSample(3);
+  auto client = Connect();
+  DeriveRequest derive;
+  derive.process = "remote-ident";
+  derive.inputs["in"] = {input};
+  InsertObjectRequest insert;
+  insert.class_name = "sample";
+  insert.attrs = {{"v", Value::Int(4)},
+                  {"spatialextent", Value::OfBox(Box(0, 0, 1, 1))},
+                  {"timestamp", Value::Time(AbsTime(5))}};
+  ProvenanceRequest ancestors;
+  ancestors.oid = input;
+  const std::map<MsgType, std::function<Status()>> cases = {
+      {MsgType::kHello,
+       [&] {
+         return GaeaClient::Connect("127.0.0.1", server_->port()).status();
+       }},
+      {MsgType::kPing, [&] { return client->Ping(); }},
+      {MsgType::kDdl,
+       [&] {
+         return client->ExecuteDdl("CLASS extra ( ATTRIBUTES: v = int4; )");
+       }},
+      {MsgType::kDerive,
+       [&] { return client->Derive("remote-ident", derive.inputs).status(); }},
+      {MsgType::kDeriveBatch,
+       [&] { return client->DeriveBatch({derive}).status(); }},
+      {MsgType::kStats, [&] { return client->StatsJson().status(); }},
+      {MsgType::kMetrics, [&] { return client->Metrics().status(); }},
+      {MsgType::kLint, [&] { return client->Lint().status(); }},
+      {MsgType::kCheckpoint, [&] { return client->Checkpoint().status(); }},
+      {MsgType::kShipBatch,
+       [&] { return client->ShipBatch(ShipRequest{}).status(); }},
+      {MsgType::kReplicaStatus,
+       [&] { return client->ReplicaStatus().status(); }},
+      {MsgType::kInsertObject,
+       [&] { return client->InsertObject(insert).status(); }},
+      {MsgType::kGetObject,
+       [&] { return client->GetObjectRaw(input).status(); }},
+      {MsgType::kProvenance,
+       [&] { return client->Provenance(ancestors).status(); }},
+  };
+  for (const Verb& verb : kVerbs) {
+    auto it = cases.find(verb.type);
+    ASSERT_NE(it, cases.end()) << "no round-trip case for " << verb.name;
+    Status status = it->second();
+    EXPECT_TRUE(status.ok()) << verb.name << ": " << status.ToString();
+  }
+  EXPECT_EQ(cases.size(), std::size(kVerbs));
+  EXPECT_EQ(server_->stats().requests_error, 0u);
 }
 
 TEST_F(NetTest, MetricsEndpointServesPrometheusText) {

@@ -49,15 +49,17 @@ CLASS ident_out (
 // Pure attribute-reference process: replayable on any kernel without
 // operator registration, which is what makes replica-side
 // rematerialization well-defined.
-ProcessDef MakeIdentProcess() {
-  ProcessDef def("ident", "ident_out");
-  EXPECT_OK(def.AddArg({"in", "sample", false, 1}));
-  EXPECT_OK(def.AddMapping("v", Expr::AttrRef("in", "v")));
-  EXPECT_OK(
-      def.AddMapping("spatialextent", Expr::AttrRef("in", "spatialextent")));
-  EXPECT_OK(def.AddMapping("timestamp", Expr::AttrRef("in", "timestamp")));
-  return def;
+constexpr char kIdentProcess[] = R"(
+DEFINE PROCESS ident
+OUTPUT ident_out
+ARGUMENT ( sample in )
+TEMPLATE {
+  MAPPINGS:
+    ident_out.v = in.v;
+    ident_out.spatialextent = in.spatialextent;
+    ident_out.timestamp = in.timestamp;
 }
+)";
 
 StatusOr<std::unique_ptr<GaeaKernel>> OpenReplicated(const std::string& dir) {
   GaeaKernel::Options options;
@@ -155,7 +157,7 @@ TEST(ShipRangeTest, ShipRangeCrossesTheArchiveSeam) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<GaeaKernel> kernel,
                        OpenReplicated(dir.path()));
   ASSERT_OK(kernel->ExecuteDdl(kSchema));
-  ASSERT_OK(kernel->DefineProcess(MakeIdentProcess()));
+  ASSERT_OK(kernel->ExecuteDdl(kIdentProcess));
   for (int i = 0; i < 6; ++i) {
     Oid in = InsertSample(kernel.get(), i);
     ASSERT_OK(kernel->Derive("ident", {{"in", {in}}}));
@@ -207,7 +209,7 @@ TEST(ShipRangeTest, TruncateRacingLiveShipperLosesNoRecords) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<GaeaKernel> kernel,
                        OpenReplicated(dir.path()));
   ASSERT_OK(kernel->ExecuteDdl(kSchema));
-  ASSERT_OK(kernel->DefineProcess(MakeIdentProcess()));
+  ASSERT_OK(kernel->ExecuteDdl(kIdentProcess));
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -259,7 +261,7 @@ TEST(ReplicationKernelTest, ReplicaConvergesToByteIdenticalState) {
                        OpenReplicated(replica_dir.path()));
 
   ASSERT_OK(primary->ExecuteDdl(kSchema));
-  ASSERT_OK(primary->DefineProcess(MakeIdentProcess()));
+  ASSERT_OK(primary->ExecuteDdl(kIdentProcess));
   std::vector<Oid> inputs;
   std::vector<Oid> outputs;
   for (int i = 0; i < 5; ++i) {
@@ -338,7 +340,7 @@ TEST(ReplicationKernelTest, WarmCacheMakesRetriedDeriveExactlyOnce) {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<GaeaKernel> kernel,
                          OpenReplicated(dir.path()));
     ASSERT_OK(kernel->ExecuteDdl(kSchema));
-    ASSERT_OK(kernel->DefineProcess(MakeIdentProcess()));
+    ASSERT_OK(kernel->ExecuteDdl(kIdentProcess));
     Oid in = InsertSample(kernel.get(), 7);
     ASSERT_OK_AND_ASSIGN(first_out, kernel->Derive("ident", {{"in", {in}}}));
     tasks_before = kernel->GetStats().tasks;
@@ -368,7 +370,7 @@ TEST(ReplicationKernelTest, BootstrapFromBackupThenCatchUp) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<GaeaKernel> primary,
                        OpenReplicated(primary_dir.path()));
   ASSERT_OK(primary->ExecuteDdl(kSchema));
-  ASSERT_OK(primary->DefineProcess(MakeIdentProcess()));
+  ASSERT_OK(primary->ExecuteDdl(kIdentProcess));
   for (int i = 0; i < 4; ++i) {
     Oid in = InsertSample(primary.get(), i);
     ASSERT_OK(primary->Derive("ident", {{"in", {in}}}));
@@ -443,7 +445,7 @@ TEST(ReplicationServerTest, ClusterServesReadsFromReplicaWithFailoverToPrimary) 
       {{"127.0.0.1", replica.server->port()}}, cluster_options);
 
   ASSERT_OK(cluster.ExecuteDdl(kSchema));
-  ASSERT_OK(cluster.DefineProcess(MakeIdentProcess()));
+  ASSERT_OK(cluster.ExecuteDdl(kIdentProcess));
   net::InsertObjectRequest insert;
   insert.class_name = "sample";
   insert.attrs = {{"v", Value::Int(42)},
@@ -476,8 +478,12 @@ TEST(ReplicationServerTest, ClusterServesReadsFromReplicaWithFailoverToPrimary) 
   Status refused = direct->ExecuteDdl("CLASS nope ( ATTRIBUTES: v = int4; )");
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
 
-  // The primary's status RPC reports the subscribed peer.
-  ASSERT_OK_AND_ASSIGN(net::ReplicaStatusReply status, cluster.PrimaryStatus());
+  // The primary's status RPC reports the shipping peer.
+  ASSERT_OK_AND_ASSIGN(
+      auto on_primary,
+      net::GaeaClient::Connect("127.0.0.1", primary.server->port()));
+  ASSERT_OK_AND_ASSIGN(net::ReplicaStatusReply status,
+                       on_primary->ReplicaStatus());
   EXPECT_EQ(status.role, 0);
   ASSERT_EQ(status.peers.size(), 1u);
   EXPECT_EQ(status.peers[0].replica_id, "r1");
@@ -552,7 +558,7 @@ TEST(ReplicationServerTest, ReplicaConvergesThroughFlakyTransport) {
   // The history exists before the applier starts, so every record must
   // cross the faulty link in small bites.
   ASSERT_OK(primary.kernel->ExecuteDdl(kSchema));
-  ASSERT_OK(primary.kernel->DefineProcess(MakeIdentProcess()));
+  ASSERT_OK(primary.kernel->ExecuteDdl(kIdentProcess));
   for (int i = 0; i < 16; ++i) {
     Oid in = InsertSample(primary.kernel.get(), i);
     ASSERT_OK(primary.kernel->Derive("ident", {{"in", {in}}}));
