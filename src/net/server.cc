@@ -21,6 +21,12 @@ namespace gaea::net {
 
 namespace {
 
+// Whether the idempotency cache remembers this request's reply: only
+// replay rows, and only when the client sent a nonce.
+bool Dedups(const Verb& verb, const RequestHeader& header) {
+  return verb.retry == OnRetry::kReplay && header.idem != 0;
+}
+
 void AppendField(std::string* json, const char* key, uint64_t value,
                  bool first = false) {
   if (!first) *json += ',';

@@ -215,9 +215,6 @@ class GaeaServer {
   // are never recorded — the request never executed, so a retry must be
   // allowed to run.
   using DedupKey = std::pair<uint64_t, uint64_t>;  // (idem, request id)
-  static bool Dedups(const Verb& verb, const RequestHeader& header) {
-    return verb.retry == OnRetry::kReplay && header.idem != 0;
-  }
   // Returns true when the frame was fully answered here (cache hit or
   // pending collision); false means a pending marker was installed and the
   // caller must admit the job (and later DedupFinish or DedupAbort it).

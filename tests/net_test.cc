@@ -955,6 +955,18 @@ ResponseHeader AwaitResponse(int fd) {
   return header.ok() ? *header : ResponseHeader{};
 }
 
+// Sends one request with `body` on a raw connection and waits for the
+// response.
+ResponseHeader RawCall(int fd, const RequestHeader& header,
+                       const BinaryWriter& body) {
+  BinaryWriter w;
+  EncodeRequestHeader(header, &w);
+  w.PutRaw(body.buffer().data(), body.buffer().size());
+  Status sent = SendPayload(fd, w.buffer());
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
+  return AwaitResponse(fd);
+}
+
 // Performs the hello handshake on a raw connection.
 void RawHandshake(int fd) {
   RequestHeader hello;
@@ -1114,12 +1126,7 @@ TEST_F(NetTest, DedupReplayEchoesOriginalTraceAndCountsNothingTwice) {
     header.id = 2;
     header.idem = 0xFEEDFACE;  // same (idem, id) pair both times: a retry
     header.trace_id = trace_id;
-    BinaryWriter w;
-    EncodeRequestHeader(header, &w);
-    w.PutRaw(body.buffer().data(), body.buffer().size());
-    Status sent = SendPayload(fd, w.buffer());
-    EXPECT_TRUE(sent.ok()) << sent.ToString();
-    return AwaitResponse(fd);
+    return RawCall(fd, header, body);
   };
 
   ResponseHeader original = send_derive(/*trace_id=*/101);
@@ -1163,12 +1170,7 @@ TEST_F(NetTest, ReadsDoNotCrowdWritesOutOfTheReplayCache) {
     header.id = id;
     header.idem = kIdem;
     header.trace_id = trace_id;
-    BinaryWriter w;
-    EncodeRequestHeader(header, &w);
-    w.PutRaw(body.buffer().data(), body.buffer().size());
-    Status sent = SendPayload(fd, w.buffer());
-    EXPECT_TRUE(sent.ok()) << sent.ToString();
-    return AwaitResponse(fd);
+    return RawCall(fd, header, body);
   };
   BinaryWriter derive;
   DeriveRequest request;
