@@ -1,60 +1,39 @@
 // gaea_shell: an interactive (or scripted) command shell over a Gaea
 // database — the textual stand-in for the paper's visual environment.
 //
-//   ./gaea_shell <db_dir> [script_file]
+//   ./gaea_shell [--durability none|os|fsync] <db_dir> [script_file]
 //   ./gaea_shell --connect <host:port> [script_file]
 //
-// The second form proxies commands through GaeaClient to a running gaead
-// (docs/NET.md); remote sessions speak the RPC subset: ddl, ddl-file,
-// insert, derive, derive-batch, lineage, stats [--json], ping, quit.
+// The first form opens a GaeaKernel on <db_dir>; the second proxies through
+// GaeaClient to a running gaead (docs/NET.md). One line is one command;
+// '#' starts a comment; `quit` or `exit` ends the session.
 //
-// Commands (one per line; '#' starts a comment):
-//   ddl <<END ... END        multi-line DDL block
-//   ddl-file <path>          execute a DDL script from a file
-//   classes                  list classes
-//   concepts                 list the concept hierarchy
-//   processes                list processes (latest versions)
-//   history <process>        all versions of a process
-//   objects <class>          OIDs of a class
-//   show <oid>               print one object
-//   select <gql...>          run a GQL query (rest of line)
-//   lineage <oid>            derivation chain + base sources
-//   provenance ancestors|descendants|why|where <oid> [--json] [--depth N]
-//   provenance diff <oid> <oid> [--json]
-//                            indexed provenance queries (docs/PROVENANCE.md);
-//                            also available remotely (replica-servable)
-//   dot <oid>                Graphviz derivation diagram
-//   compare <oid> <oid>      compare two derivations
-//   net                      Graphviz of the class-derivation Petri net
-//   can-derive <class>       Petri-net feasibility with current data
-//   tasks                    list recorded tasks
-//   derive-batch <process> arg=oid[,oid...] ... [; <process> ...]
-//                            run derivations on the scheduler (cached)
-//   set-threads <n>          worker threads for derive-batch / compounds
-//   lint [--json]            run every static-analysis pass over the
-//                            current catalog (incrementally cached); --json
-//                            prints the machine-readable diagnostic list
-//   stats [--json]           catalog, derivation-cache and buffer-pool stats
-//                            (--json: machine-readable, for benches and CI)
-//   metrics                  Prometheus text exposition of every instrument
-//   checkpoint               take one fuzzy checkpoint now
-//   checkpoint policy <bytes> <tasks>
-//                            arm the background checkpoint policy (0 0
-//                            disables; local mode only)
-//   profile                  per-process / per-operator cumulative timings
-//   trace on|off             enable / disable span collection
-//   trace <file>             dump collected spans as Chrome trace JSON
-//   quit
+// Every command is one row of kCommands below: its name, its usage line
+// (printed when an argument is missing or malformed), whether it needs the
+// local kernel, and its handler, written once against a Backend. A
+// Backend's operations — ddl, insert, derive, derive-batch, lineage,
+// provenance, stats, metrics, lint, checkpoint, ping — run on the kernel in
+// local mode and over the wire verb of the same name in --connect mode, and
+// print the same text in both. The rows no wire verb backs (classes,
+// concepts, processes, history, objects, show, select, dot, compare, net,
+// can-derive, tasks, profile, trace, set-threads, compare-concept,
+// checkpoint policy) answer "<verb>: local mode only (no wire verb)" in
+// --connect mode. An unknown command lists every row.
 //
-// Remote sessions additionally understand `metrics` (the kMetrics RPC),
-// `lint [--json]` (the kLint RPC, analyzing the *server's* catalog),
-// `checkpoint` (the kCheckpoint RPC, checkpointing the *server's* database)
-// and `insert <class> attr=<value> ...` (the kInsertObject RPC; values are
-// ints, box:x0,y0,x1,y1, time:<t>, or bare text). trace and profile read
-// the *local* process and are local-mode only.
+// Notes on single commands:
+//   ddl <<END ... END and ddl-file <path> share one path. In local mode it
+//     prints the analyzer's warn-on-load findings before the status line
+//     (docs/ANALYSIS.md); the wire Ddl reply carries no findings, so in
+//     --connect mode neither prints any — `lint` serves them in both modes.
+//   stats and stats --json print one JSON document in both modes. gaead's
+//     has a "server" section beside "kernel"; the local one has no server.
+//   insert values are ints, box:x0,y0,x1,y1, time:<t>, or bare text.
+//   provenance queries are documented in docs/PROVENANCE.md.
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -69,11 +48,110 @@
 namespace gaea {
 namespace {
 
+// The operations both modes offer: each calls the kernel in local mode and
+// the wire verb of the same name in --connect mode.
+struct Backend {
+  GaeaKernel* kernel = nullptr;       // local mode
+  net::GaeaClient* client = nullptr;  // --connect mode
+
+  // The wire Ddl reply carries no analyzer findings; `findings` stays
+  // empty in --connect mode.
+  Status ExecuteDdl(const std::string& source,
+                    std::vector<Diagnostic>* findings) {
+    return kernel ? kernel->ExecuteDdl(source, findings)
+                  : client->ExecuteDdl(source);
+  }
+
+  StatusOr<DeriveOutcome> Derive(const DeriveRequest& request) {
+    DeriveOutcome outcome;
+    if (!kernel) {
+      GAEA_ASSIGN_OR_RETURN(
+          outcome.oid, client->Derive(request.process, request.inputs,
+                                      request.version, &outcome.cache_hit));
+      return outcome;
+    }
+    // The Derive verb's own path: a batch of one, its status the answer.
+    GAEA_ASSIGN_OR_RETURN(std::vector<DeriveOutcome> outcomes,
+                          kernel->DeriveBatch({request}));
+    GAEA_RETURN_IF_ERROR(outcomes[0].status);
+    return outcomes[0];
+  }
+
+  StatusOr<std::vector<DeriveOutcome>> DeriveBatch(
+      const std::vector<DeriveRequest>& requests) {
+    return kernel ? kernel->DeriveBatch(requests)
+                  : client->DeriveBatch(requests);
+  }
+
+  StatusOr<Oid> InsertObject(const net::InsertObjectRequest& request) {
+    return kernel ? net::AnswerInsert(kernel, request)
+                  : client->InsertObject(request);
+  }
+
+  StatusOr<net::ProvenanceReply> Provenance(
+      const net::ProvenanceRequest& request) {
+    return kernel ? net::AnswerProvenance(kernel, request)
+                  : client->Provenance(request);
+  }
+
+  // gaead's document has a "server" section; the local one has none.
+  StatusOr<std::string> StatsJson() {
+    if (!kernel) return client->StatsJson();
+    return "{\"kernel\":" + kernel->GetStats().ToJson() + "}";
+  }
+
+  StatusOr<std::string> Metrics() {
+    if (!kernel) return client->Metrics();
+    return kernel->metrics().Render();
+  }
+
+  StatusOr<std::vector<Diagnostic>> Lint() {
+    if (!kernel) return client->Lint();
+    return kernel->LintCatalog();
+  }
+
+  StatusOr<net::CheckpointReply> Checkpoint() {
+    if (!kernel) return client->Checkpoint();
+    GAEA_ASSIGN_OR_RETURN(recovery::CheckpointInfo info, kernel->Checkpoint());
+    return net::CheckpointReply{info.seq, info.duration_us,
+                                info.snapshot_bytes, info.truncated_records};
+  }
+
+  Status Ping() { return kernel ? Status::OK() : client->Ping(); }
+};
+
+// What a handler sees besides its arguments.
+struct Shell {
+  Backend backend;
+  std::istream* in = nullptr;  // the script: `ddl <<END` reads its body
+  std::string line;            // the whole command line (`select`)
+
+  // Only rows marked local_only call this; Execute refuses them remotely.
+  GaeaKernel& kernel() { return *backend.kernel; }
+};
+
+using Words = std::istringstream;
+
+// One shell verb. `run` returns false when an argument is missing or
+// malformed, and Execute then prints the row's usage line.
+struct Command {
+  const char* name;
+  const char* usage;
+  bool local_only;  // no wire verb backs it
+  bool (*run)(Shell& shell, Words& words);  // nullptr ends the session
+};
+
 void PrintStatus(const Status& status) {
   std::printf("%s\n", status.ToString().c_str());
 }
 
-// Shared by the local and remote `lint` commands.
+// Prints the status of a call that failed. The command itself was well
+// formed, so no usage line follows.
+bool Failed(const Status& status) {
+  PrintStatus(status);
+  return true;
+}
+
 void PrintDiagnostics(const std::vector<Diagnostic>& diags, bool json) {
   if (json) {
     std::printf("%s\n", DiagnosticsToJson(diags).c_str());
@@ -87,529 +165,20 @@ void PrintDiagnostics(const std::vector<Diagnostic>& diags, bool json) {
   std::printf("%zu finding(s), %zu error(s)\n", diags.size(), errors);
 }
 
-bool ParseDeriveRequests(std::istringstream& words,
-                         std::vector<DeriveRequest>* requests);
-
-// Parsed form of `provenance <subcommand> <oid> [<oid2>] [--json]
-// [--depth N]`, shared by the local and remote shells.
-struct ProvenanceArgs {
-  net::ProvenanceRequest request;
-  bool json = false;
-};
-
-bool ParseProvenanceArgs(std::istringstream& words, ProvenanceArgs* out) {
-  net::ProvenanceRequest& request = out->request;
-  std::string sub;
-  words >> sub;
-  sub = StrToLower(sub);
-  using net::ProvenanceKind;
-  if (sub == "ancestors") request.kind = ProvenanceKind::kAncestors;
-  else if (sub == "descendants") request.kind = ProvenanceKind::kDescendants;
-  else if (sub == "why") request.kind = ProvenanceKind::kWhy;
-  else if (sub == "where") request.kind = ProvenanceKind::kWhere;
-  else if (sub == "diff") request.kind = ProvenanceKind::kDiff;
-  else return false;
-  if (!(words >> request.oid)) return false;
-  if (request.kind == ProvenanceKind::kDiff && !(words >> request.oid_b)) {
-    return false;
-  }
-  std::string flag;
-  while (words >> flag) {
-    if (flag == "--json") {
-      out->json = true;
-    } else if (flag == "--depth") {
-      if (!(words >> request.max_depth)) return false;
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Shared by the local and remote `provenance` and `lineage` commands.
-void PrintProvenance(const StatusOr<net::ProvenanceReply>& reply, bool json) {
-  if (!reply.ok()) {
-    PrintStatus(reply.status());
-  } else if (json) {
-    std::printf("%s\n", reply->json.c_str());
+void PrintOutcome(const std::string& process, const DeriveOutcome& outcome) {
+  if (outcome.status.ok()) {
+    std::printf("%s -> #%llu%s\n", process.c_str(),
+                static_cast<unsigned long long>(outcome.oid),
+                outcome.cache_hit ? " (cached)" : "");
   } else {
-    std::printf("%s", reply->text.c_str());
+    std::printf("%s -> %s\n", process.c_str(),
+                outcome.status.ToString().c_str());
   }
 }
 
-// The request behind `lineage <oid>`: the process chain and base sources.
-net::ProvenanceRequest ChainRequest(std::istringstream& words) {
-  net::ProvenanceRequest request;
-  request.kind = net::ProvenanceKind::kChain;
-  words >> request.oid;
-  return request;
-}
-
-void PrintProvenanceUsage() {
-  std::printf(
-      "usage: provenance ancestors|descendants|why|where <oid> [--json] "
-      "[--depth N]\n       provenance diff <oid> <oid> [--json]\n");
-}
-
-class Shell {
- public:
-  explicit Shell(GaeaKernel* kernel) : kernel_(kernel) {}
-
-  // Returns false when the shell should exit.
-  bool Execute(const std::string& raw, std::istream& in) {
-    std::string_view line = StrTrim(raw);
-    if (line.empty() || line[0] == '#') return true;
-    std::istringstream words{std::string(line)};
-    std::string cmd;
-    words >> cmd;
-    cmd = StrToLower(cmd);
-
-    if (cmd == "quit" || cmd == "exit") return false;
-    if (cmd == "ddl") return DdlBlock(words, in);
-    if (cmd == "ddl-file") return DdlFile(words);
-    if (cmd == "classes") return Classes();
-    if (cmd == "concepts") return Concepts();
-    if (cmd == "processes") return Processes();
-    if (cmd == "history") return History(words);
-    if (cmd == "objects") return Objects(words);
-    if (cmd == "show") return Show(words);
-    if (cmd == "select") return Select(std::string(line));
-    if (cmd == "lineage") return Lineage(words);
-    if (cmd == "provenance") return Provenance(words);
-    if (cmd == "dot") return Dot(words);
-    if (cmd == "compare") return Compare(words);
-    if (cmd == "net") return Net();
-    if (cmd == "can-derive") return CanDerive(words);
-    if (cmd == "tasks") return Tasks();
-    if (cmd == "lint") return Lint(words);
-    if (cmd == "stats") return Stats(words);
-    if (cmd == "metrics") return Metrics();
-    if (cmd == "checkpoint") return Checkpoint(words);
-    if (cmd == "profile") return Profile();
-    if (cmd == "trace") return Trace(words);
-    if (cmd == "derive-batch") return DeriveBatch(words);
-    if (cmd == "set-threads") return SetThreads(words);
-    if (cmd == "compare-concept") return CompareConcept(words);
-    std::printf("unknown command: %s (try: classes, concepts, processes, "
-                "select, lineage, tasks, quit)\n",
-                cmd.c_str());
-    return true;
-  }
-
- private:
-  bool DdlBlock(std::istringstream& words, std::istream& in) {
-    std::string marker;
-    words >> marker;
-    if (marker.rfind("<<", 0) != 0) {
-      std::printf("usage: ddl <<END ... END\n");
-      return true;
-    }
-    std::string terminator = marker.substr(2);
-    std::string source, line;
-    while (std::getline(in, line) && StrTrim(line) != terminator) {
-      source += line;
-      source += '\n';
-    }
-    PrintStatus(kernel_->ExecuteDdl(source));
-    return true;
-  }
-
-  bool DdlFile(std::istringstream& words) {
-    std::string path;
-    words >> path;
-    std::ifstream in(path);
-    if (!in) {
-      std::printf("cannot open %s\n", path.c_str());
-      return true;
-    }
-    std::string source((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-    // Warn-on-load: the analyzer's findings are printed but never fail an
-    // otherwise valid script (see docs/ANALYSIS.md).
-    std::vector<Diagnostic> diags;
-    Status status = kernel_->ExecuteDdl(source, &diags);
-    for (const Diagnostic& d : diags) {
-      std::printf("%s\n", d.ToString().c_str());
-    }
-    PrintStatus(status);
-    return true;
-  }
-
-  bool Classes() {
-    for (const ClassDef* def : kernel_->catalog().classes().List()) {
-      std::printf("%s\n", def->ToDdl().c_str());
-    }
-    return true;
-  }
-
-  bool Concepts() {
-    const ConceptRegistry& concepts = kernel_->catalog().concepts();
-    for (const ConceptDef* def : concepts.List()) {
-      std::printf("CONCEPT %s", def->name.c_str());
-      for (ConceptId parent : concepts.Parents(def->id)) {
-        std::printf(" ISA %s",
-                    concepts.LookupById(parent).value()->name.c_str());
-      }
-      if (!def->member_classes.empty()) {
-        std::printf("  members:");
-        for (ClassId cid : def->member_classes) {
-          auto cls = kernel_->catalog().classes().LookupById(cid);
-          std::printf(" %s", cls.ok() ? (*cls)->name().c_str() : "?");
-        }
-      }
-      std::printf("\n");
-    }
-    return true;
-  }
-
-  bool Processes() {
-    for (const ProcessDef* def : kernel_->processes().ListLatest()) {
-      std::printf("%s\n\n", def->ToDdl().c_str());
-    }
-    return true;
-  }
-
-  bool History(std::istringstream& words) {
-    std::string name;
-    words >> name;
-    auto history = kernel_->processes().History(name);
-    if (!history.ok()) {
-      PrintStatus(history.status());
-      return true;
-    }
-    for (const ProcessDef* def : *history) {
-      std::printf("version %d: %zu args, %zu assertions, %zu mappings\n",
-                  def->version(), def->args().size(), def->assertions().size(),
-                  def->mappings().size());
-    }
-    return true;
-  }
-
-  bool Objects(std::istringstream& words) {
-    std::string name;
-    if (!(words >> name)) {
-      std::printf("usage: objects <class>\n");
-      return true;
-    }
-    auto cls = kernel_->catalog().classes().LookupByName(name);
-    if (!cls.ok()) {
-      PrintStatus(cls.status());
-      return true;
-    }
-    auto oids = kernel_->catalog().ObjectsOfClass((*cls)->id());
-    if (!oids.ok()) {
-      PrintStatus(oids.status());
-      return true;
-    }
-    for (Oid oid : *oids) {
-      std::printf("#%llu ", static_cast<unsigned long long>(oid));
-    }
-    std::printf("(%zu objects)\n", oids->size());
-    return true;
-  }
-
-  bool Show(std::istringstream& words) {
-    Oid oid = 0;
-    words >> oid;
-    auto obj = kernel_->Get(oid);
-    if (!obj.ok()) {
-      PrintStatus(obj.status());
-      return true;
-    }
-    auto cls = kernel_->catalog().classes().LookupById(obj->class_id());
-    if (!cls.ok()) {
-      PrintStatus(cls.status());
-      return true;
-    }
-    std::printf("%s\n", obj->ToString(**cls).c_str());
-    return true;
-  }
-
-  bool Select(const std::string& full_line) {
-    auto result = kernel_->QueryText(full_line);
-    if (!result.ok()) {
-      PrintStatus(result.status());
-      return true;
-    }
-    for (const ClassAnswer& answer : result->answers) {
-      if (answer.oids.empty()) {
-        std::printf("%s: no data\n", answer.class_name.c_str());
-        for (const std::string& attempt : answer.attempts) {
-          std::printf("    %s\n", attempt.c_str());
-        }
-        continue;
-      }
-      std::printf("%s via %s:", answer.class_name.c_str(),
-                  QueryStepName(answer.method));
-      for (Oid oid : answer.oids) {
-        std::printf(" #%llu", static_cast<unsigned long long>(oid));
-      }
-      std::printf("\n");
-    }
-    if (result->answers.empty()) std::printf("(no data)\n");
-    return true;
-  }
-
-  bool Lineage(std::istringstream& words) {
-    PrintProvenance(net::AnswerProvenance(kernel_, ChainRequest(words)),
-                    /*json=*/false);
-    return true;
-  }
-
-  bool Provenance(std::istringstream& words) {
-    ProvenanceArgs args;
-    if (!ParseProvenanceArgs(words, &args)) {
-      PrintProvenanceUsage();
-      return true;
-    }
-    PrintProvenance(net::AnswerProvenance(kernel_, args.request), args.json);
-    return true;
-  }
-
-  bool Dot(std::istringstream& words) {
-    Oid oid = 0;
-    words >> oid;
-    auto dot = kernel_->ProvenanceDot(oid);
-    if (!dot.ok()) {
-      PrintStatus(dot.status());
-      return true;
-    }
-    std::printf("%s", dot->c_str());
-    return true;
-  }
-
-  bool Compare(std::istringstream& words) {
-    Oid a = 0, b = 0;
-    words >> a >> b;
-    auto chain_a = kernel_->ProvenanceChain(a);
-    auto chain_b = kernel_->ProvenanceChain(b);
-    if (!chain_a.ok() || !chain_b.ok()) {
-      PrintStatus(!chain_a.ok() ? chain_a.status() : chain_b.status());
-      return true;
-    }
-    provenance::DerivationComparison cmp =
-        provenance::Compare(*chain_a, *chain_b);
-    std::printf("same procedure: %s\n%s\n",
-                cmp.same_procedure ? "yes" : "no", cmp.explanation.c_str());
-    return true;
-  }
-
-  bool Net() {
-    auto net = kernel_->BuildDerivationNet();
-    if (!net.ok()) {
-      PrintStatus(net.status());
-      return true;
-    }
-    std::printf("%s", net->ToDot(kernel_->catalog().classes()).c_str());
-    return true;
-  }
-
-  bool CanDerive(std::istringstream& words) {
-    std::string name;
-    words >> name;
-    auto can = kernel_->CanDerive(name);
-    if (!can.ok()) {
-      PrintStatus(can.status());
-      return true;
-    }
-    std::printf("%s\n", *can ? "yes" : "no");
-    return true;
-  }
-
-  bool Lint(std::istringstream& words) {
-    std::string flag;
-    words >> flag;
-    PrintDiagnostics(kernel_->LintCatalog(), flag == "--json");
-    return true;
-  }
-
-  bool Stats(std::istringstream& words) {
-    std::string flag;
-    words >> flag;
-    if (flag == "--json") {
-      // One JSON object per line, shaped like the gaead stats RPC minus the
-      // "server" section — benches and CI assert on it without screen-
-      // scraping the human format below.
-      std::printf("{\"kernel\":%s}\n", kernel_->GetStats().ToJson().c_str());
-      return true;
-    }
-    GaeaKernel::Stats stats = kernel_->GetStats();
-    std::printf("classes %zu  concepts %zu  processes %zu (%zu versions)  "
-                "objects %zu  tasks %zu  experiments %zu\n",
-                stats.classes, stats.concepts, stats.processes,
-                stats.process_versions, stats.objects, stats.tasks,
-                stats.experiments);
-    const DerivationCache::Stats& dc = stats.derivation_cache;
-    std::printf("derivation cache: %zu/%zu entries  hits %llu  misses %llu  "
-                "evictions %llu  invalidations %llu\n",
-                dc.entries, dc.capacity,
-                static_cast<unsigned long long>(dc.hits),
-                static_cast<unsigned long long>(dc.misses),
-                static_cast<unsigned long long>(dc.evictions),
-                static_cast<unsigned long long>(dc.invalidations));
-    PrintPool("heap pool", stats.heap_pool);
-    PrintPool("index pool", stats.index_pool);
-    return true;
-  }
-
-  bool Metrics() {
-    std::printf("%s", kernel_->metrics().Render().c_str());
-    return true;
-  }
-
-  bool Checkpoint(std::istringstream& words) {
-    std::string sub;
-    words >> sub;
-    if (sub == "policy") {
-      uint64_t bytes = 0, tasks = 0;
-      if (!(words >> bytes >> tasks)) {
-        std::printf("usage: checkpoint policy <journal_bytes> <tasks>\n");
-        return true;
-      }
-      kernel_->SetCheckpointPolicy({bytes, tasks});
-      std::printf("checkpoint policy: journal_bytes=%llu tasks=%llu\n",
-                  static_cast<unsigned long long>(bytes),
-                  static_cast<unsigned long long>(tasks));
-      return true;
-    }
-    if (!sub.empty()) {
-      std::printf("usage: checkpoint | checkpoint policy <bytes> <tasks>\n");
-      return true;
-    }
-    auto info = kernel_->Checkpoint();
-    if (!info.ok()) {
-      PrintStatus(info.status());
-      return true;
-    }
-    std::printf("checkpoint %llu: %llu bytes in %llu us, %llu journal "
-                "records archived\n",
-                static_cast<unsigned long long>(info->seq),
-                static_cast<unsigned long long>(info->snapshot_bytes),
-                static_cast<unsigned long long>(info->duration_us),
-                static_cast<unsigned long long>(info->truncated_records));
-    return true;
-  }
-
-  bool Profile() {
-    std::printf("%s", kernel_->profiler().Table().c_str());
-    return true;
-  }
-
-  bool Trace(std::istringstream& words) {
-    std::string arg;
-    words >> arg;
-    if (arg.empty()) {
-      std::printf("usage: trace on|off | trace <file>\n");
-      return true;
-    }
-    obs::Tracer& tracer = obs::Tracer::Global();
-    if (arg == "on") {
-      tracer.Enable(true);
-      std::printf("tracing on\n");
-      return true;
-    }
-    if (arg == "off") {
-      tracer.Enable(false);
-      std::printf("tracing off\n");
-      return true;
-    }
-    std::ofstream out(arg);
-    if (!out) {
-      std::printf("cannot open %s\n", arg.c_str());
-      return true;
-    }
-    out << tracer.DumpChromeJson();
-    std::printf("wrote %zu spans to %s (open in chrome://tracing)\n",
-                tracer.spans().size(), arg.c_str());
-    return true;
-  }
-
-  void PrintPool(const char* name, const GaeaKernel::PoolStats& pool) {
-    std::printf("%s: hits %llu  misses %llu  evictions %llu  shards",
-                name, static_cast<unsigned long long>(pool.hits),
-                static_cast<unsigned long long>(pool.misses),
-                static_cast<unsigned long long>(pool.evictions));
-    for (const BufferPool::ShardStats& shard : pool.per_shard) {
-      std::printf(" [h%llu m%llu r%zu p%zu]",
-                  static_cast<unsigned long long>(shard.hits),
-                  static_cast<unsigned long long>(shard.misses),
-                  shard.resident, shard.pinned);
-    }
-    std::printf("\n");
-  }
-
-  bool SetThreads(std::istringstream& words) {
-    int threads = 0;
-    if (!(words >> threads) || threads < 1) {
-      std::printf("usage: set-threads <n>\n");
-      return true;
-    }
-    kernel_->SetDeriveThreads(threads);
-    std::printf("derive threads = %d\n", kernel_->derive_threads());
-    return true;
-  }
-
-  bool DeriveBatch(std::istringstream& words) {
-    std::vector<DeriveRequest> requests;
-    if (!ParseDeriveRequests(words, &requests)) {
-      std::printf(
-          "usage: derive-batch <process> arg=oid[,oid...] ... [; <process> "
-          "...]\n");
-      return true;
-    }
-    auto outcomes = kernel_->DeriveBatch(requests);
-    if (!outcomes.ok()) {
-      PrintStatus(outcomes.status());
-      return true;
-    }
-    for (size_t i = 0; i < outcomes->size(); ++i) {
-      const DeriveOutcome& outcome = (*outcomes)[i];
-      if (outcome.status.ok()) {
-        std::printf("%s -> #%llu%s\n", requests[i].process.c_str(),
-                    static_cast<unsigned long long>(outcome.oid),
-                    outcome.cache_hit ? " (cached)" : "");
-      } else {
-        std::printf("%s -> %s\n", requests[i].process.c_str(),
-                    outcome.status.ToString().c_str());
-      }
-    }
-    return true;
-  }
-
-  bool CompareConcept(std::istringstream& words) {
-    std::string name;
-    words >> name;
-    auto comparisons = kernel_->CompareConceptInstances(name);
-    if (!comparisons.ok()) {
-      PrintStatus(comparisons.status());
-      return true;
-    }
-    for (const GaeaKernel::InstanceComparison& cmp : *comparisons) {
-      std::printf("#%llu (%s) vs #%llu (%s): %s — %s\n",
-                  static_cast<unsigned long long>(cmp.a), cmp.class_a.c_str(),
-                  static_cast<unsigned long long>(cmp.b), cmp.class_b.c_str(),
-                  cmp.same_procedure ? "same procedure" : "different",
-                  cmp.explanation.c_str());
-    }
-    if (comparisons->empty()) std::printf("(fewer than two instances)\n");
-    return true;
-  }
-
-  bool Tasks() {
-    for (const Task& task : kernel_->tasks().tasks()) {
-      std::printf("%s\n", task.ToString().c_str());
-    }
-    std::printf("(%zu tasks)\n", kernel_->tasks().size());
-    return true;
-  }
-
-  GaeaKernel* kernel_;
-};
-
-// Parses "proc a=1,2 b=3 [; proc2 ...]" into DeriveRequests (shared by the
-// local and remote derive commands). Returns false on malformed input.
-bool ParseDeriveRequests(std::istringstream& words,
-                         std::vector<DeriveRequest>* requests) {
+// Parses "proc a=1,2 b=3 [; proc2 ...]" into DeriveRequests. Returns false
+// on malformed input.
+bool ParseDeriveRequests(Words& words, std::vector<DeriveRequest>* requests) {
   std::string token;
   while (words >> token) {
     if (token == ";") continue;  // next token names the next process
@@ -629,9 +198,9 @@ bool ParseDeriveRequests(std::istringstream& words,
   return !requests->empty();
 }
 
-// Parses one attribute literal for the remote insert command:
-// "box:x0,y0,x1,y1" and "time:<t>" are tagged forms, a run of digits (with
-// optional sign) is an int, anything else is text.
+// Parses one `insert` attribute literal: "box:x0,y0,x1,y1" and "time:<t>"
+// are tagged forms, a run of digits (with optional sign) is an int,
+// anything else is text.
 StatusOr<Value> ParseAttrValue(const std::string& text) {
   if (text.rfind("box:", 0) == 0) {
     double c[4];
@@ -650,232 +219,480 @@ StatusOr<Value> ParseAttrValue(const std::string& text) {
   return Value::String(text);
 }
 
-// The remote mode: the same line-oriented surface, proxied through
-// GaeaClient to a gaead. Only the RPC subset is available; everything else
-// names the commands that are.
-class RemoteShell {
- public:
-  explicit RemoteShell(net::GaeaClient* client) : client_(client) {}
+// ---- commands every mode serves ----
 
-  bool Execute(const std::string& raw, std::istream& in) {
-    std::string_view line = StrTrim(raw);
-    if (line.empty() || line[0] == '#') return true;
-    std::istringstream words{std::string(line)};
-    std::string cmd;
-    words >> cmd;
-    cmd = StrToLower(cmd);
+// The one "run this DDL source" path behind `ddl` and `ddl-file`:
+// warn-on-load findings (local mode only), then the status.
+bool RunDdl(Shell& sh, const std::string& source) {
+  std::vector<Diagnostic> findings;
+  Status status = sh.backend.ExecuteDdl(source, &findings);
+  for (const Diagnostic& d : findings) {
+    std::printf("%s\n", d.ToString().c_str());
+  }
+  PrintStatus(status);
+  return true;
+}
 
-    if (cmd == "quit" || cmd == "exit") return false;
-    if (cmd == "ping") {
-      PrintStatus(client_->Ping());
-      return true;
-    }
-    if (cmd == "ddl") return DdlBlock(words, in);
-    if (cmd == "ddl-file") return DdlFile(words);
-    if (cmd == "insert") return Insert(words);
-    if (cmd == "derive") return Derive(words);
-    if (cmd == "derive-batch") return DeriveBatch(words);
-    if (cmd == "lineage") return Lineage(words);
-    if (cmd == "provenance") return Provenance(words);
-    if (cmd == "stats") return Stats();
-    if (cmd == "metrics") return Metrics();
-    if (cmd == "lint") return Lint(words);
-    if (cmd == "checkpoint") return Checkpoint();
-    std::printf("unknown remote command: %s (remote commands: ddl, ddl-file, "
-                "insert, derive, derive-batch, lineage, provenance, "
-                "stats [--json], metrics, lint [--json], checkpoint, ping, "
-                "quit)\n",
-                cmd.c_str());
+bool Ddl(Shell& sh, Words& words) {
+  std::string marker;
+  if (!(words >> marker) || marker.rfind("<<", 0) != 0) return false;
+  std::string terminator = marker.substr(2);
+  std::string source, line;
+  while (std::getline(*sh.in, line) && StrTrim(line) != terminator) {
+    source += line;
+    source += '\n';
+  }
+  return RunDdl(sh, source);
+}
+
+bool DdlFile(Shell& sh, Words& words) {
+  std::string path;
+  if (!(words >> path)) return false;
+  std::ifstream in(path);
+  if (!in) {
+    std::printf("cannot open %s\n", path.c_str());
     return true;
   }
+  return RunDdl(sh, std::string(std::istreambuf_iterator<char>(in), {}));
+}
 
- private:
-  bool DdlBlock(std::istringstream& words, std::istream& in) {
-    std::string marker;
-    words >> marker;
-    if (marker.rfind("<<", 0) != 0) {
-      std::printf("usage: ddl <<END ... END\n");
-      return true;
-    }
-    std::string terminator = marker.substr(2);
-    std::string source, line;
-    while (std::getline(in, line) && StrTrim(line) != terminator) {
-      source += line;
-      source += '\n';
-    }
-    PrintStatus(client_->ExecuteDdl(source));
-    return true;
+bool Insert(Shell& sh, Words& words) {
+  net::InsertObjectRequest request;
+  if (!(words >> request.class_name)) return false;
+  std::string pair;
+  while (words >> pair) {
+    size_t eq = pair.find('=');
+    if (eq == std::string::npos) return false;
+    auto value = ParseAttrValue(pair.substr(eq + 1));
+    if (!value.ok()) return Failed(value.status());
+    request.attrs.emplace_back(pair.substr(0, eq), *std::move(value));
   }
+  if (request.attrs.empty()) return false;
+  auto oid = sh.backend.InsertObject(request);
+  if (!oid.ok()) return Failed(oid.status());
+  std::printf("%s -> #%llu\n", request.class_name.c_str(),
+              static_cast<unsigned long long>(*oid));
+  return true;
+}
 
-  bool DdlFile(std::istringstream& words) {
-    std::string path;
-    words >> path;
-    std::ifstream in(path);
-    if (!in) {
-      std::printf("cannot open %s\n", path.c_str());
-      return true;
-    }
-    std::string source((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-    PrintStatus(client_->ExecuteDdl(source));
-    return true;
+bool Derive(Shell& sh, Words& words) {
+  std::vector<DeriveRequest> requests;
+  if (!ParseDeriveRequests(words, &requests) || requests.size() != 1) {
+    return false;
   }
+  auto outcome = sh.backend.Derive(requests[0]);
+  if (!outcome.ok()) return Failed(outcome.status());
+  PrintOutcome(requests[0].process, *outcome);
+  return true;
+}
 
-  bool Insert(std::istringstream& words) {
-    net::InsertObjectRequest request;
-    words >> request.class_name;
-    bool parsed = !request.class_name.empty();
-    std::string pair;
-    while (parsed && words >> pair) {
-      size_t eq = pair.find('=');
-      if (eq == std::string::npos) {
-        parsed = false;
-        break;
+bool DeriveBatch(Shell& sh, Words& words) {
+  std::vector<DeriveRequest> requests;
+  if (!ParseDeriveRequests(words, &requests)) return false;
+  auto outcomes = sh.backend.DeriveBatch(requests);
+  if (!outcomes.ok()) return Failed(outcomes.status());
+  for (size_t i = 0; i < outcomes->size(); ++i) {
+    PrintOutcome(requests[i].process, (*outcomes)[i]);
+  }
+  return true;
+}
+
+bool PrintProvenance(Shell& sh, const net::ProvenanceRequest& request,
+                     bool json) {
+  auto reply = sh.backend.Provenance(request);
+  if (!reply.ok()) return Failed(reply.status());
+  if (json) {
+    std::printf("%s\n", reply->json.c_str());
+  } else {
+    std::printf("%s", reply->text.c_str());
+  }
+  return true;
+}
+
+// The process chain and base sources of one object.
+bool Lineage(Shell& sh, Words& words) {
+  net::ProvenanceRequest request;
+  request.kind = net::ProvenanceKind::kChain;
+  if (!(words >> request.oid)) return false;
+  return PrintProvenance(sh, request, /*json=*/false);
+}
+
+bool Provenance(Shell& sh, Words& words) {
+  net::ProvenanceRequest request;
+  std::string sub;
+  words >> sub;
+  sub = StrToLower(sub);
+  using net::ProvenanceKind;
+  if (sub == "ancestors") request.kind = ProvenanceKind::kAncestors;
+  else if (sub == "descendants") request.kind = ProvenanceKind::kDescendants;
+  else if (sub == "why") request.kind = ProvenanceKind::kWhy;
+  else if (sub == "where") request.kind = ProvenanceKind::kWhere;
+  else if (sub == "diff") request.kind = ProvenanceKind::kDiff;
+  else return false;
+  if (!(words >> request.oid)) return false;
+  if (request.kind == ProvenanceKind::kDiff && !(words >> request.oid_b)) {
+    return false;
+  }
+  bool json = false;
+  std::string flag;
+  while (words >> flag) {
+    if (flag == "--json") {
+      json = true;
+    } else if (flag != "--depth" || !(words >> request.max_depth)) {
+      return false;
+    }
+  }
+  return PrintProvenance(sh, request, json);
+}
+
+// `stats` and `stats --json` are one document: every field the kernel
+// counts is in it.
+bool Stats(Shell& sh, Words&) {
+  auto json = sh.backend.StatsJson();
+  if (!json.ok()) return Failed(json.status());
+  std::printf("%s\n", json->c_str());
+  return true;
+}
+
+bool Metrics(Shell& sh, Words&) {
+  auto text = sh.backend.Metrics();
+  if (!text.ok()) return Failed(text.status());
+  std::printf("%s", text->c_str());
+  return true;
+}
+
+bool Lint(Shell& sh, Words& words) {
+  std::string flag;
+  words >> flag;
+  auto diags = sh.backend.Lint();
+  if (!diags.ok()) return Failed(diags.status());
+  PrintDiagnostics(*diags, flag == "--json");
+  return true;
+}
+
+bool Checkpoint(Shell& sh, Words& words) {
+  std::string extra;
+  if (words >> extra) return false;
+  auto reply = sh.backend.Checkpoint();
+  if (!reply.ok()) return Failed(reply.status());
+  std::printf("checkpoint %llu: %llu bytes in %llu us, %llu journal "
+              "records archived\n",
+              static_cast<unsigned long long>(reply->seq),
+              static_cast<unsigned long long>(reply->snapshot_bytes),
+              static_cast<unsigned long long>(reply->duration_us),
+              static_cast<unsigned long long>(reply->truncated_records));
+  return true;
+}
+
+bool Ping(Shell& sh, Words&) {
+  PrintStatus(sh.backend.Ping());
+  return true;
+}
+
+// ---- commands that need the local kernel ----
+
+bool Classes(Shell& sh, Words&) {
+  for (const ClassDef* def : sh.kernel().catalog().classes().List()) {
+    std::printf("%s\n", def->ToDdl().c_str());
+  }
+  return true;
+}
+
+bool Concepts(Shell& sh, Words&) {
+  const Catalog& catalog = sh.kernel().catalog();
+  const ConceptRegistry& concepts = catalog.concepts();
+  for (const ConceptDef* def : concepts.List()) {
+    std::printf("CONCEPT %s", def->name.c_str());
+    for (ConceptId parent : concepts.Parents(def->id)) {
+      std::printf(" ISA %s",
+                  concepts.LookupById(parent).value()->name.c_str());
+    }
+    if (!def->member_classes.empty()) {
+      std::printf("  members:");
+      for (ClassId cid : def->member_classes) {
+        auto cls = catalog.classes().LookupById(cid);
+        std::printf(" %s", cls.ok() ? (*cls)->name().c_str() : "?");
       }
-      auto value = ParseAttrValue(pair.substr(eq + 1));
-      if (!value.ok()) {
-        PrintStatus(value.status());
-        return true;
+    }
+    std::printf("\n");
+  }
+  return true;
+}
+
+bool Processes(Shell& sh, Words&) {
+  for (const ProcessDef* def : sh.kernel().processes().ListLatest()) {
+    std::printf("%s\n\n", def->ToDdl().c_str());
+  }
+  return true;
+}
+
+bool History(Shell& sh, Words& words) {
+  std::string name;
+  if (!(words >> name)) return false;
+  auto history = sh.kernel().processes().History(name);
+  if (!history.ok()) return Failed(history.status());
+  for (const ProcessDef* def : *history) {
+    std::printf("version %d: %zu args, %zu assertions, %zu mappings\n",
+                def->version(), def->args().size(), def->assertions().size(),
+                def->mappings().size());
+  }
+  return true;
+}
+
+bool Objects(Shell& sh, Words& words) {
+  std::string name;
+  if (!(words >> name)) return false;
+  const Catalog& catalog = sh.kernel().catalog();
+  auto cls = catalog.classes().LookupByName(name);
+  if (!cls.ok()) return Failed(cls.status());
+  auto oids = catalog.ObjectsOfClass((*cls)->id());
+  if (!oids.ok()) return Failed(oids.status());
+  for (Oid oid : *oids) {
+    std::printf("#%llu ", static_cast<unsigned long long>(oid));
+  }
+  std::printf("(%zu objects)\n", oids->size());
+  return true;
+}
+
+bool Show(Shell& sh, Words& words) {
+  Oid oid = 0;
+  if (!(words >> oid)) return false;
+  auto obj = sh.kernel().Get(oid);
+  if (!obj.ok()) return Failed(obj.status());
+  auto cls = sh.kernel().catalog().classes().LookupById(obj->class_id());
+  if (!cls.ok()) return Failed(cls.status());
+  std::printf("%s\n", obj->ToString(**cls).c_str());
+  return true;
+}
+
+bool Select(Shell& sh, Words& words) {
+  std::string first;
+  if (!(words >> first)) return false;
+  auto result = sh.kernel().QueryText(sh.line);
+  if (!result.ok()) return Failed(result.status());
+  for (const ClassAnswer& answer : result->answers) {
+    if (answer.oids.empty()) {
+      std::printf("%s: no data\n", answer.class_name.c_str());
+      for (const std::string& attempt : answer.attempts) {
+        std::printf("    %s\n", attempt.c_str());
       }
-      request.attrs.emplace_back(pair.substr(0, eq), *std::move(value));
+      continue;
     }
-    if (!parsed || request.attrs.empty()) {
-      std::printf(
-          "usage: insert <class> attr=<int|box:x0,y0,x1,y1|time:t|text> "
-          "...\n");
-      return true;
+    std::printf("%s via %s:", answer.class_name.c_str(),
+                QueryStepName(answer.method));
+    for (Oid oid : answer.oids) {
+      std::printf(" #%llu", static_cast<unsigned long long>(oid));
     }
-    auto oid = client_->InsertObject(request);
-    if (!oid.ok()) {
-      PrintStatus(oid.status());
-      return true;
-    }
-    std::printf("%s -> #%llu\n", request.class_name.c_str(),
-                static_cast<unsigned long long>(*oid));
+    std::printf("\n");
+  }
+  if (result->answers.empty()) std::printf("(no data)\n");
+  return true;
+}
+
+bool Dot(Shell& sh, Words& words) {
+  Oid oid = 0;
+  if (!(words >> oid)) return false;
+  auto dot = sh.kernel().ProvenanceDot(oid);
+  if (!dot.ok()) return Failed(dot.status());
+  std::printf("%s", dot->c_str());
+  return true;
+}
+
+bool Compare(Shell& sh, Words& words) {
+  Oid a = 0, b = 0;
+  if (!(words >> a >> b)) return false;
+  auto chain_a = sh.kernel().ProvenanceChain(a);
+  if (!chain_a.ok()) return Failed(chain_a.status());
+  auto chain_b = sh.kernel().ProvenanceChain(b);
+  if (!chain_b.ok()) return Failed(chain_b.status());
+  provenance::DerivationComparison cmp =
+      provenance::Compare(*chain_a, *chain_b);
+  std::printf("same procedure: %s\n%s\n", cmp.same_procedure ? "yes" : "no",
+              cmp.explanation.c_str());
+  return true;
+}
+
+bool Net(Shell& sh, Words&) {
+  auto net = sh.kernel().BuildDerivationNet();
+  if (!net.ok()) return Failed(net.status());
+  std::printf("%s", net->ToDot(sh.kernel().catalog().classes()).c_str());
+  return true;
+}
+
+bool CanDerive(Shell& sh, Words& words) {
+  std::string name;
+  if (!(words >> name)) return false;
+  auto can = sh.kernel().CanDerive(name);
+  if (!can.ok()) return Failed(can.status());
+  std::printf("%s\n", *can ? "yes" : "no");
+  return true;
+}
+
+bool Tasks(Shell& sh, Words&) {
+  for (const Task& task : sh.kernel().tasks().tasks()) {
+    std::printf("%s\n", task.ToString().c_str());
+  }
+  std::printf("(%zu tasks)\n", sh.kernel().tasks().size());
+  return true;
+}
+
+bool Profile(Shell& sh, Words&) {
+  std::printf("%s", sh.kernel().profiler().Table().c_str());
+  return true;
+}
+
+bool Trace(Shell&, Words& words) {
+  std::string arg;
+  if (!(words >> arg)) return false;
+  obs::Tracer& tracer = obs::Tracer::Global();
+  if (arg == "on" || arg == "off") {
+    tracer.Enable(arg == "on");
+    std::printf("tracing %s\n", arg.c_str());
     return true;
   }
-
-  bool Derive(std::istringstream& words) {
-    std::vector<DeriveRequest> requests;
-    if (!ParseDeriveRequests(words, &requests) || requests.size() != 1) {
-      std::printf("usage: derive <process> arg=oid[,oid...] ...\n");
-      return true;
-    }
-    bool cache_hit = false;
-    auto oid = client_->Derive(requests[0].process, requests[0].inputs,
-                               requests[0].version, &cache_hit);
-    if (!oid.ok()) {
-      PrintStatus(oid.status());
-      return true;
-    }
-    std::printf("%s -> #%llu%s\n", requests[0].process.c_str(),
-                static_cast<unsigned long long>(*oid),
-                cache_hit ? " (cached)" : "");
+  std::ofstream out(arg);
+  if (!out) {
+    std::printf("cannot open %s\n", arg.c_str());
     return true;
   }
+  out << tracer.DumpChromeJson();
+  std::printf("wrote %zu spans to %s (open in chrome://tracing)\n",
+              tracer.spans().size(), arg.c_str());
+  return true;
+}
 
-  bool DeriveBatch(std::istringstream& words) {
-    std::vector<DeriveRequest> requests;
-    if (!ParseDeriveRequests(words, &requests)) {
-      std::printf(
-          "usage: derive-batch <process> arg=oid[,oid...] ... [; <process> "
-          "...]\n");
-      return true;
-    }
-    auto outcomes = client_->DeriveBatch(requests);
-    if (!outcomes.ok()) {
-      PrintStatus(outcomes.status());
-      return true;
-    }
-    for (size_t i = 0; i < outcomes->size(); ++i) {
-      const DeriveOutcome& outcome = (*outcomes)[i];
-      if (outcome.status.ok()) {
-        std::printf("%s -> #%llu%s\n", requests[i].process.c_str(),
-                    static_cast<unsigned long long>(outcome.oid),
-                    outcome.cache_hit ? " (cached)" : "");
-      } else {
-        std::printf("%s -> %s\n", requests[i].process.c_str(),
-                    outcome.status.ToString().c_str());
-      }
-    }
-    return true;
+bool SetThreads(Shell& sh, Words& words) {
+  int threads = 0;
+  if (!(words >> threads) || threads < 1) return false;
+  sh.kernel().SetDeriveThreads(threads);
+  std::printf("derive threads = %d\n", sh.kernel().derive_threads());
+  return true;
+}
+
+bool CompareConcept(Shell& sh, Words& words) {
+  std::string name;
+  if (!(words >> name)) return false;
+  auto comparisons = sh.kernel().CompareConceptInstances(name);
+  if (!comparisons.ok()) return Failed(comparisons.status());
+  for (const GaeaKernel::InstanceComparison& cmp : *comparisons) {
+    std::printf("#%llu (%s) vs #%llu (%s): %s — %s\n",
+                static_cast<unsigned long long>(cmp.a), cmp.class_a.c_str(),
+                static_cast<unsigned long long>(cmp.b), cmp.class_b.c_str(),
+                cmp.same_procedure ? "same procedure" : "different",
+                cmp.explanation.c_str());
   }
+  if (comparisons->empty()) std::printf("(fewer than two instances)\n");
+  return true;
+}
 
-  bool Lineage(std::istringstream& words) {
-    PrintProvenance(client_->Provenance(ChainRequest(words)), /*json=*/false);
-    return true;
-  }
+// Arms the background checkpoint policy; "0 0" disables it.
+bool CheckpointPolicy(Shell& sh, Words& words) {
+  uint64_t bytes = 0, tasks = 0;
+  if (!(words >> bytes >> tasks)) return false;
+  sh.kernel().SetCheckpointPolicy({bytes, tasks});
+  std::printf("checkpoint policy: journal_bytes=%llu tasks=%llu\n",
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(tasks));
+  return true;
+}
 
-  bool Provenance(std::istringstream& words) {
-    ProvenanceArgs args;
-    if (!ParseProvenanceArgs(words, &args)) {
-      PrintProvenanceUsage();
-      return true;
-    }
-    PrintProvenance(client_->Provenance(args.request), args.json);
-    return true;
-  }
+constexpr bool kAnyMode = false;
+constexpr bool kLocalOnly = true;
 
-  bool Stats() {
-    // The server composes {"server":...,"kernel":...}; printed verbatim for
-    // both `stats` and `stats --json` (the wire format is already JSON).
-    auto json = client_->StatsJson();
-    if (!json.ok()) {
-      PrintStatus(json.status());
-      return true;
-    }
-    std::printf("%s\n", json->c_str());
-    return true;
-  }
-
-  bool Metrics() {
-    auto text = client_->Metrics();
-    if (!text.ok()) {
-      PrintStatus(text.status());
-      return true;
-    }
-    std::printf("%s", text->c_str());
-    return true;
-  }
-
-  bool Lint(std::istringstream& words) {
-    std::string flag;
-    words >> flag;
-    auto diags = client_->Lint();
-    if (!diags.ok()) {
-      PrintStatus(diags.status());
-      return true;
-    }
-    PrintDiagnostics(*diags, flag == "--json");
-    return true;
-  }
-
-  bool Checkpoint() {
-    auto reply = client_->Checkpoint();
-    if (!reply.ok()) {
-      PrintStatus(reply.status());
-      return true;
-    }
-    std::printf("checkpoint %llu: %llu bytes in %llu us, %llu journal "
-                "records archived\n",
-                static_cast<unsigned long long>(reply->seq),
-                static_cast<unsigned long long>(reply->snapshot_bytes),
-                static_cast<unsigned long long>(reply->duration_us),
-                static_cast<unsigned long long>(reply->truncated_records));
-    return true;
-  }
-
-  net::GaeaClient* client_;
+constexpr Command kCommands[] = {
+    {"ddl", "ddl <<END ... END", kAnyMode, Ddl},
+    {"ddl-file", "ddl-file <path>", kAnyMode, DdlFile},
+    {"insert", "insert <class> attr=<int|box:x0,y0,x1,y1|time:t|text> ...",
+     kAnyMode, Insert},
+    {"derive", "derive <process> arg=oid[,oid...] ...", kAnyMode, Derive},
+    {"derive-batch",
+     "derive-batch <process> arg=oid[,oid...] ... [; <process> ...]", kAnyMode,
+     DeriveBatch},
+    {"lineage", "lineage <oid>", kAnyMode, Lineage},
+    {"provenance",
+     "provenance ancestors|descendants|why|where <oid> [--json] [--depth N]\n"
+     "       provenance diff <oid> <oid> [--json]",
+     kAnyMode, Provenance},
+    {"stats", "stats [--json]", kAnyMode, Stats},
+    {"metrics", "metrics", kAnyMode, Metrics},
+    {"lint", "lint [--json]", kAnyMode, Lint},
+    {"checkpoint", "checkpoint", kAnyMode, Checkpoint},
+    {"ping", "ping", kAnyMode, Ping},
+    {"classes", "classes", kLocalOnly, Classes},
+    {"concepts", "concepts", kLocalOnly, Concepts},
+    {"processes", "processes", kLocalOnly, Processes},
+    {"history", "history <process>", kLocalOnly, History},
+    {"objects", "objects <class>", kLocalOnly, Objects},
+    {"show", "show <oid>", kLocalOnly, Show},
+    {"select", "select <gql...>", kLocalOnly, Select},
+    {"dot", "dot <oid>", kLocalOnly, Dot},
+    {"compare", "compare <oid> <oid>", kLocalOnly, Compare},
+    {"net", "net", kLocalOnly, Net},
+    {"can-derive", "can-derive <class>", kLocalOnly, CanDerive},
+    {"tasks", "tasks", kLocalOnly, Tasks},
+    {"profile", "profile", kLocalOnly, Profile},
+    {"trace", "trace on|off | trace <file>", kLocalOnly, Trace},
+    {"set-threads", "set-threads <n>", kLocalOnly, SetThreads},
+    {"compare-concept", "compare-concept <concept>", kLocalOnly,
+     CompareConcept},
+    {"checkpoint policy", "checkpoint policy <journal_bytes> <tasks>",
+     kLocalOnly, CheckpointPolicy},
+    {"quit", "quit", kAnyMode, nullptr},
+    {"exit", "exit", kAnyMode, nullptr},
 };
 
-// Shared REPL driver: reads lines from `in`, echoing a prompt when
-// interactive, until the shell asks to stop.
-template <typename AnyShell>
-void RunLoop(AnyShell& shell, std::istream& in, bool interactive) {
+// The row `lower_line` names: the longest row name that is a whole-word
+// prefix of it, so "checkpoint policy 0 0" finds its own row and not
+// "checkpoint".
+const Command* FindCommand(const std::string& lower_line) {
+  const Command* found = nullptr;
+  for (const Command& cmd : kCommands) {
+    size_t n = std::strlen(cmd.name);
+    if (lower_line.compare(0, n, cmd.name) == 0 &&
+        (lower_line.size() == n ||
+         std::isspace(static_cast<unsigned char>(lower_line[n]))) &&
+        (found == nullptr || n > std::strlen(found->name))) {
+      found = &cmd;
+    }
+  }
+  return found;
+}
+
+// Runs one command line. Returns false when the shell should exit.
+bool Execute(Shell& sh, const std::string& raw) {
+  std::string_view line = StrTrim(raw);
+  if (line.empty() || line[0] == '#') return true;
+  std::string lower = StrToLower(std::string(line));
+  const Command* cmd = FindCommand(lower);
+  if (cmd == nullptr) {
+    std::string names;
+    for (const Command& row : kCommands) {
+      names += names.empty() ? "" : ", ";
+      names += row.name;
+    }
+    std::printf("unknown command: %s (commands: %s)\n",
+                lower.substr(0, lower.find_first_of(" \t")).c_str(),
+                names.c_str());
+    return true;
+  }
+  if (cmd->run == nullptr) return false;
+  if (cmd->local_only && sh.backend.kernel == nullptr) {
+    std::printf("%s: local mode only (no wire verb)\n", cmd->name);
+    return true;
+  }
+  sh.line = std::string(line);
+  Words words(sh.line.substr(std::strlen(cmd->name)));
+  if (!cmd->run(sh, words)) std::printf("usage: %s\n", cmd->usage);
+  return true;
+}
+
+// Reads lines from `in`, echoing a prompt when interactive, until a command
+// asks to stop.
+void RunLoop(Shell& sh, bool interactive) {
   std::string line;
   if (interactive) std::printf("gaea> ");
-  while (std::getline(in, line)) {
-    if (!shell.Execute(line, in)) break;
+  while (std::getline(*sh.in, line)) {
+    if (!Execute(sh, line)) break;
     if (interactive) std::printf("gaea> ");
   }
 }
@@ -929,26 +746,27 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::istream& in = interactive ? std::cin : script;
+  gaea::Shell shell;
+  shell.in = interactive ? &std::cin : &script;
 
   if (remote) {
-    std::string target = argv[2];
-    size_t colon = target.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "--connect wants host:port, got %s\n",
-                   target.c_str());
+    std::string host;
+    int port = 0;
+    if (!gaea::net::ParseHostPort(argv[2], &host, &port)) {
+      std::fprintf(stderr,
+                   "--connect wants host:port with a port in 1-65535, got "
+                   "%s\n",
+                   argv[2]);
       return 2;
     }
-    std::string host = target.substr(0, colon);
-    int port = std::atoi(target.c_str() + colon + 1);
     auto client = gaea::net::GaeaClient::Connect(host, port);
     if (!client.ok()) {
       std::fprintf(stderr, "connect failed: %s\n",
                    client.status().ToString().c_str());
       return 1;
     }
-    gaea::RemoteShell shell(client->get());
-    gaea::RunLoop(shell, in, interactive);
+    shell.backend.client = client->get();
+    gaea::RunLoop(shell, interactive);
     return 0;
   }
 
@@ -963,8 +781,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   (*kernel)->SetClock(gaea::AbsTime::FromDate(1993, 8, 24).value());
-  gaea::Shell shell(kernel->get());
-  gaea::RunLoop(shell, in, interactive);
+  shell.backend.kernel = kernel->get();
+  gaea::RunLoop(shell, interactive);
   auto flush = (*kernel)->Flush();
   if (!flush.ok()) {
     std::fprintf(stderr, "flush failed: %s\n", flush.ToString().c_str());

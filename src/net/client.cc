@@ -28,6 +28,23 @@ bool IsRetryable(const Status& status) {
 
 }  // namespace
 
+bool ParseHostPort(std::string_view text, std::string* host, int* port) {
+  size_t colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) return false;
+  std::string_view digits = text.substr(colon + 1);
+  if (digits.empty()) return false;
+  int value = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + (c - '0');
+    if (value > 65535) return false;
+  }
+  if (value == 0) return false;
+  *host = std::string(text.substr(0, colon));
+  *port = value;
+  return true;
+}
+
 GaeaClient::GaeaClient(std::string host, int port, Options options)
     : host_(std::move(host)), port_(port), options_(options) {
   std::random_device rd;

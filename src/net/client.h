@@ -26,6 +26,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scheduler.h"
@@ -45,6 +46,11 @@ struct RetryPolicy {
   // error is returned instead of sleeping again. 0 = unbounded.
   int deadline_ms = 0;
 };
+
+// Splits "host:port" at its last colon. The host must be non-empty and the
+// port all digits, 1-65535. The one parser behind every tool's --connect
+// and gaead's --replica-of.
+bool ParseHostPort(std::string_view text, std::string* host, int* port);
 
 class GaeaClient {
  public:

@@ -246,6 +246,18 @@ StatusOr<ProvenanceReply> AnswerProvenance(GaeaKernel* kernel,
   return reply;
 }
 
+StatusOr<Oid> AnswerInsert(GaeaKernel* kernel,
+                           const InsertObjectRequest& request) {
+  GAEA_ASSIGN_OR_RETURN(
+      const ClassDef* def,
+      kernel->catalog().classes().LookupByName(request.class_name));
+  DataObject obj(*def);
+  for (const auto& [attr, value] : request.attrs) {
+    GAEA_RETURN_IF_ERROR(obj.Set(*def, attr, value));
+  }
+  return kernel->Insert(std::move(obj));
+}
+
 void GaeaServer::HandleFrame(std::shared_ptr<Session> session,
                              std::string payload) {
   BinaryReader reader(payload);
@@ -733,14 +745,7 @@ Status GaeaServer::HandleReplicaStatus(BinaryReader*, BinaryWriter* body) {
 Status GaeaServer::HandleInsertObject(BinaryReader* r, BinaryWriter* body) {
   GAEA_ASSIGN_OR_RETURN(InsertObjectRequest request,
                         DecodeInsertObjectRequest(r));
-  GAEA_ASSIGN_OR_RETURN(
-      const ClassDef* def,
-      kernel_->catalog().classes().LookupByName(request.class_name));
-  DataObject obj(*def);
-  for (const auto& [attr, value] : request.attrs) {
-    GAEA_RETURN_IF_ERROR(obj.Set(*def, attr, value));
-  }
-  GAEA_ASSIGN_OR_RETURN(Oid oid, kernel_->Insert(std::move(obj)));
+  GAEA_ASSIGN_OR_RETURN(Oid oid, AnswerInsert(kernel_, request));
   body->PutU64(oid);
   return Status::OK();
 }

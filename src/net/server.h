@@ -77,6 +77,12 @@ struct ServerStats {
 StatusOr<ProvenanceReply> AnswerProvenance(GaeaKernel* kernel,
                                            const ProvenanceRequest& request);
 
+// Stores the base object `request` describes in `kernel` and returns its
+// OID — the InsertObject verb's handler, shared with the local shell. The
+// caller holds the kernel lock the verb's row names.
+StatusOr<Oid> AnswerInsert(GaeaKernel* kernel,
+                           const InsertObjectRequest& request);
+
 class GaeaServer {
  public:
   struct Options {

@@ -59,6 +59,35 @@ Status SendPayload(int fd, std::string_view payload) {
   return SendFrame(fd, EncodeFrameHeader(payload), payload);
 }
 
+TEST(HostPortTest, DigitsOnlyPortInRangeAndNonEmptyHost) {
+  struct Case {
+    const char* text;
+    bool ok;
+  };
+  for (const Case& c : {Case{"h:abc", false}, Case{"h:70000", false},
+                        Case{"h:0", false}, Case{":1", false},
+                        Case{"h:", false}, Case{"h:1x", false},
+                        Case{"h", false}, Case{"h:-1", false},
+                        Case{"h:65536", false}, Case{"h:65535", true},
+                        Case{"localhost:4747", true}}) {
+    std::string host = "unset";
+    int port = -1;
+    EXPECT_EQ(ParseHostPort(c.text, &host, &port), c.ok) << c.text;
+    if (!c.ok) {
+      EXPECT_EQ(host, "unset") << c.text;
+      EXPECT_EQ(port, -1) << c.text;
+    }
+  }
+  std::string host;
+  int port = 0;
+  ASSERT_TRUE(ParseHostPort("localhost:4747", &host, &port));
+  EXPECT_EQ(host, "localhost");
+  EXPECT_EQ(port, 4747);
+  ASSERT_TRUE(ParseHostPort("::1:80", &host, &port));
+  EXPECT_EQ(host, "::1");
+  EXPECT_EQ(port, 80);
+}
+
 TEST(FrameTest, RoundTrip) {
   FrameBuffer fb;
   ASSERT_OK(Feed(&fb, Frame("hello, gaead")));

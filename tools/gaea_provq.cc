@@ -124,11 +124,10 @@ int main(int argc, char** argv) {
     }
     kernel = *std::move(opened);
   } else {
-    size_t colon = connect.rfind(':');
-    if (colon == std::string::npos) return Usage(argv[0]);
-    auto connected = gaea::net::GaeaClient::Connect(
-        connect.substr(0, colon),
-        static_cast<uint16_t>(std::stoul(connect.substr(colon + 1))));
+    std::string host;
+    int port = 0;
+    if (!gaea::net::ParseHostPort(connect, &host, &port)) return Usage(argv[0]);
+    auto connected = gaea::net::GaeaClient::Connect(host, port);
     if (!connected.ok()) {
       std::fprintf(stderr, "gaea_provq: %s\n",
                    connected.status().ToString().c_str());

@@ -44,6 +44,7 @@
 #include <string>
 
 #include "gaea/kernel.h"
+#include "net/client.h"
 #include "net/server.h"
 #include "obs/trace.h"
 #include "recovery/backup.h"
@@ -91,13 +92,6 @@ bool ParseInt(const char* text, int* out) {
   if (end == text || *end != '\0') return false;
   *out = static_cast<int>(value);
   return true;
-}
-
-bool ParseHostPort(const std::string& text, std::string* host, int* port) {
-  size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  *host = text.substr(0, colon);
-  return ParseInt(text.c_str() + colon + 1, port) && *port > 0;
 }
 
 }  // namespace
@@ -159,7 +153,8 @@ int main(int argc, char** argv) {
   std::string primary_host;
   int primary_port = 0;
   if (!flags.replica_of.empty() &&
-      !ParseHostPort(flags.replica_of, &primary_host, &primary_port)) {
+      !gaea::net::ParseHostPort(flags.replica_of, &primary_host,
+                                 &primary_port)) {
     std::fprintf(stderr, "gaead: --replica-of wants host:port, got %s\n",
                  flags.replica_of.c_str());
     return 2;
