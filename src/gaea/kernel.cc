@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <mutex>
 #include <set>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "analysis/analyzer.h"
 #include "analysis/dataflow.h"
@@ -14,11 +19,34 @@
 
 namespace gaea {
 
+namespace {
+
+// Keeps freed multi-MiB buffers (chain reads, rasters, reply bodies) in the
+// process instead of returning them to the OS, so each derive or large get
+// does not fault its working set in again. glibc's defaults hand blocks
+// over 128 KiB to mmap (raising that cut-off only as such blocks are freed)
+// and trim the heap top past 128 KiB. 8 MiB is the smallest value at which
+// classify_cold's minor faults stop falling (docs/PERF.md §7). Once per
+// process; the result is ignored because sanitizer builds replace malloc.
+void RetainFreedBuffers() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] {
+    constexpr int kRetainBytes = 8 << 20;
+    (void)mallopt(M_MMAP_THRESHOLD, kRetainBytes);
+    (void)mallopt(M_TRIM_THRESHOLD, kRetainBytes);
+  });
+#endif
+}
+
+}  // namespace
+
 StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::Open(
     const Options& options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("GaeaKernel needs a database directory");
   }
+  RetainFreedBuffers();
   Env* env = options.env != nullptr ? options.env : Env::Default();
   GAEA_ASSIGN_OR_RETURN(std::vector<recovery::RecoveryPlan> plans,
                         recovery::BuildRecoveryPlans(env, options.dir));
@@ -274,6 +302,15 @@ void GaeaKernel::WireObservability() {
     };
     pool_gauges(catalog_->store()->heap_pool(), "heap");
     pool_gauges(catalog_->store()->index_pool(), "index");
+    HeapFile::ChainStats chains = catalog_->store()->heap_chain_stats();
+    metrics_.GetGauge("gaea_heap_chain_reads")
+        ->Set(static_cast<int64_t>(chains.reads));
+    metrics_.GetGauge("gaea_heap_chain_read_pages")
+        ->Set(static_cast<int64_t>(chains.read_pages));
+    metrics_.GetGauge("gaea_heap_chain_writes")
+        ->Set(static_cast<int64_t>(chains.writes));
+    metrics_.GetGauge("gaea_heap_chain_write_pages")
+        ->Set(static_cast<int64_t>(chains.write_pages));
 
     metrics_.GetGauge("gaea_journal_appends{journal=\"process\"}")
         ->Set(process_journal_->appended());
@@ -1166,6 +1203,7 @@ GaeaKernel::Stats GaeaKernel::GetStats() const {
   };
   fill_pool(catalog_->store()->heap_pool(), &stats.heap_pool);
   fill_pool(catalog_->store()->index_pool(), &stats.index_pool);
+  stats.heap_chains = catalog_->store()->heap_chain_stats();
   return stats;
 }
 
@@ -1178,11 +1216,18 @@ std::string GaeaKernel::Stats::ToJson() const {
     *json += "\":";
     *json += std::to_string(value);
   };
-  auto pool_json = [&field](const PoolStats& pool) {
+  auto pool_json = [&field](const PoolStats& pool,
+                            const HeapFile::ChainStats* chains = nullptr) {
     std::string json = "{";
     field(&json, "hits", pool.hits, /*first=*/true);
     field(&json, "misses", pool.misses);
     field(&json, "evictions", pool.evictions);
+    if (chains != nullptr) {
+      field(&json, "chain_reads", chains->reads);
+      field(&json, "chain_read_pages", chains->read_pages);
+      field(&json, "chain_writes", chains->writes);
+      field(&json, "chain_write_pages", chains->write_pages);
+    }
     json += ",\"shards\":[";
     for (size_t i = 0; i < pool.per_shard.size(); ++i) {
       const BufferPool::ShardStats& shard = pool.per_shard[i];
@@ -1235,7 +1280,7 @@ std::string GaeaKernel::Stats::ToJson() const {
   field(&json, "misses", derivation_cache.misses);
   field(&json, "evictions", derivation_cache.evictions);
   field(&json, "invalidations", derivation_cache.invalidations);
-  json += "},\"heap_pool\":" + pool_json(heap_pool);
+  json += "},\"heap_pool\":" + pool_json(heap_pool, &heap_chains);
   json += ",\"index_pool\":" + pool_json(index_pool);
   json += '}';
   return json;

@@ -39,6 +39,7 @@
 #include "query/query.h"
 #include "recovery/checkpoint.h"
 #include "storage/buffer_pool.h"
+#include "storage/heap_file.h"
 #include "types/compound_op.h"
 #include "types/op_registry.h"
 #include "types/primitive_class.h"
@@ -274,7 +275,8 @@ class GaeaKernel {
     uint64_t prov_archive_fetches = 0;
 
     DerivationCache::Stats derivation_cache;
-    PoolStats heap_pool;   // object store: heap file frames
+    PoolStats heap_pool;   // object store: heap file frames (data pages)
+    HeapFile::ChainStats heap_chains;  // heap overflow chains (no frames)
     PoolStats index_pool;  // object store: OID index frames
 
     // Machine-readable snapshot (shell `stats --json`, the gaead stats RPC;

@@ -150,6 +150,21 @@ Status BufferPool::Flush() {
   return Status::OK();
 }
 
+Status BufferPool::WritePages(uint32_t first, std::string_view pages) {
+  return file_->Write(static_cast<uint64_t>(first) * kPageSize, pages);
+}
+
+StatusOr<size_t> BufferPool::ReadPages(uint32_t first, uint32_t n,
+                                       char* buf) const {
+  auto read = file_->Read(static_cast<uint64_t>(first) * kPageSize,
+                          static_cast<size_t>(n) * kPageSize, buf);
+  if (!read.ok()) {
+    return Status::IOError("read pages " + std::to_string(first) + "+" +
+                           std::to_string(n) + ": " + read.status().message());
+  }
+  return *read;
+}
+
 std::vector<BufferPool::ShardStats> BufferPool::PerShardStats() const {
   std::vector<ShardStats> out;
   out.reserve(shards_.size());

@@ -10,8 +10,8 @@
 // guard, so only a pinned page can be dirtied.
 //
 // When every frame of a shard is pinned at capacity, the shard temporarily
-// overflows its frame budget instead of failing: a burst of guards (e.g. an
-// overflow chain walk) must not deadlock against the eviction policy.
+// overflows its frame budget instead of failing: a burst of guards must not
+// deadlock against the eviction policy.
 
 #ifndef GAEA_STORAGE_BUFFER_POOL_H_
 #define GAEA_STORAGE_BUFFER_POOL_H_
@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -116,6 +117,21 @@ class BufferPool {
 
   // Writes all dirty frames back to the file.
   Status Flush();
+
+  // ---- uncached page runs (the heap file's overflow chains) ----
+  // Reserves `n` consecutive pages at the end of the file and returns the
+  // first id. The pages never get a frame: the caller writes them with
+  // WritePages and reads them back with ReadPages, straight through the
+  // file, so the run cannot evict anything and nothing in the pool can
+  // hold a stale copy of it.
+  uint32_t ReservePages(uint32_t n) {
+    return page_count_.fetch_add(n, std::memory_order_acq_rel);
+  }
+  // One positioned write of whole pages starting at page `first`.
+  Status WritePages(uint32_t first, std::string_view pages);
+  // One positioned read of `n` pages starting at page `first` into `buf`;
+  // returns the bytes read, short only where the file ends early.
+  StatusOr<size_t> ReadPages(uint32_t first, uint32_t n, char* buf) const;
 
   // Number of pages in the file.
   uint32_t PageCount() const {

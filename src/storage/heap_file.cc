@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 namespace gaea {
 
@@ -22,8 +23,8 @@ constexpr uint16_t kFlagOverflowHead = 2;
 // Overflow page header: type u8 (pad to 4), next u32, chunk u32.
 constexpr uint32_t kOvNextOff = 4;
 constexpr uint32_t kOvLenOff = 8;
-constexpr uint32_t kOvDataOff = 12;
-constexpr uint32_t kOvCapacity = kPageSize - kOvDataOff;
+constexpr uint32_t kOvDataOff = HeapFile::kOvDataOff;
+constexpr uint32_t kOvCapacity = HeapFile::kOvCapacity;
 
 // Inline payload of an overflow-head slot: first page u32, total length u32.
 constexpr uint32_t kOverflowHeadBytes = 8;
@@ -62,6 +63,12 @@ uint32_t FreeSpace(const Page& page) {
   return free_end - slots_end;
 }
 
+Status ShortRecord(uint32_t total, size_t prefix) {
+  return Status::Corruption("record of " + std::to_string(total) +
+                            " bytes is shorter than its " +
+                            std::to_string(prefix) + "-byte header");
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<HeapFile>> HeapFile::Open(const std::string& path,
@@ -87,31 +94,50 @@ StatusOr<PageGuard> HeapFile::PageWithSpace(uint32_t needed) {
   return guard;
 }
 
+StatusOr<uint32_t> HeapFile::WriteChain(const std::string& record) {
+  // The whole chain is laid out in one buffer in file order and written
+  // with one positioned write: chunk i goes to page head - i, so the head
+  // (chunk 0) is the highest page and each page links to the one below it.
+  uint32_t nchunks =
+      static_cast<uint32_t>((record.size() + kOvCapacity - 1) / kOvCapacity);
+  size_t bytes = static_cast<size_t>(nchunks) * kPageSize;
+  auto buf = std::make_unique_for_overwrite<char[]>(bytes);
+  uint32_t first = pool_->ReservePages(nchunks);
+  uint32_t head = first + nchunks - 1;
+  for (uint32_t i = 0; i < nchunks; ++i) {
+    char* page = buf.get() + static_cast<size_t>(nchunks - 1 - i) * kPageSize;
+    size_t begin = static_cast<size_t>(i) * kOvCapacity;
+    uint32_t len = static_cast<uint32_t>(
+        std::min<size_t>(kOvCapacity, record.size() - begin));
+    uint32_t next = (i + 1 == nchunks) ? kInvalidPageId : head - i - 1;
+    std::memset(page, 0, kOvDataOff);
+    page[0] = static_cast<char>(kOverflowPage);
+    std::memcpy(page + kOvNextOff, &next, 4);
+    std::memcpy(page + kOvLenOff, &len, 4);
+    std::memcpy(page + kOvDataOff, record.data() + begin, len);
+    std::memset(page + kOvDataOff + len, 0, kOvCapacity - len);
+  }
+  // On failure the reserved pages stay unused: no slot names them yet.
+  GAEA_RETURN_IF_ERROR(
+      pool_->WritePages(first, std::string_view(buf.get(), bytes)));
+  chain_writes_.fetch_add(1, std::memory_order_relaxed);
+  chain_write_pages_.fetch_add(nchunks, std::memory_order_relaxed);
+  return head;
+}
+
 StatusOr<Rid> HeapFile::Insert(const std::string& record) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   std::string inline_payload;
   uint16_t flags = kFlagLive;
 
   if (record.size() > kMaxInline) {
-    // Spill to an overflow chain, last chunk first so each page can link to
-    // the next without a second pass.
+    // The chain reaches the file before its head slot enters a data page,
+    // so no slot ever names chain pages that were not written.
     flags = kFlagOverflowHead;
-    uint32_t next = kInvalidPageId;
-    size_t nchunks = (record.size() + kOvCapacity - 1) / kOvCapacity;
-    for (size_t i = nchunks; i-- > 0;) {
-      size_t begin = i * kOvCapacity;
-      size_t len = std::min<size_t>(kOvCapacity, record.size() - begin);
-      GAEA_ASSIGN_OR_RETURN(PageGuard ov, pool_->AllocatePage());
-      ov.page()->WriteAt<uint8_t>(0, kOverflowPage);
-      ov.page()->WriteAt<uint32_t>(kOvNextOff, next);
-      ov.page()->WriteAt<uint32_t>(kOvLenOff, static_cast<uint32_t>(len));
-      std::memcpy(ov.page()->data() + kOvDataOff, record.data() + begin, len);
-      ov.MarkDirty();
-      next = ov.page_id();
-    }
+    GAEA_ASSIGN_OR_RETURN(uint32_t head, WriteChain(record));
     inline_payload.resize(kOverflowHeadBytes);
     uint32_t total = static_cast<uint32_t>(record.size());
-    std::memcpy(inline_payload.data(), &next, 4);
+    std::memcpy(inline_payload.data(), &head, 4);
     std::memcpy(inline_payload.data() + 4, &total, 4);
   } else {
     inline_payload = record;
@@ -162,46 +188,73 @@ Status HeapFile::ReadInto(const Rid& rid, std::span<char> prefix,
   // Every record byte is copied exactly once, from its page: the first
   // prefix.size() bytes into `prefix`, the rest onto the end of *out.
   size_t filled = 0;
-  auto emit = [&](const uint8_t* bytes, size_t n) {
-    const char* p = reinterpret_cast<const char*>(bytes);
-    size_t head = std::min(n, prefix.size() - filled);
-    if (head > 0) std::memcpy(prefix.data() + filled, p, head);
-    filled += head;
-    out->append(p + head, n - head);
+  auto emit = [&](const char* bytes, size_t n) {
+    size_t to_prefix = std::min(n, prefix.size() - filled);
+    if (to_prefix > 0) std::memcpy(prefix.data() + filled, bytes, to_prefix);
+    filled += to_prefix;
+    out->append(bytes + to_prefix, n - to_prefix);
   };
-  uint32_t total = info.size;
-  uint32_t next = kInvalidPageId;
-  if (info.flags != kFlagLive) {
-    // Overflow chain: the head stays pinned through the guard while the
-    // chain is chased, so chain fetches can never invalidate it.
-    if (info.size != kOverflowHeadBytes) {
-      return Status::Corruption("malformed overflow head slot");
-    }
-    std::memcpy(&next, page->data() + info.offset, 4);
-    std::memcpy(&total, page->data() + info.offset + 4, 4);
-  }
-  if (total < prefix.size()) {
-    return Status::Corruption("record of " + std::to_string(total) +
-                              " bytes is shorter than its " +
-                              std::to_string(prefix.size()) + "-byte header");
-  }
-  out->reserve(out->size() + (total - prefix.size()));
   if (info.flags == kFlagLive) {
-    emit(page->data() + info.offset, info.size);
+    if (info.size < prefix.size()) {
+      return ShortRecord(info.size, prefix.size());
+    }
+    out->reserve(out->size() + (info.size - prefix.size()));
+    emit(reinterpret_cast<const char*>(page->data()) + info.offset, info.size);
     return Status::OK();
   }
+  if (info.size != kOverflowHeadBytes) {
+    return Status::Corruption("malformed overflow head slot");
+  }
+  uint32_t head = 0;
+  uint32_t total = 0;
+  std::memcpy(&head, page->data() + info.offset, 4);
+  std::memcpy(&total, page->data() + info.offset + 4, 4);
+  guard.Release();
+  if (total < prefix.size()) return ShortRecord(total, prefix.size());
+
+  // Chunk i sits at page head - i. Check the claimed length against the
+  // pages the file has before allocating anything for it.
+  uint64_t nchunks =
+      (static_cast<uint64_t>(total) + kOvCapacity - 1) / kOvCapacity;
+  if (nchunks == 0 || head >= pool_->PageCount() || nchunks > head + 1ull) {
+    return Status::Corruption(
+        "overflow chain truncated: head page " + std::to_string(head) +
+        " claims " + std::to_string(total) + " bytes, the file has " +
+        std::to_string(pool_->PageCount()) + " pages");
+  }
+  uint32_t first = head + 1 - static_cast<uint32_t>(nchunks);
+  size_t bytes = static_cast<size_t>(nchunks) * kPageSize;
+  auto buf = std::make_unique_for_overwrite<char[]>(bytes);
+  GAEA_ASSIGN_OR_RETURN(
+      size_t read,
+      pool_->ReadPages(first, static_cast<uint32_t>(nchunks), buf.get()));
+  if (read < bytes) {
+    return Status::Corruption("overflow chain truncated: expected " +
+                              std::to_string(bytes) + " bytes of pages, got " +
+                              std::to_string(read));
+  }
+  chain_reads_.fetch_add(1, std::memory_order_relaxed);
+  chain_read_pages_.fetch_add(nchunks, std::memory_order_relaxed);
+  out->reserve(out->size() + (total - prefix.size()));
   size_t got = 0;
-  while (next != kInvalidPageId) {
-    GAEA_ASSIGN_OR_RETURN(PageGuard ov, pool_->FetchPage(next));
-    if (ov.page()->ReadAt<uint8_t>(0) != kOverflowPage) {
+  for (uint32_t i = 0; i < nchunks; ++i) {
+    const char* ov = buf.get() + (nchunks - 1 - i) * kPageSize;
+    if (static_cast<uint8_t>(ov[0]) != kOverflowPage) {
       return Status::Corruption("overflow chain hits non-overflow page");
     }
-    uint32_t len = ov.page()->ReadAt<uint32_t>(kOvLenOff);
+    uint32_t next = 0;
+    uint32_t len = 0;
+    std::memcpy(&next, ov + kOvNextOff, 4);
+    std::memcpy(&len, ov + kOvLenOff, 4);
     if (len > kOvCapacity) return Status::Corruption("overflow chunk too big");
     got += len;
     if (got > total) return Status::Corruption("overflow chain overrun");
-    emit(ov.page()->data() + kOvDataOff, len);
-    next = ov.page()->ReadAt<uint32_t>(kOvNextOff);
+    emit(ov + kOvDataOff, len);
+    if (next == kInvalidPageId) break;  // a short chain is reported below
+    if (i + 1 == nchunks || next != head - i - 1) {
+      return Status::Corruption("overflow chain leaves its pages at page " +
+                                std::to_string(head - i));
+    }
   }
   if (got != total) {
     return Status::Corruption("overflow chain truncated: expected " +
@@ -230,8 +283,34 @@ Status HeapFile::Delete(const Rid& rid) {
 
 Status HeapFile::ForEach(
     const std::function<Status(const Rid&, const std::string&)>& fn) const {
+  return Scan(/*skip_torn=*/false, fn);
+}
+
+Status HeapFile::ForEachReadable(
+    const std::function<Status(const Rid&, const std::string&)>& fn) const {
+  return Scan(/*skip_torn=*/true, fn);
+}
+
+Status HeapFile::Scan(
+    bool skip_torn,
+    const std::function<Status(const Rid&, const std::string&)>& fn) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
+  // Page types are read from the file a batch at a time, so chain pages are
+  // skipped without entering the pool. A chain page is typed in the file
+  // from its Insert on; a data page may exist only in its frame (never
+  // flushed), so every page not typed as a chain page goes through the pool.
+  constexpr uint32_t kBatchPages = 64;
+  auto batch = std::make_unique_for_overwrite<char[]>(kBatchPages * kPageSize);
+  size_t batch_bytes = 0;
   for (uint32_t page_id = 0; page_id < pool_->PageCount(); ++page_id) {
+    if (page_id % kBatchPages == 0) {
+      GAEA_ASSIGN_OR_RETURN(
+          batch_bytes, pool_->ReadPages(page_id, kBatchPages, batch.get()));
+    }
+    size_t at = static_cast<size_t>(page_id % kBatchPages) * kPageSize;
+    if (at < batch_bytes && static_cast<uint8_t>(batch[at]) == kOverflowPage) {
+      continue;
+    }
     GAEA_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(page_id));
     if (guard.page()->ReadAt<uint8_t>(0) != kDataPage) continue;
     uint16_t slots = guard.page()->ReadAt<uint16_t>(kSlotCountOff);
@@ -244,33 +323,14 @@ Status HeapFile::ForEach(
       p.Release();
       if (info.flags == kFlagDeleted) continue;
       Rid rid{page_id, s};
-      GAEA_ASSIGN_OR_RETURN(std::string record, Read(rid));
-      GAEA_RETURN_IF_ERROR(fn(rid, record));
-    }
-  }
-  return Status::OK();
-}
-
-Status HeapFile::ForEachReadable(
-    const std::function<Status(const Rid&, const std::string&)>& fn) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  for (uint32_t page_id = 0; page_id < pool_->PageCount(); ++page_id) {
-    GAEA_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(page_id));
-    if (guard.page()->ReadAt<uint8_t>(0) != kDataPage) continue;
-    uint16_t slots = guard.page()->ReadAt<uint16_t>(kSlotCountOff);
-    guard.Release();
-    for (uint16_t s = 0; s < slots; ++s) {
-      GAEA_ASSIGN_OR_RETURN(PageGuard p, pool_->FetchPage(page_id));
-      SlotInfo info = ReadSlot(*p.page(), s);
-      p.Release();
-      if (info.flags == kFlagDeleted) continue;
-      Rid rid{page_id, s};
       StatusOr<std::string> record = Read(rid);
       if (!record.ok()) {
-        if (record.status().code() == StatusCode::kIOError) {
+        // A torn chain after a crash is skipped when salvaging; a real I/O
+        // error always propagates.
+        if (!skip_torn || record.status().code() == StatusCode::kIOError) {
           return record.status();
         }
-        continue;  // torn by the crash; nothing to salvage
+        continue;
       }
       GAEA_RETURN_IF_ERROR(fn(rid, *record));
     }

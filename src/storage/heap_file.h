@@ -2,6 +2,16 @@
 // payloads routinely exceed one page). Records are addressed by RID
 // (page id, slot); deletion tombstones the slot.
 //
+// Only data pages are cached in the buffer pool. A record longer than
+// kMaxInline becomes an overflow chain of n pages that never enters the
+// pool: Insert reserves n pages at the end of the file, writes the whole
+// chain with one positioned write, and only then puts the chain's head slot
+// on a (pooled) data page, so a slot never names chain bytes that were not
+// written. ReadInto reads the chain back with one positioned read. No
+// chain page is ever in the pool, so the file always holds its bytes.
+// Chain bytes reach the file (the OS page cache) at Insert; like every
+// heap page they are not fsynced (docs/ROBUSTNESS.md).
+//
 // Page layout (data page):
 //   [0]  u8   page type (1 = data, 2 = overflow)
 //   [2]  u16  slot count
@@ -9,11 +19,17 @@
 //             downward from the page end)
 //   [6..] slot array, 6 bytes per slot: u16 cell offset, u16 size, u16 flags
 //
-// Overflow page: u8 type=2, u32 next page id, u32 chunk length, payload.
+// Overflow page: u8 type=2 (padded to 4), u32 next page id, u32 chunk
+// length, payload. Chunk i of a chain sits at page head - i: the chain is
+// contiguous, the head slot names its highest page, and each page links to
+// the one below it (the last chunk's next is kInvalidPageId).
+//
+// Overflow head slot payload (8 bytes): u32 head page, u32 total length.
 
 #ifndef GAEA_STORAGE_HEAP_FILE_H_
 #define GAEA_STORAGE_HEAP_FILE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -49,6 +65,10 @@ class HeapFile {
   // one slot, plus 8 bytes of slack, must fit beside the record inline.
   static constexpr uint32_t kMaxInline =
       kPageSize - kSlotArrayOff - kSlotBytes - 8;
+  // Overflow-page layout (above): where a chunk's payload starts, and the
+  // payload bytes per chain page.
+  static constexpr uint32_t kOvDataOff = 12;
+  static constexpr uint32_t kOvCapacity = kPageSize - kOvDataOff;
 
   // Opens or creates the heap at `path`; all I/O goes through `env`.
   static StatusOr<std::unique_ptr<HeapFile>> Open(const std::string& path,
@@ -101,12 +121,36 @@ class HeapFile {
   BufferPool* pool() { return pool_.get(); }
   const BufferPool* pool() const { return pool_.get(); }
 
+  // Overflow-chain traffic, which bypasses the pool and so its hit/miss
+  // counters: chains read and written, and their pages.
+  struct ChainStats {
+    uint64_t reads = 0;
+    uint64_t read_pages = 0;
+    uint64_t writes = 0;
+    uint64_t write_pages = 0;
+  };
+  ChainStats chain_stats() const {
+    return ChainStats{chain_reads_.load(std::memory_order_relaxed),
+                      chain_read_pages_.load(std::memory_order_relaxed),
+                      chain_writes_.load(std::memory_order_relaxed),
+                      chain_write_pages_.load(std::memory_order_relaxed)};
+  }
+
  private:
   explicit HeapFile(std::unique_ptr<BufferPool> pool)
       : pool_(std::move(pool)) {}
 
   // Returns a pinned data page with room for `needed` bytes (slot + cell).
   StatusOr<PageGuard> PageWithSpace(uint32_t needed);
+
+  // Writes `record` as an overflow chain at the end of the file; returns
+  // its head page. kIOError if the write fails.
+  StatusOr<uint32_t> WriteChain(const std::string& record);
+
+  // ForEach (skip_torn false) and ForEachReadable (true).
+  Status Scan(
+      bool skip_torn,
+      const std::function<Status(const Rid&, const std::string&)>& fn) const;
 
   // One latch for the whole file: slot/free-space bookkeeping spans pages
   // (last_data_page_ hint, overflow chains), so per-page latching would not
@@ -115,6 +159,10 @@ class HeapFile {
   std::unique_ptr<BufferPool> pool_;
   // Hint: last data page that accepted an insert.
   uint32_t last_data_page_ = kInvalidPageId;
+  mutable std::atomic<uint64_t> chain_reads_{0};
+  mutable std::atomic<uint64_t> chain_read_pages_{0};
+  std::atomic<uint64_t> chain_writes_{0};
+  std::atomic<uint64_t> chain_write_pages_{0};
 };
 
 }  // namespace gaea

@@ -82,6 +82,10 @@ class ObjectStore {
   BufferPool* index_pool() { return index_->pool(); }
   const BufferPool* heap_pool() const { return heap_->pool(); }
   const BufferPool* index_pool() const { return index_->pool(); }
+  // Heap overflow-chain traffic, which bypasses heap_pool().
+  HeapFile::ChainStats heap_chain_stats() const {
+    return heap_->chain_stats();
+  }
 
  private:
   ObjectStore(std::unique_ptr<HeapFile> heap, std::unique_ptr<BTree> index)

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "gaea/kernel.h"
+#include "raster/image.h"
 
 namespace gaea::crashtest {
 
@@ -42,12 +43,59 @@ TEMPLATE {
     reading_copy.spatialextent = src.spatialextent;
     reading_copy.timestamp = src.timestamp;
 }
+
+CLASS scene (
+  ATTRIBUTES:
+    data = image;
+  SPATIAL EXTENT:
+    spatialextent = box;
+  TEMPORAL EXTENT:
+    timestamp = abstime;
+)
+
+CLASS scene_copy (
+  ATTRIBUTES:
+    data = image;
+  SPATIAL EXTENT:
+    spatialextent = box;
+  TEMPORAL EXTENT:
+    timestamp = abstime;
+  DERIVED BY: copy-scene
+)
+
+DEFINE PROCESS copy-scene
+OUTPUT scene_copy
+ARGUMENT ( scene src )
+TEMPLATE {
+  MAPPINGS:
+    scene_copy.data = src.data;
+    scene_copy.spatialextent = src.spatialextent;
+    scene_copy.timestamp = src.timestamp;
+}
 )";
 
 StatusOr<Oid> InsertReading(GaeaKernel* kernel, const ClassDef& def,
                             int64_t value, int64_t epoch) {
   DataObject obj(def);
   GAEA_RETURN_IF_ERROR(obj.Set(def, "value", Value::Int(value)));
+  GAEA_RETURN_IF_ERROR(
+      obj.Set(def, "spatialextent", Value::OfBox(Box(0, 0, 10, 10))));
+  GAEA_RETURN_IF_ERROR(obj.Set(def, "timestamp", Value::Time(AbsTime(epoch))));
+  return kernel->Insert(std::move(obj));
+}
+
+// A 64-row 8-bit raster of 4 to 40 KiB: stored as a heap overflow chain of
+// 2 to 11 pages, so crash points also fall on chain writes.
+StatusOr<Oid> InsertScene(GaeaKernel* kernel, const ClassDef& def,
+                          std::mt19937_64* rng, int64_t epoch) {
+  constexpr int kRows = 64;
+  int ncol = 64 + static_cast<int>((*rng)() % 577);
+  std::vector<double> pixels(static_cast<size_t>(kRows) * ncol);
+  for (double& p : pixels) p = static_cast<double>((*rng)() % 256);
+  GAEA_ASSIGN_OR_RETURN(Image image, Image::FromValues(kRows, ncol, pixels,
+                                                       PixelType::kUInt8));
+  DataObject obj(def);
+  GAEA_RETURN_IF_ERROR(obj.Set(def, "data", Value::OfImage(std::move(image))));
   GAEA_RETURN_IF_ERROR(
       obj.Set(def, "spatialextent", Value::OfBox(Box(0, 0, 10, 10))));
   GAEA_RETURN_IF_ERROR(obj.Set(def, "timestamp", Value::Time(AbsTime(epoch))));
@@ -74,8 +122,11 @@ Status RunWorkload(const std::string& dir, Env* env,
 
   GAEA_ASSIGN_OR_RETURN(const ClassDef* reading,
                         kernel->catalog().classes().LookupByName("reading"));
+  GAEA_ASSIGN_OR_RETURN(const ClassDef* scene,
+                        kernel->catalog().classes().LookupByName("scene"));
 
   std::vector<Oid> readings;
+  std::vector<Oid> scenes;
   const int first_ckpt = options.rounds / 3;
   const int second_ckpt = (2 * options.rounds) / 3;
   for (int round = 0; round < options.rounds; ++round) {
@@ -91,6 +142,12 @@ Status RunWorkload(const std::string& dir, Env* env,
     Oid src = readings[rng() % readings.size()];
     GAEA_RETURN_IF_ERROR(
         kernel->Derive("copy-reading", {{"src", {src}}}).status());
+    GAEA_ASSIGN_OR_RETURN(
+        Oid scene_oid, InsertScene(kernel.get(), *scene, &rng, 1000 + round));
+    scenes.push_back(scene_oid);
+    Oid scene_src = scenes[rng() % scenes.size()];
+    GAEA_RETURN_IF_ERROR(
+        kernel->Derive("copy-scene", {{"src", {scene_src}}}).status());
     // Flushing mid-workload puts heap/index page writes into the crash
     // sweep, not just journal appends.
     if (rng() % 2 == 0) GAEA_RETURN_IF_ERROR(kernel->Flush());

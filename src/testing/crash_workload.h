@@ -11,8 +11,10 @@
 //   * the database stays usable — a fresh insert + derive succeeds and
 //     never reuses an OID recorded by a pre-crash task.
 //
-// The workload's process uses attribute-reference mappings only, so a
-// reopened kernel needs no operator re-registration to stay replayable.
+// Each round inserts a small reading and a 4-40 KiB raster scene (a heap
+// overflow chain of 2 to 11 pages) and derives a copy of each. The
+// processes use attribute-reference mappings only, so a reopened kernel
+// needs no operator re-registration to stay replayable.
 
 #ifndef GAEA_TESTING_CRASH_WORKLOAD_H_
 #define GAEA_TESTING_CRASH_WORKLOAD_H_

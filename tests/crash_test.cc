@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gaea/kernel.h"
+#include "storage/heap_file.h"
 #include "test_util.h"
 #include "testing/crash_workload.h"
 #include "util/env.h"
@@ -61,6 +62,23 @@ TEST(CrashWorkloadTest, RunsCleanWithoutFaults) {
   uint64_t writes = CountWorkloadWrites(/*seed=*/1, /*rounds=*/4);
   // DDL journaling + task records + page flushes: a real workload writes.
   EXPECT_GT(writes, 10u);
+}
+
+// Every round stores two rasters past a page (a scene and its copy), so
+// the sweeps below crash inside overflow-chain writes too.
+TEST(CrashWorkloadTest, StoresOverflowChains) {
+  TempDir dir("crash_chains");
+  crashtest::WorkloadOptions options;
+  options.rounds = 4;
+  ASSERT_OK(crashtest::RunWorkload(dir.path(), Env::Default(), options));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                       HeapFile::Open(dir.path() + "/objects.heap"));
+  int chains = 0;
+  ASSERT_OK(heap->ForEach([&chains](const Rid&, const std::string& record) {
+    if (record.size() > HeapFile::kMaxInline) ++chains;
+    return Status::OK();
+  }));
+  EXPECT_EQ(chains, 2 * options.rounds);
 }
 
 // Seeds 1 and 2 cover both durability modes (the workload picks kOs for odd

@@ -419,13 +419,13 @@ class DeriveWorkloadTest : public ::testing::Test {
     ASSERT_OK(kernel_->ExecuteDdl(kWorkloadSchema));
   }
 
-  Oid InsertBand(int band, AbsTime t, const Box& extent) {
+  Oid InsertBand(int band, AbsTime t, const Box& extent, int side = 8) {
     const ClassDef* def =
         kernel_->catalog().classes().LookupByName("landsat_tm_rectified")
             .value();
     SceneSpec spec;
-    spec.nrow = 8;
-    spec.ncol = 8;
+    spec.nrow = side;
+    spec.ncol = side;
     spec.nbands = 3;
     auto bands = GenerateScene(spec).value();
     DataObject obj(*def);
@@ -490,6 +490,29 @@ TEST_F(DeriveWorkloadTest, ThreeTaskWorkloadCountsExactly) {
   // Collector-backed gauges are present (catalog object count: 4 bands +
   // 2 ndvi maps + 1 change map).
   EXPECT_NE(text.find("gaea_catalog_objects 7\n"), std::string::npos);
+}
+
+// A band past one page is stored as an overflow chain, which bypasses the
+// heap pool; its traffic shows in the chain gauges and the stats JSON.
+TEST_F(DeriveWorkloadTest, HeapChainTrafficIsCounted) {
+  Oid small = InsertBand(0, AbsTime(100), Box(0, 0, 10, 10));
+  GaeaKernel::Stats before = kernel_->GetStats();
+  EXPECT_EQ(before.heap_chains.writes, 0u);
+  Oid big = InsertBand(1, AbsTime(100), Box(0, 0, 10, 10), /*side=*/32);
+  ASSERT_OK(kernel_->Get(big).status());
+  ASSERT_OK(kernel_->Get(small).status());
+  GaeaKernel::Stats stats = kernel_->GetStats();
+  EXPECT_EQ(stats.heap_chains.writes, 1u);
+  EXPECT_GE(stats.heap_chains.write_pages, 2u);  // 32x32 doubles: 8 KiB
+  EXPECT_GE(stats.heap_chains.reads, 1u);
+  EXPECT_EQ(stats.heap_chains.read_pages,
+            stats.heap_chains.reads * stats.heap_chains.write_pages);
+  std::string json = stats.ToJson();
+  EXPECT_NE(json.find("\"chain_writes\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"chain_read_pages\":"), std::string::npos);
+  std::string text = kernel_->metrics().Render();
+  EXPECT_NE(text.find("gaea_heap_chain_writes 1\n"), std::string::npos);
+  EXPECT_NE(text.find("gaea_heap_chain_read_pages "), std::string::npos);
 }
 
 TEST_F(DeriveWorkloadTest, FailedDeriveCountsAsFailureOnly) {

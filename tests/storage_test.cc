@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -230,18 +231,24 @@ TEST(HeapFileTest, ReadIntoSplitsHeaderFromBody) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
                        HeapFile::Open(dir.file("h.heap")));
   const size_t max_inline = HeapFile::kMaxInline;
+  const size_t cap = HeapFile::kOvCapacity;
+  // Inline records, then overflow chains of 1, 2 (cap ± 1 around the
+  // boundary), 3 and many pages; the prefix ends inside the first chain
+  // page, exactly at its end, or inside the second.
   for (size_t size : {size_t{8}, size_t{100}, max_inline, max_inline + 1,
-                      size_t{3 * kPageSize + 5}, size_t{1} << 20}) {
+                      cap - 1, cap, cap + 1, 2 * cap + 1,
+                      size_t{3 * kPageSize + 5}, size_t{1} << 20,
+                      size_t{3} << 20}) {
     std::string record = PseudoRandomBytes(size, size);
     ASSERT_OK_AND_ASSIGN(Rid rid, heap->Insert(record));
-    char head[8];
-    std::string out = "kept";
-    ASSERT_OK(heap->ReadInto(rid, head, &out));
-    EXPECT_EQ(std::string(head, 8), record.substr(0, 8)) << size;
-    EXPECT_EQ(out, "kept" + record.substr(8)) << size;
-    std::string whole;
-    ASSERT_OK(heap->ReadInto(rid, {}, &whole));
-    EXPECT_EQ(whole, record) << size;
+    for (size_t prefix_len : {size_t{0}, size_t{8}, cap, cap + 5}) {
+      if (prefix_len > size) continue;
+      std::string prefix(prefix_len, '\0');
+      std::string out = "kept";
+      ASSERT_OK(heap->ReadInto(rid, prefix, &out));
+      EXPECT_EQ(prefix, record.substr(0, prefix_len)) << size;
+      EXPECT_EQ(out, "kept" + record.substr(prefix_len)) << size;
+    }
   }
   ASSERT_OK_AND_ASSIGN(Rid tiny, heap->Insert("abc"));
   char head[8];
@@ -276,6 +283,175 @@ TEST(HeapFileTest, PersistsAcrossReopen) {
   }
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap, HeapFile::Open(path));
   EXPECT_EQ(heap->Read(rid).value(), "durable");
+}
+
+// ---- overflow chains ----
+
+TEST(HeapFileTest, ChainPagesNeverEnterThePool) {
+  TempDir dir("heap");
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                       HeapFile::Open(dir.file("h.heap"), /*pool_capacity=*/4));
+  ASSERT_OK_AND_ASSIGN(Rid small, heap->Insert("hot chip"));
+  // Fill the small record's page, so the large record's head lands on
+  // another data page and the reads below cannot pin the hot one.
+  ASSERT_OK(heap->Insert(std::string(HeapFile::kMaxInline - 16, 'f')).status());
+  ASSERT_OK_AND_ASSIGN(Rid big, heap->Insert(PseudoRandomBytes(1 << 20, 1)));
+  ASSERT_NE(big.page_id, small.page_id);
+  ASSERT_OK(heap->Flush());
+  EXPECT_EQ(heap->Read(small).value(), "hot chip");
+  ASSERT_OK(heap->Read(big).status());
+  // 257 chain pages went past a 4-frame pool; the small record's page is
+  // still resident.
+  uint64_t misses = heap->pool()->misses();
+  EXPECT_EQ(heap->Read(small).value(), "hot chip");
+  EXPECT_EQ(heap->pool()->misses(), misses);
+  size_t resident = 0;
+  for (const BufferPool::ShardStats& shard : heap->pool()->PerShardStats()) {
+    resident += shard.resident;
+  }
+  EXPECT_EQ(resident, 2u);  // the two data pages
+  HeapFile::ChainStats chains = heap->chain_stats();
+  EXPECT_EQ(chains.writes, 1u);
+  EXPECT_EQ(chains.write_pages, 257u);
+  EXPECT_EQ(chains.reads, 1u);
+  EXPECT_EQ(chains.read_pages, 257u);
+  // A full scan skips the chain's pages without caching them either.
+  ASSERT_OK(heap->ForEach(
+      [](const Rid&, const std::string&) { return Status::OK(); }));
+  EXPECT_EQ(heap->pool()->misses(), misses);
+}
+
+// Writes `value` over the u32 at `offset` of the file at `path`.
+void PatchU32(const std::string& path, uint64_t offset, uint32_t value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&value), 4);
+}
+
+TEST(HeapFileTest, ChainTruncatedByTheFileIsCorruption) {
+  TempDir dir("heap");
+  std::string path = dir.file("h.heap");
+  Rid small;
+  Rid big;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap, HeapFile::Open(path));
+    ASSERT_OK_AND_ASSIGN(small, heap->Insert("a"));
+    ASSERT_OK_AND_ASSIGN(big, heap->Insert(std::string(10 * kPageSize, 'b')));
+    ASSERT_OK(heap->Flush());
+  }
+  // Data page 0 holds both slots; the chain is pages 1..11. Cut it mid-way.
+  ASSERT_OK(Env::Default()->Truncate(path, 6 * kPageSize));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap, HeapFile::Open(path));
+  EXPECT_EQ(heap->Read(big).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(heap->Read(small).value(), "a");
+  int readable = 0;
+  ASSERT_OK(heap->ForEachReadable([&readable](const Rid&, const std::string&) {
+    ++readable;
+    return Status::OK();
+  }));
+  EXPECT_EQ(readable, 1);
+}
+
+TEST(HeapFileTest, CorruptChainLengthRefusedBeforeAllocating) {
+  TempDir dir("heap");
+  std::string path = dir.file("h.heap");
+  Rid big;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap, HeapFile::Open(path));
+    ASSERT_OK(heap->Insert("a").status());
+    ASSERT_OK_AND_ASSIGN(big, heap->Insert(std::string(3 * kPageSize, 'b')));
+    ASSERT_OK(heap->Flush());
+  }
+  ASSERT_EQ(big.page_id, 0u);
+  // Slot 1's cell offset, then the head's total length 4 bytes into its cell.
+  std::ifstream in(path, std::ios::binary);
+  uint16_t cell = 0;
+  in.seekg(HeapFile::kSlotArrayOff + big.slot * HeapFile::kSlotBytes);
+  in.read(reinterpret_cast<char*>(&cell), 2);
+  in.close();
+  PatchU32(path, cell + 4, 0xFFFFFFF0u);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap, HeapFile::Open(path));
+  std::string out;
+  EXPECT_EQ(heap->ReadInto(big, {}, &out).code(), StatusCode::kCorruption);
+  EXPECT_LT(out.capacity(), size_t{1} << 20);
+  EXPECT_EQ(heap->chain_stats().reads, 0u);
+}
+
+TEST(HeapFileTest, ChainWriteOutOfSpaceFailsOnlyThatInsert) {
+  TempDir dir("heap");
+  std::string path = dir.file("h.heap");
+  FaultInjectingEnv env(Env::Default());
+  std::vector<std::pair<Rid, std::string>> stored;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                         HeapFile::Open(path, 16, &env));
+    FaultInjectingEnv::FaultPlan plan;
+    plan.byte_budget = 256 * 1024;
+    env.set_plan(plan);
+    ASSERT_OK_AND_ASSIGN(Rid a, heap->Insert("before"));
+    stored.emplace_back(a, "before");
+    StatusOr<Rid> big = heap->Insert(PseudoRandomBytes(1 << 20, 7));
+    EXPECT_EQ(big.status().code(), StatusCode::kIOError);
+    // The store goes on: smaller chains and inline records still fit.
+    std::string mid = PseudoRandomBytes(20000, 8);
+    ASSERT_OK_AND_ASSIGN(Rid m, heap->Insert(mid));
+    stored.emplace_back(m, mid);
+    ASSERT_OK_AND_ASSIGN(Rid b, heap->Insert("after"));
+    stored.emplace_back(b, "after");
+    ASSERT_OK(heap->Flush());
+    for (const auto& [rid, record] : stored) {
+      EXPECT_EQ(heap->Read(rid).value(), record);
+    }
+    EXPECT_EQ(heap->Count().value(), 3);
+  }
+  env.set_plan(FaultInjectingEnv::FaultPlan());
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                       HeapFile::Open(path, 16, &env));
+  EXPECT_EQ(heap->Count().value(), 3);
+  for (const auto& [rid, record] : stored) {
+    EXPECT_EQ(heap->Read(rid).value(), record);
+  }
+}
+
+// Readers of large and small records race an inserter and a flusher; run
+// under TSan (GAEA_SANITIZE=thread) this checks the chain I/O's locking.
+TEST(HeapFileTest, ConcurrentChainReadsInsertsAndFlushes) {
+  TempDir dir("heap");
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                       HeapFile::Open(dir.file("h.heap"), /*pool_capacity=*/8));
+  std::vector<std::pair<Rid, std::string>> seeded;
+  for (int i = 0; i < 8; ++i) {
+    std::string record = PseudoRandomBytes(i % 2 == 0 ? 100 : 70000 + i, i);
+    ASSERT_OK_AND_ASSIGN(Rid rid, heap->Insert(record));
+    seeded.emplace_back(rid, std::move(record));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      for (int n = 0; !stop.load(); ++n) {
+        const auto& [rid, record] = seeded[(n + r) % seeded.size()];
+        StatusOr<std::string> got = heap->Read(rid);
+        if (!got.ok() || *got != record) failures.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load()) {
+      if (!heap->Flush().ok()) failures.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 40; ++i) {
+    std::string record = PseudoRandomBytes(i % 3 == 0 ? 50 : 9000 * i, 100 + i);
+    StatusOr<Rid> rid = heap->Insert(record);
+    ASSERT_OK(rid.status());
+    EXPECT_EQ(heap->Read(*rid).value(), record);
+  }
+  stop.store(true);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(heap->Count().value(), 48);
 }
 
 // ---- B+tree ----
@@ -975,31 +1151,32 @@ TEST(FaultInjectionTest, ObjectStoreRebuildsTornOidIndexFromHeap) {
   }
 }
 
-// Forwards to the default Env; while `fail_index_reads` is set, every page
-// read of an OID index file (*.idx) fails the way a bad sector would.
-class FailingIndexReadEnv : public FaultInjectingEnv {
+// Forwards to the default Env; while `fail_reads` is set, every page read
+// of a file whose name ends in `suffix` fails the way a bad sector would.
+class FailingReadEnv : public FaultInjectingEnv {
  public:
-  FailingIndexReadEnv() : FaultInjectingEnv(Env::Default()) {}
+  explicit FailingReadEnv(std::string suffix)
+      : FaultInjectingEnv(Env::Default()), suffix_(std::move(suffix)) {}
 
-  std::atomic<bool> fail_index_reads{false};
+  std::atomic<bool> fail_reads{false};
 
   StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
       const std::string& path) override {
     GAEA_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> base,
                           FaultInjectingEnv::NewRandomAccessFile(path));
-    bool index = path.ends_with(".idx");
+    bool failing = path.ends_with(suffix_);
     return std::unique_ptr<RandomAccessFile>(
-        new File(index ? this : nullptr, std::move(base)));
+        new File(failing ? this : nullptr, std::move(base)));
   }
 
  private:
   class File : public RandomAccessFile {
    public:
-    File(FailingIndexReadEnv* env, std::unique_ptr<RandomAccessFile> base)
+    File(FailingReadEnv* env, std::unique_ptr<RandomAccessFile> base)
         : env_(env), base_(std::move(base)) {}
     StatusOr<size_t> Read(uint64_t offset, size_t n,
                           char* scratch) const override {
-      if (env_ != nullptr && env_->fail_index_reads.load()) {
+      if (env_ != nullptr && env_->fail_reads.load()) {
         return Status::IOError("injected read failure");
       }
       return base_->Read(offset, n, scratch);
@@ -1010,15 +1187,44 @@ class FailingIndexReadEnv : public FaultInjectingEnv {
     Status Sync() override { return base_->Sync(); }
 
    private:
-    FailingIndexReadEnv* env_;
+    FailingReadEnv* env_;
     std::unique_ptr<RandomAccessFile> base_;
   };
+
+  std::string suffix_;
 };
+
+TEST(FaultInjectionTest, ChainReadErrorIsIOError) {
+  TempDir dir("heap");
+  std::string path = dir.file("h.heap");
+  FailingReadEnv env(".heap");
+  Rid small;
+  Rid big;
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                         HeapFile::Open(path, 16, &env));
+    ASSERT_OK_AND_ASSIGN(small, heap->Insert("a"));
+    ASSERT_OK_AND_ASSIGN(big, heap->Insert(std::string(5 * kPageSize, 'b')));
+    ASSERT_OK(heap->Flush());
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HeapFile> heap,
+                       HeapFile::Open(path, 16, &env));
+  // The head's data page is resident; only the chain read reaches the file.
+  EXPECT_EQ(heap->Read(small).value(), "a");
+  env.fail_reads = true;
+  EXPECT_EQ(heap->Read(big).status().code(), StatusCode::kIOError);
+  EXPECT_EQ(heap->ForEachReadable([](const Rid&, const std::string&) {
+              return Status::OK();
+            }).code(),
+            StatusCode::kIOError);
+  env.fail_reads = false;
+  EXPECT_EQ(heap->Read(big).value(), std::string(5 * kPageSize, 'b'));
+}
 
 TEST(FaultInjectionTest, ObjectStoreIndexReadErrorsAreNotNotFound) {
   TempDir dir("store");
   std::string prefix = dir.file("obj");
-  FailingIndexReadEnv env;
+  FailingReadEnv env(".idx");
   std::vector<Oid> oids;
   {
     ASSERT_OK_AND_ASSIGN(std::unique_ptr<ObjectStore> store,
@@ -1033,7 +1239,7 @@ TEST(FaultInjectionTest, ObjectStoreIndexReadErrorsAreNotNotFound) {
                        ObjectStore::Open(prefix, /*pool_capacity=*/1, &env));
   // One frame per pool shard: most lookups below miss and must read an
   // index page from the failing file.
-  env.fail_index_reads = true;
+  env.fail_reads = true;
   int io_errors = 0;
   for (Oid oid : oids) {
     // A stored object either reads or fails loudly — never "not stored".
@@ -1054,7 +1260,7 @@ TEST(FaultInjectionTest, ObjectStoreIndexReadErrorsAreNotNotFound) {
   // not write a heap record that reopen would resurrect.
   Oid fresh = oids.back() + 1;
   EXPECT_EQ(store->PutWithOid(fresh, "late").code(), StatusCode::kIOError);
-  env.fail_index_reads = false;
+  env.fail_reads = false;
   ASSERT_OK(store->Flush());
   store.reset();
   ASSERT_OK_AND_ASSIGN(store, ObjectStore::Open(prefix, 1, &env));
