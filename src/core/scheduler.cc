@@ -1,11 +1,10 @@
 #include "core/scheduler.h"
 
-#include <condition_variable>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <utility>
 
+#include "core/tile_pool.h"
 #include "obs/trace.h"
 
 namespace gaea {
@@ -65,6 +64,7 @@ StatusOr<std::vector<DeriveOutcome>> TaskScheduler::Execute(
   // references are legal.
   std::vector<std::vector<size_t>> dependents(n);
   std::vector<size_t> remaining(n, 0);
+  std::set<size_t> ready;  // runnable steps, lowest first; guarded by mu
   for (size_t i = 0; i < n; ++i) {
     std::set<size_t> deps;
     for (const auto& [arg, bound] : plan.steps[i].bindings) {
@@ -79,6 +79,7 @@ StatusOr<std::vector<DeriveOutcome>> TaskScheduler::Execute(
       }
     }
     remaining[i] = deps.size();
+    if (deps.empty()) ready.insert(i);
     for (size_t d : deps) dependents[d].push_back(i);
   }
 
@@ -86,17 +87,10 @@ StatusOr<std::vector<DeriveOutcome>> TaskScheduler::Execute(
   // ever taken when no storage/catalog latch is held by this thread;
   // catalog/storage latches may be taken while holding mu (commit path).
   std::mutex mu;
-  std::condition_variable cv;
-  std::set<size_t> ready;           // runnable steps, lowest index first
   std::map<size_t, StepItem> pending;  // reorder buffer: step -> finished item
   std::vector<Oid> oids(n, kInvalidOid);
-  std::vector<char> failed(n, 0);
   std::vector<char> poisoned(n, 0);
   size_t next_commit = 0;
-
-  for (size_t i = 0; i < n; ++i) {
-    if (remaining[i] == 0) ready.insert(i);
-  }
 
   // Resolves a step's input OIDs; dependencies are committed, so oids[] is
   // final for every referenced step. Called with mu held.
@@ -116,9 +110,8 @@ StatusOr<std::vector<DeriveOutcome>> TaskScheduler::Execute(
   // Finalizes step i's outcome bookkeeping. Called with mu held from the
   // drain loop; may add ready steps or poison entries to `pending`.
   auto finalize = [&](size_t i) {
-    if (!results[i].status.ok()) failed[i] = 1;
     for (size_t d : dependents[i]) {
-      if (failed[i]) poisoned[d] = 1;
+      if (!results[i].status.ok()) poisoned[d] = 1;
       if (--remaining[d] > 0) continue;
       if (poisoned[d]) {
         StepItem poison;
@@ -203,46 +196,34 @@ StatusOr<std::vector<DeriveOutcome>> TaskScheduler::Execute(
     }
   };
 
-  // Pool threads have no trace context of their own; they inherit the
-  // caller's so task spans parent under the request (or compound) span.
-  const obs::TraceContext trace_ctx = obs::Tracer::CurrentContext();
-
-  auto worker = [&] {
-    obs::ScopedContext trace_scope(trace_ctx);
+  // One pool item: runs the lowest ready step, then commits whatever
+  // became next-in-order; it adds one item per step its commits made ready.
+  auto run_step = [&](int64_t, int64_t* more) {
     std::unique_lock<std::mutex> lock(mu);
-    while (next_commit < n) {
-      if (ready.empty()) {
-        cv.wait(lock, [&] { return next_commit >= n || !ready.empty(); });
-        continue;
-      }
-      size_t i = *ready.begin();
-      ready.erase(ready.begin());
-      std::map<std::string, std::vector<Oid>> inputs =
-          resolve_inputs(plan.steps[i]);
-      lock.unlock();
-      StepItem item;
-      {
-        obs::SpanGuard span("task:" + plan.steps[i].process_name, "scheduler");
-        item = ComputeStep(plan.steps[i], std::move(inputs));
-      }
-      lock.lock();
-      pending.emplace(i, std::move(item));
-      drain();
-      cv.notify_all();
+    size_t i = *ready.begin();
+    ready.erase(ready.begin());
+    std::map<std::string, std::vector<Oid>> inputs =
+        resolve_inputs(plan.steps[i]);
+    lock.unlock();
+    StepItem item;
+    {
+      obs::SpanGuard span("task:" + plan.steps[i].process_name, "scheduler");
+      item = ComputeStep(plan.steps[i], std::move(inputs));
     }
-    cv.notify_all();
+    lock.lock();
+    pending.emplace(i, std::move(item));
+    const size_t was_ready = ready.size();
+    drain();
+    *more = static_cast<int64_t>(ready.size() - was_ready);
+    return Status::OK();
   };
 
-  int threads = options_.threads;
-  if (threads > static_cast<int>(n)) threads = static_cast<int>(n);
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  // A one-step plan (every wire Derive) runs on the caller, off the pool.
+  int64_t more = 0;
+  GAEA_RETURN_IF_ERROR(
+      n == 1 ? run_step(0, &more)
+             : TilePool::Global().Run(static_cast<int64_t>(ready.size()),
+                                      run_step));
   return results;
 }
 

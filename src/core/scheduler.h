@@ -3,19 +3,22 @@
 //
 // The scheduler takes a DerivationPlan — primitive process instantiations
 // whose inputs are either stored OIDs or outputs of earlier steps — and
-// runs independent steps on a std::thread pool. Each step is split along
-// Deriver's Prepare/Commit seam:
+// runs independent steps as items of one growing job on the process-wide
+// TilePool (tile_pool.h), at the pool's width. Each item runs the lowest
+// ready step, split along Deriver's Prepare/Commit seam:
 //
 //   * Prepare (load inputs, check assertions, evaluate mappings) runs on
-//     any worker thread, concurrently with other steps;
+//     any pool thread, concurrently with other steps;
 //   * Commit (store the output object, append the task record) happens in
 //     strict plan order through a reorder buffer, so OID assignment and
 //     task-log order are byte-identical to a single-threaded run no matter
-//     how many workers raced the prepares.
+//     how many threads raced the prepares.
 //
-// Workers never block waiting for their commit turn: a finished prepare is
-// deposited into the buffer and the worker moves on; whichever worker
-// deposits the next-in-order item drains everything that became committable.
+// Items never wait for their commit turn: a finished prepare is deposited
+// into the buffer and the item ends; whichever item deposits the next-in-
+// order step drains everything that became committable, and adds one item
+// per dependent step those commits made ready. A one-step plan runs on the
+// caller without touching the pool.
 //
 // When a DerivationCache is attached (non-null), each step consults it
 // before preparing (key: process, version, params, input OIDs — see
@@ -62,19 +65,13 @@ struct DeriveOutcome {
 
 class TaskScheduler {
  public:
-  struct Options {
-    int threads = 1;  // worker threads (<= 1 runs on the caller thread)
-  };
-
   // A null `cache` turns memoization off: every step prepares and commits.
   TaskScheduler(Deriver* deriver, Catalog* catalog,
-                const ProcessRegistry* processes, DerivationCache* cache,
-                Options options)
+                const ProcessRegistry* processes, DerivationCache* cache)
       : deriver_(deriver),
         catalog_(catalog),
         processes_(processes),
-        cache_(cache),
-        options_(options) {}
+        cache_(cache) {}
 
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
@@ -105,7 +102,6 @@ class TaskScheduler {
   Catalog* catalog_;
   const ProcessRegistry* processes_;
   DerivationCache* cache_;  // null when caching is off
-  Options options_;
 };
 
 }  // namespace gaea

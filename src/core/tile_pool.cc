@@ -1,6 +1,7 @@
 #include "core/tile_pool.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "obs/trace.h"
@@ -8,31 +9,29 @@
 namespace gaea {
 
 namespace {
-// Set while a thread is executing a tile body; a nested ParallelRows from
-// inside an operator kernel runs inline instead of deadlocking the pool.
+// Set while a thread is executing a tile body; a job started from inside an
+// operator kernel runs inline instead of deadlocking the pool.
 thread_local bool t_in_tile = false;
 }  // namespace
 
-// All fields are guarded by TilePool::mu_. Claiming a tile is a handful of
-// instructions under the lock; a tile itself is >=64 rows of pixel work, so
-// the lock is never contended in any profile that matters.
+// All counters are guarded by TilePool::mu_. Claiming an item is a handful
+// of instructions under the lock; an item is a plan step or >=64 rows of
+// pixel work, so the lock is never contended in any profile that matters.
 struct TilePool::Job {
-  int64_t nrows = 0;
-  int64_t ntiles = 0;
-  int64_t next = 0;  // next unclaimed tile
-  int64_t done = 0;  // tiles finished (either path)
-  const std::function<Status(int64_t, int64_t)>* fn = nullptr;
-  obs::TraceContext ctx;  // caller's trace context, adopted by helpers
-  Status error;           // status of the lowest-numbered failing tile
-  int64_t error_tile = -1;
+  const ItemFn* fn = nullptr;
+  bool tiles = false;       // a ParallelRows job: tile bodies, in Stats
+  int64_t items = 0;        // grows as items add more
+  int64_t next = 0;         // next unclaimed item
+  int64_t done = 0;         // items finished (either path)
+  obs::TraceContext ctx{};  // caller's trace context, adopted by helpers
+  Status error{};           // status of the lowest-numbered failing item
+  int64_t error_item = -1;
 };
 
 TilePool& TilePool::Global() {
   static TilePool pool;
   return pool;
 }
-
-TilePool::TilePool() = default;
 
 TilePool::~TilePool() {
   std::vector<std::thread> workers;
@@ -86,26 +85,33 @@ TilePool::Stats TilePool::stats() const {
   return s;
 }
 
-Status TilePool::RunTile(Job& job, int64_t tile) {
-  int64_t begin = tile * kTileRows;
-  int64_t end = std::min(job.nrows, begin + kTileRows);
+Status TilePool::RunItem(Job& job, int64_t item, int64_t* more,
+                         bool on_helper) {
+  if (!job.tiles) return (*job.fn)(item, more);
   tiles_.fetch_add(1, std::memory_order_relaxed);
+  if (on_helper) helper_tiles_.fetch_add(1, std::memory_order_relaxed);
   bool saved = t_in_tile;
   t_in_tile = true;
-  Status s = (*job.fn)(begin, end);
+  Status s = (*job.fn)(item, more);
   t_in_tile = saved;
   return s;
 }
 
-void TilePool::FinishTile(Job& job, int64_t tile, Status s, bool on_helper) {
-  if (on_helper) helper_tiles_.fetch_add(1, std::memory_order_relaxed);
+// Runs a claimed item of a shared job and folds its result into the job.
+void TilePool::RunShared(Job& job, int64_t item, bool on_helper) {
+  std::optional<obs::SpanGuard> span;
+  if (job.tiles) span.emplace("tile", "tile");
+  int64_t more = 0;
+  Status s = RunItem(job, item, &more, on_helper);
   std::lock_guard<std::mutex> lock(mu_);
   ++job.done;
-  if (!s.ok() && (job.error_tile < 0 || tile < job.error_tile)) {
+  job.items += more;
+  if (!s.ok() && (job.error_item < 0 || item < job.error_item)) {
     job.error = std::move(s);
-    job.error_tile = tile;
+    job.error_item = item;
   }
-  if (job.done == job.ntiles) done_cv_.notify_all();
+  if (more > 0) work_cv_.notify_all();
+  if (more > 0 || job.done == job.items) done_cv_.notify_all();
 }
 
 void TilePool::HelperLoop(size_t index) {
@@ -113,7 +119,7 @@ void TilePool::HelperLoop(size_t index) {
   for (;;) {
     std::shared_ptr<Job> job;
     for (const auto& j : active_) {
-      if (j->next < j->ntiles) {
+      if (j->next < j->items) {
         job = j;
         break;
       }
@@ -123,89 +129,88 @@ void TilePool::HelperLoop(size_t index) {
       work_cv_.wait(lock);
       continue;
     }
-    int64_t tile = job->next++;
+    int64_t item = job->next++;
     lock.unlock();
     {
       obs::ScopedContext trace_scope(job->ctx);
-      obs::SpanGuard span("tile", "tile");
-      Status s = RunTile(*job, tile);
-      FinishTile(*job, tile, std::move(s), /*on_helper=*/true);
+      RunShared(*job, item, /*on_helper=*/true);
     }
     lock.lock();
   }
+}
+
+Status TilePool::Run(int64_t items, const ItemFn& fn) {
+  return RunJob(nullptr, items, fn);
 }
 
 Status TilePool::ParallelRows(
     const char* label, int64_t nrows,
     const std::function<Status(int64_t, int64_t)>& fn) {
   if (nrows <= 0) return Status::OK();
-  const int64_t ntiles = TileCount(nrows);
   jobs_.fetch_add(1, std::memory_order_relaxed);
+  ItemFn tile = [&](int64_t t, int64_t*) {
+    int64_t begin = t * kTileRows;
+    return fn(begin, std::min(nrows, begin + kTileRows));
+  };
+  return RunJob(label, TileCount(nrows), tile);
+}
 
-  bool fan_out = ntiles > 1 && !t_in_tile;
-  if (fan_out) {
+// `label` is null for a Run job and names the tiles of a ParallelRows job.
+Status TilePool::RunJob(const char* label, int64_t items, const ItemFn& fn) {
+  const bool tiles = label != nullptr;
+  bool share = (items > 1 || !tiles) && !t_in_tile;
+  if (share) {
     std::lock_guard<std::mutex> lock(mu_);
-    // Admission: with no helpers there is nobody to hand tiles to, and once
-    // max_parallel fan-outs are in flight every thread already has work —
-    // further fan-outs would only add queueing overhead.
-    if (helpers_.empty() ||
-        active_.size() >= static_cast<size_t>(max_parallel_)) {
-      fan_out = false;
-    }
+    // Admission: with no helpers there is nobody to share with, and once
+    // max_parallel jobs are in flight every thread already has work —
+    // further tile fan-outs would only add queueing overhead.
+    share = !helpers_.empty() &&
+            (!tiles || active_.size() < static_cast<size_t>(max_parallel_));
   }
 
-  if (!fan_out) {
-    inline_jobs_.fetch_add(1, std::memory_order_relaxed);
-    Job job;
-    job.nrows = nrows;
-    job.ntiles = ntiles;
-    job.fn = &fn;
-    // Same contract as the fan-out path: every tile runs even after an
-    // error, and the lowest-indexed tile's error is returned — so the
+  if (!share) {
+    if (tiles) inline_jobs_.fetch_add(1, std::memory_order_relaxed);
+    Job job{&fn, tiles};
+    // Same contract as the shared path: every item runs even after an
+    // error, and the lowest-numbered item's error is returned — so the
     // failure a caller observes is identical at every thread count.
     Status first_error;
-    for (int64_t tile = 0; tile < ntiles; ++tile) {
-      Status s = RunTile(job, tile);
+    for (int64_t item = 0; item < items; ++item) {
+      int64_t more = 0;
+      Status s = RunItem(job, item, &more, /*on_helper=*/false);
+      items += more;
       if (!s.ok() && first_error.ok()) first_error = std::move(s);
     }
     return first_error;
   }
 
-  fanout_jobs_.fetch_add(1, std::memory_order_relaxed);
-  obs::SpanGuard span(std::string("tiles:") + label, "tile");
-  auto job = std::make_shared<Job>();
-  job->nrows = nrows;
-  job->ntiles = ntiles;
-  job->fn = &fn;
-  job->ctx = obs::Tracer::CurrentContext();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_.push_back(job);
+  std::optional<obs::SpanGuard> span;
+  if (tiles) {
+    fanout_jobs_.fetch_add(1, std::memory_order_relaxed);
+    span.emplace(std::string("tiles:") + label, "tile");
   }
+  auto job = std::make_shared<Job>(Job{&fn, tiles, items});
+  job->ctx = obs::Tracer::CurrentContext();
+  std::unique_lock<std::mutex> lock(mu_);
+  active_.push_back(job);
   work_cv_.notify_all();
 
-  // The caller claims tiles alongside the helpers; it never waits while
-  // unclaimed work remains.
+  // The caller claims items alongside the helpers; it waits only while
+  // every item is claimed and some are still running.
   for (;;) {
-    int64_t tile;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (job->next >= job->ntiles) break;
-      tile = job->next++;
+    if (job->next < job->items) {
+      int64_t item = job->next++;
+      lock.unlock();
+      RunShared(*job, item, /*on_helper=*/false);
+      lock.lock();
+    } else if (job->done == job->items) {
+      break;
+    } else {
+      done_cv_.wait(lock);
     }
-    obs::SpanGuard tile_span("tile", "tile");
-    Status s = RunTile(*job, tile);
-    FinishTile(*job, tile, std::move(s), /*on_helper=*/false);
   }
-
-  Status result;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return job->done == job->ntiles; });
-    active_.erase(std::find(active_.begin(), active_.end(), job));
-    if (job->error_tile >= 0) result = job->error;
-  }
-  return result;
+  active_.erase(std::find(active_.begin(), active_.end(), job));
+  return std::move(job->error);
 }
 
 }  // namespace gaea

@@ -1,10 +1,13 @@
-// Intra-derivation tile parallelism (docs/PERF.md "Two-level parallelism").
+// The process's one thread executor (docs/PERF.md "Two-level parallelism").
 //
-// The TaskScheduler parallelizes *across* independent derivations; the
-// TilePool parallelizes *within* one: a raster operator splits its row space
-// into fixed-height bands ("tiles") and fans them out onto a small pool of
-// persistent helper threads shared by the whole process. The calling thread
-// always participates, so a fan-out never blocks behind unrelated work.
+// A job is a run of numbered items that the calling thread and a small set
+// of persistent helper threads claim in ascending order. An item may add
+// items to its own job while it runs, so a job can grow. Two kinds of work
+// use it: the TaskScheduler runs a plan's steps as items (one per ready
+// step), and ParallelRows runs a raster operator's fixed-height row bands
+// ("tiles") as items. The calling thread always takes part, so a job never
+// blocks behind unrelated work, and a step item may fan its tiles out on
+// the same pool.
 //
 // Determinism contract: tile geometry is a pure function of the row count —
 // never of the thread count or of which thread runs a tile. Operators that
@@ -42,19 +45,29 @@ class TilePool {
   static TilePool& Global();
 
   // Allows up to `n` threads (the caller plus n-1 persistent helpers) to
-  // cooperate on one fan-out. Mirrors GaeaKernel::SetDeriveThreads; n < 1 is
-  // clamped to 1 (no helpers, every ParallelRows runs inline).
+  // cooperate on one job. Set by GaeaKernel::SetDeriveThreads; n < 1 is
+  // clamped to 1 (no helpers, every job runs inline).
   void SetMaxParallel(int n);
   int max_parallel() const;
 
-  // Runs fn(row_begin, row_end) for every tile of [0, nrows). Returns OK iff
-  // every tile returned OK; on failure, the error of the lowest-numbered
-  // failing tile (deterministic across thread counts). The callback must
-  // only touch rows in [row_begin, row_end) of its output and may read any
-  // shared input. Runs inline (caller thread, ascending tile order) when the
-  // raster is a single tile, the pool has no helpers, the caller is itself a
-  // tile worker (no nested fan-out), or enough fan-outs are already in
-  // flight to keep every thread busy (admission control — see docs/PERF.md).
+  // One item of a job. `*more` starts at 0; an item that raises it adds
+  // that many items to the end of its own job.
+  using ItemFn = std::function<Status(int64_t item, int64_t* more)>;
+
+  // Runs fn on items 0, 1, ... of a job that starts with `items` items and
+  // grows by what they add; returns once every item has finished, with the
+  // error of the lowest-numbered failing item. An item must never wait on
+  // another. Runs inline (caller thread, ascending order) when the pool
+  // has no helpers or the caller is itself inside a tile body.
+  Status Run(int64_t items, const ItemFn& fn);
+
+  // The row-range job: runs fn(row_begin, row_end) for every tile of
+  // [0, nrows), with Run's error contract (deterministic across thread
+  // counts). The callback must only touch rows in [row_begin, row_end) of
+  // its output and may read any shared input. Also runs inline when the
+  // raster is a single tile or enough jobs are already in flight to keep
+  // every thread busy (admission control — see docs/PERF.md). Only these
+  // jobs count in Stats.
   Status ParallelRows(const char* label, int64_t nrows,
                       const std::function<Status(int64_t, int64_t)>& fn);
 
@@ -69,7 +82,7 @@ class TilePool {
   };
   Stats stats() const;
 
-  TilePool();
+  TilePool() = default;
   ~TilePool();
   TilePool(const TilePool&) = delete;
   TilePool& operator=(const TilePool&) = delete;
@@ -77,13 +90,14 @@ class TilePool {
  private:
   struct Job;
 
+  Status RunJob(const char* label, int64_t items, const ItemFn& fn);
   void HelperLoop(size_t index);
-  Status RunTile(Job& job, int64_t tile);
-  void FinishTile(Job& job, int64_t tile, Status s, bool on_helper);
+  Status RunItem(Job& job, int64_t item, int64_t* more, bool on_helper);
+  void RunShared(Job& job, int64_t item, bool on_helper);
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // helpers: a job gained claimable tiles
-  std::condition_variable done_cv_;  // callers: a job finished a tile
+  std::condition_variable work_cv_;  // helpers: a job gained claimable items
+  std::condition_variable done_cv_;  // callers: a job grew or finished
   std::deque<std::shared_ptr<Job>> active_;
   std::vector<std::thread> helpers_;
   size_t target_helpers_ = 0;

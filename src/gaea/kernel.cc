@@ -5,10 +5,6 @@
 #include <mutex>
 #include <set>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "analysis/analyzer.h"
 #include "analysis/dataflow.h"
 #include "core/tile_pool.h"
@@ -19,34 +15,11 @@
 
 namespace gaea {
 
-namespace {
-
-// Keeps freed multi-MiB buffers (chain reads, rasters, reply bodies) in the
-// process instead of returning them to the OS, so each derive or large get
-// does not fault its working set in again. glibc's defaults hand blocks
-// over 128 KiB to mmap (raising that cut-off only as such blocks are freed)
-// and trim the heap top past 128 KiB. 8 MiB is the smallest value at which
-// classify_cold's minor faults stop falling (docs/PERF.md §7). Once per
-// process; the result is ignored because sanitizer builds replace malloc.
-void RetainFreedBuffers() {
-#if defined(__GLIBC__)
-  static std::once_flag once;
-  std::call_once(once, [] {
-    constexpr int kRetainBytes = 8 << 20;
-    (void)mallopt(M_MMAP_THRESHOLD, kRetainBytes);
-    (void)mallopt(M_TRIM_THRESHOLD, kRetainBytes);
-  });
-#endif
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::Open(
     const Options& options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("GaeaKernel needs a database directory");
   }
-  RetainFreedBuffers();
   Env* env = options.env != nullptr ? options.env : Env::Default();
   GAEA_ASSIGN_OR_RETURN(std::vector<recovery::RecoveryPlan> plans,
                         recovery::BuildRecoveryPlans(env, options.dir));
@@ -699,16 +672,18 @@ StatusOr<std::vector<DeriveOutcome>> GaeaKernel::DeriveBatch(
   obs::SpanGuard span("derive-batch", "kernel");
   metrics_.GetCounter("gaea_derive_batches_total")->Inc();
   TaskScheduler scheduler(deriver_.get(), catalog_.get(), &processes_,
-                          derivation_cache_.get(), {derive_threads_});
+                          derivation_cache_.get());
   return scheduler.RunBatch(requests);
 }
 
 void GaeaKernel::SetDeriveThreads(int threads) {
-  derive_threads_ = threads < 1 ? 1 : threads;
-  // One knob, two levels: the same budget caps batch-level scheduler
-  // workers and intra-derivation tile helpers. The TilePool's admission
-  // policy keeps the combination from oversubscribing (docs/PERF.md).
-  TilePool::Global().SetMaxParallel(derive_threads_);
+  // One knob, one pool: plan steps and their raster tiles share the
+  // TilePool's threads (docs/PERF.md).
+  TilePool::Global().SetMaxParallel(threads);
+}
+
+int GaeaKernel::derive_threads() const {
+  return TilePool::Global().max_parallel();
 }
 
 StatusOr<Oid> GaeaKernel::DeriveCompound(
@@ -718,7 +693,7 @@ StatusOr<Oid> GaeaKernel::DeriveCompound(
   metrics_.GetCounter("gaea_compound_runs_total")->Inc();
   // No cache: every compound run records its stage tasks.
   TaskScheduler scheduler(deriver_.get(), catalog_.get(), &processes_,
-                          nullptr, {derive_threads_});
+                          nullptr);
   return scheduler.RunCompound(compound, external_inputs);
 }
 

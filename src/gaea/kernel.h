@@ -153,16 +153,19 @@ class GaeaKernel {
                        const std::map<std::string, std::vector<Oid>>& inputs,
                        int version = 0);
 
-  // Executes a batch of independent derivation requests on the scheduler's
-  // thread pool (SetDeriveThreads), consulting the derivation cache. One
+  // Executes a batch of independent derivation requests as TaskScheduler
+  // steps on the process-wide TilePool (SetDeriveThreads), consulting the
+  // derivation cache; a one-request batch runs on the calling thread. One
   // outcome per request, in request order; per-request failures are
   // reported in the outcomes, not as a batch failure.
   StatusOr<std::vector<DeriveOutcome>> DeriveBatch(
       const std::vector<DeriveRequest>& requests);
 
-  // Worker threads for DeriveBatch/DeriveCompound (clamped to >= 1).
+  // Width of the process-wide TilePool (clamped to >= 1): the caller plus
+  // threads-1 helpers, shared by plan steps (DeriveBatch, DeriveCompound,
+  // derive-by-plan queries) and raster tiles. Process-wide, not per kernel.
   void SetDeriveThreads(int threads);
-  int derive_threads() const { return derive_threads_; }
+  int derive_threads() const;
 
   DerivationCache& derivation_cache() { return *derivation_cache_; }
   const DerivationCache& derivation_cache() const {
@@ -191,10 +194,10 @@ class GaeaKernel {
   Status Evict(Oid oid);
 
   // Expands a compound process on external inputs and runs its primitive
-  // stages on the scheduler (independent stages execute concurrently when
-  // SetDeriveThreads > 1); returns the output stage's object. Compound runs
-  // bypass the derivation cache: every invocation records its stage tasks,
-  // matching the sequential Derive-per-stage semantics.
+  // stages on the scheduler (independent stages run concurrently on the
+  // TilePool when SetDeriveThreads > 1); returns the output stage's object.
+  // Compound runs bypass the derivation cache: every invocation records its
+  // stage tasks, matching the sequential Derive-per-stage semantics.
   StatusOr<Oid> DeriveCompound(
       const CompoundProcessDef& compound,
       const std::map<std::string, std::vector<Oid>>& external_inputs);
@@ -523,7 +526,6 @@ class GaeaKernel {
   std::unique_ptr<DerivationCache> derivation_cache_;
   std::unique_ptr<Interpolator> interpolator_;
   std::unique_ptr<QueryEngine> query_engine_;
-  int derive_threads_ = 1;
   AbsTime now_;
   DurabilityMode durability_ = DurabilityMode::kOs;
   RecoveryReport recovery_report_;

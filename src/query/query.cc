@@ -103,9 +103,9 @@ StatusOr<std::vector<Oid>> QueryEngine::TryDerive(ClassId class_id,
     // Planner found stored data; nothing to derive.
     return Status::NotFound("data already stored; nothing to derive");
   }
-  // One thread and no cache: the query records one task per plan step,
-  // committed in plan order.
-  TaskScheduler scheduler(deriver_, catalog_, processes_, nullptr, {});
+  // No cache: the query records one task per plan step, committed in plan
+  // order at any pool width.
+  TaskScheduler scheduler(deriver_, catalog_, processes_, nullptr);
   GAEA_ASSIGN_OR_RETURN(std::vector<DeriveOutcome> outcomes,
                         scheduler.Execute(plan));
   // A failed step's dependents report it second-hand, so the first failure

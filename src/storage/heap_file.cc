@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <mutex>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace gaea {
 
@@ -69,11 +74,31 @@ Status ShortRecord(uint32_t total, size_t prefix) {
                             std::to_string(prefix) + "-byte header");
 }
 
+// Keeps freed multi-MiB buffers (chain reads and writes, rasters, reply
+// bodies) in the process instead of returning them to the OS, so each
+// derive or large get does not fault its working set in again. glibc's
+// defaults hand blocks over 128 KiB to mmap (raising that cut-off only as
+// such blocks are freed) and trim the heap top past 128 KiB. 8 MiB is the
+// smallest value at which classify_cold's minor faults stop falling
+// (docs/PERF.md §7). Once per process; the result is ignored because
+// sanitizer builds replace malloc.
+void RetainFreedBuffers() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] {
+    constexpr int kRetainBytes = 8 << 20;
+    (void)mallopt(M_MMAP_THRESHOLD, kRetainBytes);
+    (void)mallopt(M_TRIM_THRESHOLD, kRetainBytes);
+  });
+#endif
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<HeapFile>> HeapFile::Open(const std::string& path,
                                                    size_t pool_capacity,
                                                    Env* env) {
+  RetainFreedBuffers();
   GAEA_ASSIGN_OR_RETURN(std::unique_ptr<BufferPool> pool,
                         BufferPool::Open(path, pool_capacity, 4, env));
   return std::unique_ptr<HeapFile>(new HeapFile(std::move(pool)));

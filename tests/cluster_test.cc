@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -204,6 +205,40 @@ TEST(GaeadTest, PortInUseIsACleanErrorNotAnAbort) {
   EXPECT_NE(second->Log().find("cannot listen"), std::string::npos)
       << "stderr should explain the port clash: " << second->Log();
   EXPECT_EQ(first->Terminate(), 0);
+}
+
+// Out-of-range numeric flags are usage errors caught while parsing: exit 2
+// with the usage line, before the database directory is even created.
+TEST(GaeadTest, OutOfRangeNumericFlagsAreUsageErrors) {
+  TempDir dir("badflags");
+  const std::vector<std::vector<std::string>> bad = {
+      {"--port", "70000"},
+      {"--port", "-1"},
+      {"--port", "4294967297"},
+      {"--workers", "0"},
+      {"--workers", "1025"},
+      {"--workers", "4294967297"},
+      {"--derive-threads", "0"},
+      {"--derive-threads", "1025"},
+      {"--derive-threads", "4294967297"},
+      {"--max-inflight", "4294967297"},
+      {"--checkpoint-bytes", "-1"},
+      {"--checkpoint-tasks", "-1"},
+      {"--checkpoint-poll-ms", "-1"},
+      {"--replica-poll-ms", "-1"},
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const std::string tag = std::to_string(i);
+    auto daemon =
+        Gaead::Start(dir.file("db" + tag), dir.file("port" + tag),
+                     dir.file("log" + tag), bad[i], /*wait_for_port=*/false);
+    ASSERT_NE(daemon, nullptr);
+    EXPECT_EQ(daemon->WaitExit(), 2) << bad[i][0] << " " << bad[i][1];
+    EXPECT_NE(daemon->Log().find("usage:"), std::string::npos)
+        << daemon->Log();
+    EXPECT_FALSE(std::filesystem::exists(dir.file("db" + tag)))
+        << bad[i][0] << " " << bad[i][1] << " got past flag parsing";
+  }
 }
 
 // The tentpole scenario: a primary and two replicas, a client hammering

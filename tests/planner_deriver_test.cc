@@ -76,11 +76,11 @@ class DeriverTest : public ::testing::Test {
     deriver_->set_clock(AbsTime(5000));
   }
 
-  // Runs `plan` the way a query does: on a one-thread scheduler with no
-  // derivation cache. Returns each step's output, or the first failure.
+  // Runs `plan` the way a query does: on the scheduler with no derivation
+  // cache. Returns each step's output, or the first failure.
   StatusOr<std::vector<Oid>> RunPlan(const DerivationPlan& plan) {
     TaskScheduler scheduler(deriver_.get(), catalog_.get(), &processes_,
-                            nullptr, {});
+                            nullptr);
     GAEA_ASSIGN_OR_RETURN(std::vector<DeriveOutcome> outcomes,
                           scheduler.Execute(plan));
     std::vector<Oid> produced;

@@ -3,6 +3,7 @@
 #include "gaea/kernel.h"
 #include "raster/scene.h"
 #include "test_util.h"
+#include "util/serialize.h"
 
 namespace gaea {
 namespace {
@@ -314,6 +315,86 @@ TEST_F(QueryTest, AttemptsTraceRecordedOnSuccess) {
   ASSERT_EQ(answer.attempts.size(), 3u);
   EXPECT_EQ(answer.attempts[0], "retrieve: 0 object(s)");
   EXPECT_EQ(answer.attempts[2], "derive: 1 object(s)");
+}
+
+// A change class over two ndvi maps: with only bands stored, its plan fires
+// compute-ndvi twice (independent steps) and ndvi-change on both outputs.
+constexpr char kChangeSchema[] = R"(
+CLASS ndvi_change (
+  ATTRIBUTES:
+    data = image;
+  SPATIAL EXTENT:
+    spatialextent = box;
+  TEMPORAL EXTENT:
+    timestamp = abstime;
+  DERIVED BY: ndvi-change
+)
+
+DEFINE PROCESS ndvi-change
+OUTPUT ndvi_change
+ARGUMENT ( SETOF ndvi_map maps MIN 2 )
+TEMPLATE {
+  MAPPINGS:
+    ndvi_change.data = img_sub(ANYOF maps.data, ANYOF maps.data);
+    ndvi_change.spatialextent = ANYOF maps.spatialextent;
+    ndvi_change.timestamp = ANYOF maps.timestamp;
+}
+)";
+
+// What a derive-by-plan query leaves behind: the answer, every task-log
+// line (durations excluded) and the serialized bytes of every output.
+struct PlanRun {
+  std::vector<Oid> answer;
+  std::vector<std::string> tasks;
+  std::vector<std::string> objects;
+};
+
+// The query engine runs its plan at the pool's width and still commits in
+// plan order: width 4 matches width 1 exactly.
+TEST_F(QueryTest, DeriveByPlanMatchesAcrossPoolWidths) {
+  auto run = [&](int threads) {
+    PlanRun out;
+    EXPECT_OK(kernel_->ExecuteDdl(kChangeSchema));
+    InsertBand(AbsTime(100), Box(0, 0, 10, 10), 1);
+    InsertBand(AbsTime(100), Box(0, 0, 10, 10), 2);
+    kernel_->SetDeriveThreads(threads);
+    QueryRequest req;
+    req.target = "ndvi_change";
+    auto result = kernel_->Query(req);
+    kernel_->SetDeriveThreads(1);
+    EXPECT_OK(result.status());
+    if (!result.ok() || result->answers.size() != 1) return out;
+    EXPECT_EQ(result->answers[0].method, QueryStep::kDerive);
+    out.answer = result->answers[0].oids;
+    for (const Task& task : kernel_->tasks().tasks()) {
+      std::string line =
+          task.process_name + "#" + std::to_string(task.process_version) +
+          (task.status == TaskStatus::kCompleted ? " ok" : " fail");
+      for (const auto& [arg, oids] : task.inputs) {
+        line += " " + arg + "=";
+        for (Oid oid : oids) line += std::to_string(oid) + ",";
+      }
+      line += " ->";
+      for (Oid oid : task.outputs) {
+        line += " " + std::to_string(oid);
+        BinaryWriter w;
+        kernel_->Get(oid).value().Serialize(&w);
+        out.objects.push_back(w.buffer());
+      }
+      out.tasks.push_back(std::move(line));
+    }
+    return out;
+  };
+  PlanRun serial = run(1);
+  kernel_.reset();
+  dir_.reset();
+  SetUp();
+  PlanRun parallel = run(4);
+
+  ASSERT_EQ(serial.tasks.size(), 3u);
+  EXPECT_EQ(parallel.answer, serial.answer);
+  EXPECT_EQ(parallel.tasks, serial.tasks);
+  EXPECT_EQ(parallel.objects, serial.objects);
 }
 
 TEST(PredicateTest, CompareOpsOverTypes) {

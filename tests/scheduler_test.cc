@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/tile_pool.h"
 #include "gaea/kernel.h"
+#include "raster/scene.h"
 #include "test_util.h"
 #include "util/serialize.h"
 
@@ -378,6 +383,177 @@ TEST(DerivationCacheTest, DeriveOrReuseRacesDeriveBatch) {
   }
   reuser.join();
   EXPECT_EQ(f.kernel->tasks().size(), 2u * kRounds);
+}
+
+// Threads in this process: the Threads: line of /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// Raises `peak` to at least `value`.
+void RaiseTo(std::atomic<int>* peak, int value) {
+  int seen = peak->load();
+  while (value > seen && !peak->compare_exchange_weak(seen, value)) {
+  }
+}
+
+// Plan steps run on the TilePool's threads: a width-4 batch starts no
+// thread of its own, and still runs four steps at once.
+TEST(SchedulerThreadBudgetTest, BatchRunsOnThePoolsThreads) {
+  constexpr int kRequests = 16;
+  Fixture f("sched_budget", kRequests);
+  std::atomic<int> running{0};
+  std::atomic<int> peak_running{0};
+  std::atomic<int> peak_threads{0};
+  OperatorSignature sig;
+  sig.params = {TypeId::kInt};
+  sig.result = TypeId::kInt;
+  sig.doc = "identity that samples the thread count and waits";
+  sig.fn = [&](const ValueList& args) -> StatusOr<Value> {
+    RaiseTo(&peak_running, running.fetch_add(1) + 1);
+    RaiseTo(&peak_threads, ProcessThreads());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    running.fetch_sub(1);
+    return args[0];
+  };
+  ASSERT_OK(f.kernel->operators().Register("probe_ident", std::move(sig)));
+  ProcessDef def("probe-left", "left");
+  ASSERT_OK(def.AddArg({"in", "reading", false, 1}));
+  std::vector<ExprPtr> call_args;
+  call_args.push_back(Expr::AttrRef("in", "v"));
+  ASSERT_OK(
+      def.AddMapping("v", Expr::OpCall("probe_ident", std::move(call_args))));
+  ASSERT_OK(def.AddMapping("spatialextent",
+                           Expr::AttrRef("in", "spatialextent")));
+  ASSERT_OK(def.AddMapping("timestamp", Expr::AttrRef("in", "timestamp")));
+  ASSERT_OK(f.kernel->DefineProcess(std::move(def)).status());
+
+  f.kernel->SetDeriveThreads(4);
+  std::vector<DeriveRequest> batch;
+  for (Oid oid : f.readings) {
+    DeriveRequest request;
+    request.process = "probe-left";
+    request.inputs["in"] = {oid};
+    batch.push_back(std::move(request));
+  }
+  const int threads_before = ProcessThreads();
+  ASSERT_GT(threads_before, 0);
+  ASSERT_OK_AND_ASSIGN(std::vector<DeriveOutcome> outcomes,
+                       f.kernel->DeriveBatch(batch));
+  f.kernel->SetDeriveThreads(1);
+  for (const DeriveOutcome& outcome : outcomes) EXPECT_OK(outcome.status);
+  EXPECT_LE(peak_threads.load(), threads_before);
+  EXPECT_EQ(peak_running.load(), 4);
+}
+
+constexpr char kRasterChainSchema[] = R"(
+CLASS raster (
+  ATTRIBUTES:
+    data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+)
+CLASS scaled (
+  ATTRIBUTES:
+    data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+  DERIVED BY: scale-up
+)
+CLASS rescaled (
+  ATTRIBUTES:
+    data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+  DERIVED BY: scale-down
+)
+CLASS mask (
+  ATTRIBUTES:
+    data = image;
+  SPATIAL EXTENT: spatialextent = box;
+  TEMPORAL EXTENT: timestamp = abstime;
+  DERIVED BY: threshold
+)
+DEFINE PROCESS scale-up
+OUTPUT scaled
+ARGUMENT ( raster in )
+TEMPLATE {
+  MAPPINGS:
+    scaled.data = img_scale(in.data, 2.0);
+    scaled.spatialextent = in.spatialextent;
+    scaled.timestamp = in.timestamp;
+}
+DEFINE PROCESS scale-down
+OUTPUT rescaled
+ARGUMENT ( scaled in )
+TEMPLATE {
+  MAPPINGS:
+    rescaled.data = img_scale(in.data, 0.5);
+    rescaled.spatialextent = in.spatialextent;
+    rescaled.timestamp = in.timestamp;
+}
+DEFINE PROCESS threshold
+OUTPUT mask
+ARGUMENT ( rescaled in )
+TEMPLATE {
+  MAPPINGS:
+    mask.data = img_threshold(in.data, 0.5);
+    mask.spatialextent = in.spatialextent;
+    mask.timestamp = in.timestamp;
+}
+)";
+
+// A step item runs its operator's tiles on the same pool: a chain of
+// raster stages (one ready step at a time) must leave helpers free to take
+// tiles, not park them behind the scheduler.
+TEST(SchedulerThreadBudgetTest, ChainedRasterStagesFanOutTiles) {
+  TempDir dir("sched_chain");
+  GaeaKernel::Options options;
+  options.dir = dir.path();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<GaeaKernel> kernel,
+                       GaeaKernel::Open(options));
+  ASSERT_OK(kernel->ExecuteDdl(kRasterChainSchema));
+  const ClassDef* cls =
+      kernel->catalog().classes().LookupByName("raster").value();
+  SceneSpec spec;
+  spec.nrow = 1024;  // 16 tiles per stage
+  spec.ncol = 512;
+  spec.nbands = 1;
+  DataObject obj(*cls);
+  ASSERT_OK(obj.Set(*cls, "data",
+                    Value::OfImage(std::move(GenerateScene(spec).value()[0]))));
+  ASSERT_OK(obj.Set(*cls, "spatialextent", Value::OfBox(Box(0, 0, 1, 1))));
+  ASSERT_OK(obj.Set(*cls, "timestamp", Value::Time(AbsTime(1))));
+  ASSERT_OK_AND_ASSIGN(Oid src, kernel->Insert(std::move(obj)));
+
+  CompoundProcessDef chain("chain", "T");
+  ASSERT_OK(chain.AddExternalInput("src", "raster"));
+  const char* stages[][3] = {{"U", "scale-up", nullptr},
+                             {"D", "scale-down", "U"},
+                             {"T", "threshold", "D"}};
+  for (const auto& [name, process, upstream] : stages) {
+    CompoundStage stage;
+    stage.name = name;
+    stage.process_name = process;
+    stage.bindings["in"] =
+        upstream == nullptr
+            ? StageInput{StageInput::Source::kExternal, "src"}
+            : StageInput{StageInput::Source::kStage, upstream};
+    ASSERT_OK(chain.AddStage(std::move(stage)));
+  }
+
+  kernel->SetDeriveThreads(4);
+  const uint64_t helper_tiles = TilePool::Global().stats().helper_tiles;
+  auto out = kernel->DeriveCompound(chain, {{"src", {src}}});
+  kernel->SetDeriveThreads(1);
+  ASSERT_OK(out.status());
+  EXPECT_GT(TilePool::Global().stats().helper_tiles, helper_tiles);
+  EXPECT_EQ(kernel->tasks().size(), 3u);
 }
 
 // Kernel stats surface the new derivation-cache and buffer-pool counters.

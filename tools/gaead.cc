@@ -32,9 +32,16 @@
 // thread evaluates the policy every --checkpoint-poll-ms (default 1000)
 // whenever at least one threshold is set.
 //
+// Numeric flags are range-checked before anything opens or starts: a port
+// must lie in 0-65535, --workers and --derive-threads in 1-1024, and the
+// checkpoint and poll values must not be negative. Anything else (junk, a
+// value outside int) prints the usage line and exits 2.
+//
 // SIGTERM / SIGINT shut down gracefully: the listener closes, admitted
 // requests drain, journals are flushed, then the process exits 0.
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +58,8 @@
 #include "replication/applier.h"
 
 namespace {
+
+constexpr int kMaxThreads = 1024;  // ceiling for --workers, --derive-threads
 
 struct Flags {
   std::string dir;
@@ -81,15 +90,23 @@ int Usage(const char* argv0) {
                "[--checkpoint-poll-ms N] [--port-file <file>] "
                "[--replicated] [--replica-of host:port] "
                "[--replica-id <name>] [--replica-poll-ms N] "
-               "[--bootstrap-from <backup_dir>]\n",
-               argv0);
+               "[--bootstrap-from <backup_dir>]\n"
+               "  ports 0-65535; --workers, --derive-threads 1-%d; "
+               "checkpoint and poll values >= 0\n",
+               argv0, kMaxThreads);
   return 2;
 }
 
-bool ParseInt(const char* text, int* out) {
+// Parses a decimal integer in [lo, hi]; junk, overflow and values out of
+// range are all refused.
+bool ParseInt(const char* text, long lo, long hi, int* out) {
   char* end = nullptr;
+  errno = 0;
   long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return false;
+  }
   *out = static_cast<int>(value);
   return true;
 }
@@ -109,13 +126,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && (value = next())) {
       flags.host = value;
     } else if (arg == "--port" && (value = next()) &&
-               ParseInt(value, &flags.port)) {
+               ParseInt(value, 0, 65535, &flags.port)) {
     } else if (arg == "--workers" && (value = next()) &&
-               ParseInt(value, &flags.workers)) {
+               ParseInt(value, 1, kMaxThreads, &flags.workers)) {
     } else if (arg == "--max-inflight" && (value = next()) &&
-               ParseInt(value, &flags.max_inflight)) {
+               ParseInt(value, INT_MIN, INT_MAX, &flags.max_inflight)) {
     } else if (arg == "--derive-threads" && (value = next()) &&
-               ParseInt(value, &flags.derive_threads)) {
+               ParseInt(value, 1, kMaxThreads, &flags.derive_threads)) {
     } else if (arg == "--durability" && (value = next())) {
       auto mode = gaea::ParseDurabilityMode(value);
       if (!mode.ok()) {
@@ -126,11 +143,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace" && (value = next())) {
       flags.trace_file = value;
     } else if (arg == "--checkpoint-bytes" && (value = next()) &&
-               ParseInt(value, &flags.checkpoint_bytes)) {
+               ParseInt(value, 0, INT_MAX, &flags.checkpoint_bytes)) {
     } else if (arg == "--checkpoint-tasks" && (value = next()) &&
-               ParseInt(value, &flags.checkpoint_tasks)) {
+               ParseInt(value, 0, INT_MAX, &flags.checkpoint_tasks)) {
     } else if (arg == "--checkpoint-poll-ms" && (value = next()) &&
-               ParseInt(value, &flags.checkpoint_poll_ms)) {
+               ParseInt(value, 0, INT_MAX, &flags.checkpoint_poll_ms)) {
     } else if (arg == "--port-file" && (value = next())) {
       flags.port_file = value;
     } else if (arg == "--replicated") {
@@ -140,7 +157,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--replica-id" && (value = next())) {
       flags.replica_id = value;
     } else if (arg == "--replica-poll-ms" && (value = next()) &&
-               ParseInt(value, &flags.replica_poll_ms)) {
+               ParseInt(value, 0, INT_MAX, &flags.replica_poll_ms)) {
     } else if (arg == "--bootstrap-from" && (value = next())) {
       flags.bootstrap_from = value;
     } else {
