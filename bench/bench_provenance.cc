@@ -104,7 +104,7 @@ void ScanAncestors(GaeaKernel* kernel, Oid root, std::set<Oid>* oids,
   while (true) {
     std::vector<std::string> records;
     uint64_t next = 0;
-    BENCH_CHECK_OK(kernel->tasks().ReadJournalRange(
+    BENCH_CHECK_OK(kernel->tasks().journal()->ReadRange(
         cursor, /*max_records=*/1024, /*max_bytes=*/4u << 20, &records,
         &next));
     if (records.empty()) break;

@@ -100,19 +100,14 @@ class Catalog {
       const std::function<Status(const std::string&)>& sink,
       uint64_t* covered_lsn) const;
 
-  uint64_t JournalRecordCount() const { return journal_->record_count(); }
-  uint64_t JournalBaseLsn() const { return journal_->base_lsn(); }
-  uint64_t JournalBytes() const { return journal_->size_bytes(); }
-  Status SyncJournal() { return journal_->Sync(); }
+  // The definition journal (durability, counts, shipping reads).
+  Journal* journal() const { return journal_.get(); }
   Status TruncateJournalPrefix(uint64_t upto_lsn,
                                const std::string& archive_path) {
     // Exclusive: TruncatePrefix swaps the live file and append handle.
     std::unique_lock lock(mu_);
     return journal_->TruncatePrefix(upto_lsn, archive_path);
   }
-
-  // Journal Sync policy for the definition journal (see DurabilityMode).
-  void SetDurability(DurabilityMode mode) { journal_->set_durability(mode); }
 
   // ---- replication (src/replication/) ----
 
@@ -126,12 +121,6 @@ class Catalog {
   // replica never hands out an OID the primary already used. kAlreadyExists
   // when `oid` is occupied — the caller treats that as an idempotent skip.
   Status InsertObjectAt(DataObject obj, Oid oid);
-
-  // Definition-journal read for the shipper; see Journal::ReadRange.
-  Status ReadJournalRange(uint64_t from, size_t max_records, size_t max_bytes,
-                          std::vector<std::string>* out, uint64_t* next) const {
-    return journal_->ReadRange(from, max_records, max_bytes, out, next);
-  }
 
   // Buffer-pool stats of the object store's heap pool (kernel stats).
   ObjectStore* store() { return store_.get(); }

@@ -76,16 +76,9 @@ class TaskLog {
       const std::string& path, Env* env = Env::Default(),
       const JournalRecovery* recovery = nullptr);
 
-  // Journal Sync policy (no-op for an in-memory log).
-  void SetDurability(DurabilityMode mode) {
-    if (journal_ != nullptr) journal_->set_durability(mode);
-  }
-
-  // Records appended to the backing journal through this handle (0 for an
-  // in-memory log); a metrics surface, see docs/OBSERVABILITY.md.
-  int64_t journal_appended() const {
-    return journal_ == nullptr ? 0 : journal_->appended();
-  }
+  // The backing journal (a task's LSN is its id - 1); null for an
+  // in-memory log.
+  Journal* journal() const { return journal_.get(); }
 
   // Records a task; assigns and returns its id.
   StatusOr<TaskId> Append(Task task);
@@ -132,16 +125,6 @@ class TaskLog {
   // appends) so the caller can rematerialize its outputs.
   StatusOr<const Task*> ApplyReplicated(const std::string& record);
 
-  // Task-journal read for the shipper; see Journal::ReadRange.
-  Status ReadJournalRange(uint64_t from, size_t max_records, size_t max_bytes,
-                          std::vector<std::string>* out, uint64_t* next) const {
-    if (journal_ == nullptr) {
-      *next = from;
-      return Status::OK();
-    }
-    return journal_->ReadRange(from, max_records, max_bytes, out, next);
-  }
-
   // ---- checkpointing (src/recovery/) ----
 
   // Streams every task as a journal record (id order) and reports the
@@ -150,21 +133,9 @@ class TaskLog {
   Status Snapshot(const std::function<Status(const std::string&)>& sink,
                   uint64_t* covered_lsn) const;
 
-  uint64_t JournalRecordCount() const {
-    return journal_ == nullptr ? 0 : journal_->record_count();
-  }
-  uint64_t JournalBaseLsn() const {
-    return journal_ == nullptr ? 0 : journal_->base_lsn();
-  }
-  uint64_t JournalBytes() const {
-    return journal_ == nullptr ? 0 : journal_->size_bytes();
-  }
-  Status SyncJournal() {
-    return journal_ == nullptr ? Status::OK() : journal_->Sync();
-  }
+  // Journaled log only: Journal::TruncatePrefix under the log mutex.
   Status TruncateJournalPrefix(uint64_t upto_lsn,
                                const std::string& archive_path) {
-    if (journal_ == nullptr) return Status::OK();
     std::lock_guard<std::mutex> lock(mu_);
     return journal_->TruncatePrefix(upto_lsn, archive_path);
   }

@@ -34,13 +34,9 @@ StatusOr<Experiment> Experiment::Deserialize(BinaryReader* r) {
   return e;
 }
 
-std::unique_ptr<ExperimentManager> ExperimentManager::InMemory() {
-  return std::unique_ptr<ExperimentManager>(new ExperimentManager());
-}
-
 StatusOr<std::unique_ptr<ExperimentManager>> ExperimentManager::Open(
     const std::string& path, Env* env, const JournalRecovery* recovery) {
-  auto mgr = InMemory();
+  std::unique_ptr<ExperimentManager> mgr(new ExperimentManager());
   GAEA_ASSIGN_OR_RETURN(std::unique_ptr<Journal> journal,
                         Journal::Open(path, env));
   auto apply = [&mgr](const std::string& record) -> Status {
@@ -77,8 +73,7 @@ Status ExperimentManager::Snapshot(
     e.Serialize(&w);
     GAEA_RETURN_IF_ERROR(sink(w.buffer()));
   }
-  *covered_lsn =
-      journal_ == nullptr ? experiments_.size() : journal_->record_count();
+  *covered_lsn = journal_->record_count();
   return Status::OK();
 }
 
@@ -94,11 +89,9 @@ StatusOr<ExperimentId> ExperimentManager::Define(Experiment experiment) {
     }
   }
   experiment.id = static_cast<ExperimentId>(experiments_.size()) + 1;
-  if (journal_ != nullptr) {
-    BinaryWriter w;
-    experiment.Serialize(&w);
-    GAEA_RETURN_IF_ERROR(journal_->Append(w.buffer()));
-  }
+  BinaryWriter w;
+  experiment.Serialize(&w);
+  GAEA_RETURN_IF_ERROR(journal_->Append(w.buffer()));
   ExperimentId id = experiment.id;
   experiments_.push_back(std::move(experiment));
   return id;
@@ -113,9 +106,7 @@ Status ExperimentManager::ApplyReplicated(const std::string& record) {
         "replicated experiment out of order: got id " + std::to_string(e.id) +
         ", expected " + std::to_string(expected));
   }
-  if (journal_ != nullptr) {
-    GAEA_RETURN_IF_ERROR(journal_->Append(record));
-  }
+  GAEA_RETURN_IF_ERROR(journal_->Append(record));
   experiments_.push_back(std::move(e));
   return Status::OK();
 }

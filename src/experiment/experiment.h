@@ -55,18 +55,15 @@ struct ReproductionReport {
 
 class ExperimentManager {
  public:
-  static std::unique_ptr<ExperimentManager> InMemory();
-  // Durable: replays `path` then appends new definitions to it; file I/O
-  // goes through `env`. With `recovery`, the snapshot loads first and the
+  // Replays `path` then appends new definitions to it; file I/O goes
+  // through `env`. With `recovery`, the snapshot loads first and the
   // journal replays only from recovery->start_lsn.
   static StatusOr<std::unique_ptr<ExperimentManager>> Open(
       const std::string& path, Env* env = Env::Default(),
       const JournalRecovery* recovery = nullptr);
 
-  // Journal Sync policy (no-op for an in-memory manager).
-  void SetDurability(DurabilityMode mode) {
-    if (journal_ != nullptr) journal_->set_durability(mode);
-  }
+  // The experiment journal (never null).
+  Journal* journal() const { return journal_.get(); }
 
   // Records an experiment; assigns and returns its id.
   StatusOr<ExperimentId> Define(Experiment experiment);
@@ -89,16 +86,6 @@ class ExperimentManager {
   // journal. Serialized externally, like Define.
   Status ApplyReplicated(const std::string& record);
 
-  // Experiment-journal read for the shipper; see Journal::ReadRange.
-  Status ReadJournalRange(uint64_t from, size_t max_records, size_t max_bytes,
-                          std::vector<std::string>* out, uint64_t* next) const {
-    if (journal_ == nullptr) {
-      *next = from;
-      return Status::OK();
-    }
-    return journal_->ReadRange(from, max_records, max_bytes, out, next);
-  }
-
   // ---- checkpointing (src/recovery/) ----
   // Like the manager itself, not internally synchronized: the kernel
   // serializes Define against Snapshot (DDL is exclusive, checkpoint
@@ -108,24 +95,6 @@ class ExperimentManager {
   // the journal LSN covered.
   Status Snapshot(const std::function<Status(const std::string&)>& sink,
                   uint64_t* covered_lsn) const;
-
-  uint64_t JournalRecordCount() const {
-    return journal_ == nullptr ? 0 : journal_->record_count();
-  }
-  uint64_t JournalBaseLsn() const {
-    return journal_ == nullptr ? 0 : journal_->base_lsn();
-  }
-  uint64_t JournalBytes() const {
-    return journal_ == nullptr ? 0 : journal_->size_bytes();
-  }
-  Status SyncJournal() {
-    return journal_ == nullptr ? Status::OK() : journal_->Sync();
-  }
-  Status TruncateJournalPrefix(uint64_t upto_lsn,
-                               const std::string& archive_path) {
-    if (journal_ == nullptr) return Status::OK();
-    return journal_->TruncatePrefix(upto_lsn, archive_path);
-  }
 
  private:
   ExperimentManager() = default;

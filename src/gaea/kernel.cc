@@ -15,6 +15,12 @@
 
 namespace gaea {
 
+namespace {
+// The task log's row: the checkpoint policy counts the task records past
+// what the newest checkpoint covers.
+constexpr char kTaskComponent[] = "tasks";
+}  // namespace
+
 StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::Open(
     const Options& options) {
   if (options.dir.empty()) {
@@ -50,6 +56,7 @@ StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::Open(
 StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::OpenWithPlan(
     const Options& options, Env* env, const recovery::RecoveryPlan& plan) {
   std::unique_ptr<GaeaKernel> kernel(new GaeaKernel());
+  GaeaKernel* k = kernel.get();
   kernel->dir_ = options.dir;
   kernel->user_ = options.user;
   kernel->env_ = env;
@@ -60,25 +67,26 @@ StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::OpenWithPlan(
 
   // Builds the recovery hook one journal-backed component feeds its Open:
   // snapshot load + tail replay under a checkpoint plan, archive chain +
-  // full live replay under the last-resort plan, nothing when the plan
+  // full live replay under the last-resort plan, nullptr when the plan
   // does not mention the component (fresh database).
-  auto make_recovery = [env, &plan](const std::string& name,
-                                    const std::string& db_dir,
-                                    JournalRecovery* out) -> bool {
+  auto recovery_for = [env, &plan, &options](
+                          const std::string& name,
+                          JournalRecovery* out) -> const JournalRecovery* {
     auto it = plan.components.find(name);
-    if (it == plan.components.end()) return false;
+    if (it == plan.components.end()) return nullptr;
     const recovery::ComponentPlan& cp = it->second;
     if (cp.has_snapshot) {
       recovery::SnapshotEntry entry = cp.entry;
+      std::string db_dir = options.dir;
       out->load_snapshot =
           [env, db_dir, entry](
               const std::function<Status(const std::string&)>& apply) {
             return recovery::ReadSnapshot(env, db_dir, entry, apply);
           };
       out->start_lsn = cp.start_lsn;
-      return true;
+      return out;
     }
-    if (cp.archives.empty()) return false;
+    if (cp.archives.empty()) return nullptr;
     std::vector<std::string> archives = cp.archives;
     uint64_t expected = cp.start_lsn;
     out->load_snapshot =
@@ -94,45 +102,136 @@ StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::OpenWithPlan(
       return Status::OK();
     };
     out->start_lsn = expected;
-    return true;
+    return out;
+  };
+  // Journal LSN a plan's snapshot of `name` covers (0 without one).
+  auto snapshot_covered = [&plan](const std::string& name) -> uint64_t {
+    auto it = plan.components.find(name);
+    return it != plan.components.end() && it->second.has_snapshot
+               ? it->second.entry.covered_lsn
+               : 0;
+  };
+  // Each component opens as its row joins the table, in apply order.
+  auto add_row = [k](const char* name) -> JournaledComponent& {
+    JournaledComponent& row = k->components_.emplace_back();
+    row.name = name;
+    return row;
+  };
+  auto journal_path = [&options](const JournaledComponent& row) {
+    return options.dir + "/" + row.name + ".journal";
   };
 
   // The catalog creates the directory and replays class/concept records.
-  JournalRecovery catalog_rec;
-  const JournalRecovery* catalog_rec_ptr =
-      make_recovery("catalog", options.dir, &catalog_rec) ? &catalog_rec
-                                                          : nullptr;
-  GAEA_ASSIGN_OR_RETURN(kernel->catalog_,
-                        Catalog::Open(options.dir, env, catalog_rec_ptr));
-  kernel->catalog_->SetDurability(options.durability);
+  {
+    JournaledComponent& row = add_row("catalog");
+    JournalRecovery rec;
+    GAEA_ASSIGN_OR_RETURN(
+        k->catalog_,
+        Catalog::Open(options.dir, env, recovery_for(row.name, &rec)));
+    row.journal = k->catalog_->journal();
+    row.capture = [k](const auto& sink, uint64_t* lsn) {
+      return k->catalog_->SnapshotDefinitions(sink, lsn);
+    };
+    row.apply = [k](const std::string& record) -> Status {
+      GAEA_RETURN_IF_ERROR(k->catalog_->ApplyReplicatedRecord(record));
+      ++k->catalog_version_;
+      return Status::OK();
+    };
+    row.truncate_prefix = [k](uint64_t upto, const std::string& path) {
+      return k->catalog_->TruncateJournalPrefix(upto, path);
+    };
+  }
 
   // Processes journal. The registry re-derives each version number as it
   // registers (per name, ascending), so both the snapshot stream and the
   // journal tail reproduce the exact version history.
-  GAEA_ASSIGN_OR_RETURN(kernel->process_journal_,
-                        Journal::Open(options.dir + "/process.journal", env));
-  kernel->process_journal_->set_durability(options.durability);
-  auto apply_process = [&kernel](const std::string& record) -> Status {
-    BinaryReader r(record);
-    GAEA_ASSIGN_OR_RETURN(ProcessDef def, ProcessDef::Deserialize(&r));
-    return kernel->processes_.Register(std::move(def)).status();
-  };
-  JournalRecovery process_rec;
-  uint64_t process_start = 0;
-  if (make_recovery("process", options.dir, &process_rec)) {
-    GAEA_RETURN_IF_ERROR(process_rec.load_snapshot(apply_process));
-    process_start = process_rec.start_lsn;
+  {
+    JournaledComponent& row = add_row("process");
+    GAEA_ASSIGN_OR_RETURN(k->process_journal_,
+                          Journal::Open(journal_path(row), env));
+    auto replay = [k](const std::string& record) -> Status {
+      BinaryReader r(record);
+      GAEA_ASSIGN_OR_RETURN(ProcessDef def, ProcessDef::Deserialize(&r));
+      return k->processes_.Register(std::move(def)).status();
+    };
+    JournalRecovery rec;
+    uint64_t start = 0;
+    if (recovery_for(row.name, &rec) != nullptr) {
+      GAEA_RETURN_IF_ERROR(rec.load_snapshot(replay));
+      start = rec.start_lsn;
+    }
+    GAEA_RETURN_IF_ERROR(k->process_journal_->Replay(replay, start));
+    row.journal = k->process_journal_.get();
+    row.capture = [k](const auto& sink, uint64_t* lsn) {
+      return k->SnapshotProcesses(sink, lsn);
+    };
+    row.apply = [k](const std::string& record) -> Status {
+      BinaryReader r(record);
+      GAEA_ASSIGN_OR_RETURN(ProcessDef def, ProcessDef::Deserialize(&r));
+      int expected = def.version();
+      GAEA_ASSIGN_OR_RETURN(int version,
+                            k->processes_.Register(std::move(def)));
+      if (version != expected) {
+        return Status::Corruption(
+            "replicated process record carries version " +
+            std::to_string(expected) + " but registered as v" +
+            std::to_string(version));
+      }
+      GAEA_RETURN_IF_ERROR(k->process_journal_->Append(record));
+      ++k->catalog_version_;
+      return Status::OK();
+    };
+    row.truncate_prefix = [k](uint64_t upto, const std::string& path) {
+      return k->process_journal_->TruncatePrefix(upto, path);
+    };
   }
-  GAEA_RETURN_IF_ERROR(
-      kernel->process_journal_->Replay(apply_process, process_start));
 
-  JournalRecovery tasks_rec;
-  const JournalRecovery* tasks_rec_ptr =
-      make_recovery("tasks", options.dir, &tasks_rec) ? &tasks_rec : nullptr;
-  GAEA_ASSIGN_OR_RETURN(
-      kernel->task_log_,
-      TaskLog::Open(options.dir + "/tasks.journal", env, tasks_rec_ptr));
-  kernel->task_log_->SetDurability(options.durability);
+  // Cluster members additionally journal base-object bytes so inserts ship
+  // to replicas; a standalone kernel's row has no journal. Not covered by
+  // checkpoints (the object store itself is the durable state); replay is
+  // idempotent (insert-if-absent at the recorded OID), so a full pass per
+  // open is a reconciliation on the primary and the shipped objects on a
+  // replica. It needs the catalog's classes and runs before Recover.
+  {
+    JournaledComponent& row = add_row("objects");
+    if (options.replicated) {
+      GAEA_ASSIGN_OR_RETURN(k->object_journal_,
+                            Journal::Open(journal_path(row), env));
+      GAEA_RETURN_IF_ERROR(k->object_journal_->Replay(
+          [k](const std::string& record) {
+            return k->ApplyObjectRecord(record);
+          }));
+      row.journal = k->object_journal_.get();
+    }
+    row.apply = [k](const std::string& record) -> Status {
+      if (k->object_journal_ == nullptr) {
+        return Status::FailedPrecondition(
+            "cannot apply object records: kernel not opened replicated");
+      }
+      GAEA_RETURN_IF_ERROR(k->ApplyObjectRecord(record));
+      return k->object_journal_->Append(record);
+    };
+  }
+
+  {
+    JournaledComponent& row = add_row(kTaskComponent);
+    JournalRecovery rec;
+    GAEA_ASSIGN_OR_RETURN(k->task_log_,
+                          TaskLog::Open(journal_path(row), env,
+                                        recovery_for(row.name, &rec)));
+    row.journal = k->task_log_->journal();
+    row.capture = [k](const auto& sink, uint64_t* lsn) {
+      return k->task_log_->Snapshot(sink, lsn);
+    };
+    row.apply = [k](const std::string& record) {
+      return k->ApplyTaskRecord(record);
+    };
+    row.truncate_prefix = [k](uint64_t upto, const std::string& path) {
+      return k->task_log_->TruncateJournalPrefix(upto, path);
+    };
+    k->ckpt_covered_tasks_.store(snapshot_covered(row.name),
+                                 std::memory_order_release);
+  }
 
   // Provenance index: catch up with the recovered log (rebuilding from it
   // when a tree came up torn or ahead of the journals), then hook task
@@ -148,25 +247,23 @@ StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::OpenWithPlan(
   kernel->prov_source_ = std::make_unique<provenance::DbTaskSource>(
       env, options.dir, kernel->task_log_.get());
 
-  JournalRecovery exp_rec;
-  const JournalRecovery* exp_rec_ptr =
-      make_recovery("experiments", options.dir, &exp_rec) ? &exp_rec : nullptr;
-  GAEA_ASSIGN_OR_RETURN(
-      kernel->experiments_,
-      ExperimentManager::Open(options.dir + "/experiments.journal", env,
-                              exp_rec_ptr));
-  kernel->experiments_->SetDurability(options.durability);
-
-  // Cluster members additionally journal base-object bytes so inserts ship
-  // to replicas. Not covered by checkpoints (the object store itself is the
-  // durable state); replay is idempotent, so a full pass per open is a
-  // reconciliation on the primary and the shipped objects on a replica.
-  if (options.replicated) {
+  {
+    JournaledComponent& row = add_row("experiments");
+    JournalRecovery rec;
     GAEA_ASSIGN_OR_RETURN(
-        kernel->object_journal_,
-        Journal::Open(options.dir + "/objects.journal", env));
-    kernel->object_journal_->set_durability(options.durability);
-    GAEA_RETURN_IF_ERROR(kernel->ReplayObjectJournal());
+        k->experiments_,
+        ExperimentManager::Open(journal_path(row), env,
+                                recovery_for(row.name, &rec)));
+    row.journal = k->experiments_->journal();
+    row.capture = [k](const auto& sink, uint64_t* lsn) {
+      return k->experiments_->Snapshot(sink, lsn);
+    };
+    row.apply = [k](const std::string& record) {
+      return k->experiments_->ApplyReplicated(record);
+    };
+    row.truncate_prefix = [k](uint64_t upto, const std::string& path) {
+      return k->experiments_->journal()->TruncatePrefix(upto, path);
+    };
   }
 
   // OID allocator floor recorded in the manifest: belt-and-suspenders
@@ -175,31 +272,16 @@ StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::OpenWithPlan(
     kernel->catalog_->store()->EnsureNextOidAtLeast(plan.next_oid);
   }
 
-  // What this startup actually replayed from journals (checkpoints exist
-  // to bound this number; stats/CI assert on it). Archive-chain records
-  // count too — the full-replay plan really does the whole history.
-  uint64_t replayed = 0;
-  auto add_replayed = [&](const std::string& name, uint64_t count) {
-    auto it = plan.components.find(name);
-    uint64_t start = (it != plan.components.end() && it->second.has_snapshot)
-                         ? it->second.entry.covered_lsn
-                         : 0;
-    replayed += count - std::min(start, count);
-  };
-  add_replayed("catalog", kernel->catalog_->JournalRecordCount());
-  add_replayed("process", kernel->process_journal_->record_count());
-  add_replayed("tasks", kernel->task_log_->JournalRecordCount());
-  add_replayed("experiments", kernel->experiments_->JournalRecordCount());
-  if (kernel->object_journal_ != nullptr) {
-    add_replayed("objects", kernel->object_journal_->record_count());
-  }
-  kernel->records_replayed_ = replayed;
-  if (plan.checkpoint_seq > 0) {
-    auto it = plan.components.find("tasks");
-    if (it != plan.components.end() && it->second.has_snapshot) {
-      kernel->ckpt_covered_tasks_.store(it->second.entry.covered_lsn,
-                                        std::memory_order_release);
-    }
+  // Every journal takes the Sync policy. records_replayed_ is what this
+  // startup actually replayed from journals (checkpoints exist to bound
+  // this number; stats/CI assert on it). Archive-chain records count too —
+  // the full-replay plan really does the whole history.
+  for (const JournaledComponent& row : kernel->components_) {
+    if (row.journal == nullptr) continue;
+    row.journal->set_durability(options.durability);
+    uint64_t count = row.journal->record_count();
+    kernel->records_replayed_ +=
+        count - std::min(snapshot_covered(row.name), count);
   }
 
   kernel->deriver_ = std::make_unique<Deriver>(
@@ -285,10 +367,11 @@ void GaeaKernel::WireObservability() {
     metrics_.GetGauge("gaea_heap_chain_write_pages")
         ->Set(static_cast<int64_t>(chains.write_pages));
 
-    metrics_.GetGauge("gaea_journal_appends{journal=\"process\"}")
-        ->Set(process_journal_->appended());
-    metrics_.GetGauge("gaea_journal_appends{journal=\"tasks\"}")
-        ->Set(task_log_->journal_appended());
+    for (const JournaledComponent& row : components_) {
+      if (row.journal == nullptr) continue;
+      metrics_.GetGauge("gaea_journal_appends{journal=\"" + row.name + "\"}")
+          ->Set(row.journal->appended());
+    }
 
     metrics_.GetGauge("gaea_provenance_index_entries")
         ->Set(prov_index_->entry_count());
@@ -416,61 +499,23 @@ Status GaeaKernel::SnapshotProcesses(
   return Status::OK();
 }
 
-std::vector<recovery::CheckpointSource> GaeaKernel::BuildCheckpointSources() {
+std::vector<recovery::CheckpointSource> GaeaKernel::BuildCheckpointSources()
+    const {
   std::vector<recovery::CheckpointSource> sources;
-  {
-    recovery::CheckpointSource s;
-    s.component = "catalog";
-    s.capture = [this](const std::function<Status(const std::string&)>& sink,
-                       uint64_t* lsn) {
-      return catalog_->SnapshotDefinitions(sink, lsn);
-    };
-    s.sync_journal = [this] { return catalog_->SyncJournal(); };
-    s.base_lsn = [this] { return catalog_->JournalBaseLsn(); };
-    s.truncate_prefix = [this](uint64_t upto, const std::string& path) {
-      return catalog_->TruncateJournalPrefix(upto, path);
-    };
-    sources.push_back(std::move(s));
-  }
-  {
-    recovery::CheckpointSource s;
-    s.component = "process";
-    s.capture = [this](const std::function<Status(const std::string&)>& sink,
-                       uint64_t* lsn) { return SnapshotProcesses(sink, lsn); };
-    s.sync_journal = [this] { return process_journal_->Sync(); };
-    s.base_lsn = [this] { return process_journal_->base_lsn(); };
-    s.truncate_prefix = [this](uint64_t upto, const std::string& path) {
-      return process_journal_->TruncatePrefix(upto, path);
-    };
-    sources.push_back(std::move(s));
-  }
-  {
-    recovery::CheckpointSource s;
-    s.component = "tasks";
-    s.capture = [this](const std::function<Status(const std::string&)>& sink,
-                       uint64_t* lsn) { return task_log_->Snapshot(sink, lsn); };
-    s.sync_journal = [this] { return task_log_->SyncJournal(); };
-    s.base_lsn = [this] { return task_log_->JournalBaseLsn(); };
-    s.truncate_prefix = [this](uint64_t upto, const std::string& path) {
-      return task_log_->TruncateJournalPrefix(upto, path);
-    };
-    sources.push_back(std::move(s));
-  }
-  {
-    recovery::CheckpointSource s;
-    s.component = "experiments";
-    s.capture = [this](const std::function<Status(const std::string&)>& sink,
-                       uint64_t* lsn) {
-      return experiments_->Snapshot(sink, lsn);
-    };
-    s.sync_journal = [this] { return experiments_->SyncJournal(); };
-    s.base_lsn = [this] { return experiments_->JournalBaseLsn(); };
-    s.truncate_prefix = [this](uint64_t upto, const std::string& path) {
-      return experiments_->TruncateJournalPrefix(upto, path);
-    };
-    sources.push_back(std::move(s));
+  for (const JournaledComponent& row : components_) {
+    if (!row.capture) continue;
+    sources.push_back(
+        {row.name, row.capture, row.journal, row.truncate_prefix});
   }
   return sources;
+}
+
+uint64_t GaeaKernel::CheckpointedJournalBytes() const {
+  uint64_t bytes = 0;
+  for (const JournaledComponent& row : components_) {
+    if (row.capture) bytes += row.journal->size_bytes();
+  }
+  return bytes;
 }
 
 StatusOr<recovery::CheckpointInfo> GaeaKernel::Checkpoint() {
@@ -496,14 +541,11 @@ StatusOr<recovery::CheckpointInfo> GaeaKernel::Checkpoint() {
                                      std::memory_order_release);
   last_checkpoint_bytes_.store(info->snapshot_bytes,
                                std::memory_order_release);
-  auto covered = info->covered.find("tasks");
+  auto covered = info->covered.find(kTaskComponent);
   if (covered != info->covered.end()) {
     ckpt_covered_tasks_.store(covered->second, std::memory_order_release);
   }
-  ckpt_bytes_floor_.store(catalog_->JournalBytes() +
-                              task_log_->JournalBytes() +
-                              experiments_->JournalBytes() +
-                              process_journal_->size_bytes(),
+  ckpt_bytes_floor_.store(CheckpointedJournalBytes(),
                           std::memory_order_release);
   // Persist the provenance index watermark alongside: recovery then only
   // re-indexes the post-checkpoint tail instead of re-passing the history.
@@ -528,14 +570,12 @@ StatusOr<bool> GaeaKernel::MaybeCheckpoint() {
   if (policy.journal_bytes == 0 && policy.tasks == 0) return false;
   bool due = false;
   if (policy.tasks > 0) {
-    uint64_t total = task_log_->JournalRecordCount();
+    uint64_t total = task_log_->journal()->record_count();
     uint64_t covered = ckpt_covered_tasks_.load(std::memory_order_acquire);
     due = total > covered && total - covered >= policy.tasks;
   }
   if (!due && policy.journal_bytes > 0) {
-    uint64_t live = catalog_->JournalBytes() + task_log_->JournalBytes() +
-                    experiments_->JournalBytes() +
-                    process_journal_->size_bytes();
+    uint64_t live = CheckpointedJournalBytes();
     uint64_t floor = ckpt_bytes_floor_.load(std::memory_order_acquire);
     due = live > floor && live - floor >= policy.journal_bytes;
   }
@@ -713,28 +753,18 @@ StatusOr<Oid> GaeaKernel::DeriveOrReuse(
 // Replication
 // ---------------------------------------------------------------------------
 
-const std::vector<std::string>& GaeaKernel::ReplicationComponents() {
-  static const std::vector<std::string>* kComponents =
-      new std::vector<std::string>{"catalog", "process", "objects", "tasks",
-                                   "experiments"};
-  return *kComponents;
-}
-
-uint64_t GaeaKernel::ComponentRecordCount(const std::string& component) const {
-  if (component == "catalog") return catalog_->JournalRecordCount();
-  if (component == "process") return process_journal_->record_count();
-  if (component == "objects") {
-    return object_journal_ == nullptr ? 0 : object_journal_->record_count();
+StatusOr<const GaeaKernel::JournaledComponent*> GaeaKernel::FindComponent(
+    const std::string& name) const {
+  for (const JournaledComponent& row : components_) {
+    if (row.name == name) return &row;
   }
-  if (component == "tasks") return task_log_->JournalRecordCount();
-  if (component == "experiments") return experiments_->JournalRecordCount();
-  return 0;
+  return Status::InvalidArgument("unknown replication component: " + name);
 }
 
 uint64_t GaeaKernel::ClusterLsn() const {
   uint64_t total = 0;
-  for (const std::string& component : ReplicationComponents()) {
-    total += ComponentRecordCount(component);
+  for (const JournaledComponent& row : components_) {
+    total += row.record_count();
   }
   return total;
 }
@@ -742,8 +772,8 @@ uint64_t GaeaKernel::ClusterLsn() const {
 std::vector<std::pair<std::string, uint64_t>> GaeaKernel::ReplicationCursors()
     const {
   std::vector<std::pair<std::string, uint64_t>> cursors;
-  for (const std::string& component : ReplicationComponents()) {
-    cursors.emplace_back(component, ComponentRecordCount(component));
+  for (const JournaledComponent& row : components_) {
+    cursors.emplace_back(row.name, row.record_count());
   }
   return cursors;
 }
@@ -779,11 +809,6 @@ Status GaeaKernel::ApplyObjectRecord(const std::string& record) {
   return inserted;
 }
 
-Status GaeaKernel::ReplayObjectJournal() {
-  return object_journal_->Replay(
-      [this](const std::string& record) { return ApplyObjectRecord(record); });
-}
-
 Status GaeaKernel::JournalInterpolationOutputs(uint64_t from_task_id) {
   uint64_t total = task_log_->size();
   for (TaskId id = from_task_id + 1; id <= total; ++id) {
@@ -802,36 +827,14 @@ Status GaeaKernel::ShipRange(const std::string& component, uint64_t from,
                              size_t max_records, size_t max_bytes,
                              std::vector<std::string>* out, uint64_t* next) {
   *next = from;
-  auto read_live = [&](uint64_t f, size_t records_left, size_t bytes_left,
-                       uint64_t* n) -> Status {
-    if (component == "catalog") {
-      return catalog_->ReadJournalRange(f, records_left, bytes_left, out, n);
-    }
-    if (component == "process") {
-      return process_journal_->ReadRange(f, records_left, bytes_left, out, n);
-    }
-    if (component == "objects") {
-      if (object_journal_ == nullptr) {
-        *n = f;
-        return Status::OK();
-      }
-      return object_journal_->ReadRange(f, records_left, bytes_left, out, n);
-    }
-    if (component == "tasks") {
-      return task_log_->ReadJournalRange(f, records_left, bytes_left, out, n);
-    }
-    if (component == "experiments") {
-      return experiments_->ReadJournalRange(f, records_left, bytes_left, out,
-                                            n);
-    }
-    return Status::InvalidArgument("unknown replication component: " +
-                                   component);
-  };
+  GAEA_ASSIGN_OR_RETURN(const JournaledComponent* row,
+                        FindComponent(component));
+  if (row->journal == nullptr) return Status::OK();
   size_t bytes = 0;
   while (out->size() < max_records && bytes < max_bytes) {
     size_t before = out->size();
-    Status live = read_live(*next, max_records - out->size(),
-                            max_bytes - bytes, next);
+    Status live = row->journal->ReadRange(*next, max_records - out->size(),
+                                          max_bytes - bytes, out, next);
     if (live.code() == StatusCode::kOutOfRange) {
       // The prefix was truncated into the archive chain by a concurrent
       // checkpoint; ship from the segments, then loop to cross the seam
@@ -850,7 +853,9 @@ Status GaeaKernel::ShipRange(const std::string& component, uint64_t from,
 
 Status GaeaKernel::ApplyReplicated(const std::string& component, uint64_t from,
                                    const std::vector<std::string>& records) {
-  uint64_t count = ComponentRecordCount(component);
+  GAEA_ASSIGN_OR_RETURN(const JournaledComponent* row,
+                        FindComponent(component));
+  uint64_t count = row->record_count();
   if (from > count) {
     return Status::FailedPrecondition(
         "replication gap in " + component + ": batch starts at LSN " +
@@ -862,83 +867,54 @@ Status GaeaKernel::ApplyReplicated(const std::string& component, uint64_t from,
   size_t skip = static_cast<size_t>(
       std::min<uint64_t>(count - from, records.size()));
   for (size_t i = skip; i < records.size(); ++i) {
-    const std::string& record = records[i];
-    if (component == "catalog") {
-      GAEA_RETURN_IF_ERROR(catalog_->ApplyReplicatedRecord(record));
-      ++catalog_version_;
-    } else if (component == "process") {
-      BinaryReader r(record);
-      GAEA_ASSIGN_OR_RETURN(ProcessDef def, ProcessDef::Deserialize(&r));
-      int expected = def.version();
-      GAEA_ASSIGN_OR_RETURN(int version,
-                            processes_.Register(std::move(def)));
-      if (version != expected) {
-        return Status::Corruption(
-            "replicated process record carries version " +
-            std::to_string(expected) + " but registered as v" +
-            std::to_string(version));
-      }
-      GAEA_RETURN_IF_ERROR(process_journal_->Append(record));
-      ++catalog_version_;
-    } else if (component == "objects") {
-      if (object_journal_ == nullptr) {
-        return Status::FailedPrecondition(
-            "cannot apply object records: kernel not opened replicated");
-      }
-      GAEA_RETURN_IF_ERROR(ApplyObjectRecord(record));
-      GAEA_RETURN_IF_ERROR(object_journal_->Append(record));
-    } else if (component == "tasks") {
-      BinaryReader r(record);
-      GAEA_ASSIGN_OR_RETURN(Task task, Task::Deserialize(&r));
-      if (task.status == TaskStatus::kCompleted) {
-        // Cross-component cursors are read without a global lock on the
-        // primary, so a task can ship before its process version or input
-        // objects. kFailedPrecondition makes the applier retry once the
-        // missing prefix ships; nothing was persisted.
-        for (const auto& [arg, oids] : task.inputs) {
-          for (Oid oid : oids) {
-            GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
-            if (!stored) {
-              return Status::FailedPrecondition(
-                  "task #" + std::to_string(task.id) + " input object " +
-                  std::to_string(oid) + " not yet shipped");
-            }
-          }
-        }
-        if (task.process_version >= 1) {
-          if (!processes_.Version(task.process_name, task.process_version)
-                   .ok()) {
-            return Status::FailedPrecondition(
-                "task #" + std::to_string(task.id) + " process " +
-                task.process_name + " v" +
-                std::to_string(task.process_version) + " not yet shipped");
-          }
-          // Store outputs before the task record, mirroring the primary's
-          // insert-then-log order (a crash between the two leaves the same
-          // state Recover already handles).
-          GAEA_RETURN_IF_ERROR(RematerializeTask(task));
-        } else {
-          // Interpolation (v0) and external (v-1) outputs cannot be re-run
-          // here; their bytes ship through the objects component.
-          for (Oid oid : task.outputs) {
-            GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
-            if (!stored) {
-              return Status::FailedPrecondition(
-                  "task #" + std::to_string(task.id) + " output object " +
-                  std::to_string(oid) + " not yet shipped");
-            }
-          }
-        }
-      }
-      GAEA_RETURN_IF_ERROR(task_log_->ApplyReplicated(record).status());
-    } else if (component == "experiments") {
-      GAEA_RETURN_IF_ERROR(experiments_->ApplyReplicated(record));
-    } else {
-      return Status::InvalidArgument("unknown replication component: " +
-                                     component);
-    }
+    GAEA_RETURN_IF_ERROR(row->apply(records[i]));
   }
   return Status::OK();
+}
+
+Status GaeaKernel::ApplyTaskRecord(const std::string& record) {
+  BinaryReader r(record);
+  GAEA_ASSIGN_OR_RETURN(Task task, Task::Deserialize(&r));
+  if (task.status == TaskStatus::kCompleted) {
+    // Cross-component cursors are read without a global lock on the
+    // primary, so a task can ship before its process version or input
+    // objects. kFailedPrecondition makes the applier retry once the
+    // missing prefix ships; nothing was persisted.
+    for (const auto& [arg, oids] : task.inputs) {
+      for (Oid oid : oids) {
+        GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+        if (!stored) {
+          return Status::FailedPrecondition(
+              "task #" + std::to_string(task.id) + " input object " +
+              std::to_string(oid) + " not yet shipped");
+        }
+      }
+    }
+    if (task.process_version >= 1) {
+      if (!processes_.Version(task.process_name, task.process_version).ok()) {
+        return Status::FailedPrecondition(
+            "task #" + std::to_string(task.id) + " process " +
+            task.process_name + " v" + std::to_string(task.process_version) +
+            " not yet shipped");
+      }
+      // Store outputs before the task record, mirroring the primary's
+      // insert-then-log order (a crash between the two leaves the same
+      // state Recover already handles).
+      GAEA_RETURN_IF_ERROR(RematerializeTask(task));
+    } else {
+      // Interpolation (v0) and external (v-1) outputs cannot be re-run
+      // here; their bytes ship through the objects component.
+      for (Oid oid : task.outputs) {
+        GAEA_ASSIGN_OR_RETURN(bool stored, catalog_->ContainsObject(oid));
+        if (!stored) {
+          return Status::FailedPrecondition(
+              "task #" + std::to_string(task.id) + " output object " +
+              std::to_string(oid) + " not yet shipped");
+        }
+      }
+    }
+  }
+  return task_log_->ApplyReplicated(record).status();
 }
 
 Status GaeaKernel::RematerializeMissingOutputs() {
@@ -1158,13 +1134,9 @@ GaeaKernel::Stats GaeaKernel::GetStats() const {
       last_checkpoint_duration_us_.load(std::memory_order_acquire);
   stats.last_checkpoint_bytes =
       last_checkpoint_bytes_.load(std::memory_order_acquire);
-  stats.journal_records_total =
-      catalog_->JournalRecordCount() + process_journal_->record_count() +
-      task_log_->JournalRecordCount() + experiments_->JournalRecordCount();
-  if (object_journal_ != nullptr) {
-    stats.journal_records_total += object_journal_->record_count();
-  }
-  stats.cluster_lsn = ClusterLsn();
+  // Every live journal's logical length: the same sum as the cluster LSN.
+  stats.journal_records_total = ClusterLsn();
+  stats.cluster_lsn = stats.journal_records_total;
   stats.prov_index_entries = static_cast<uint64_t>(prov_index_->entry_count());
   stats.prov_indexed_through = prov_index_->indexed_through();
   stats.prov_index_rebuilds = prov_index_->rebuilds();

@@ -55,8 +55,10 @@ class GaeaKernel {
     // File system to run on; nullptr means Env::Default(). Tests pass a
     // FaultInjectingEnv here to crash the kernel at chosen write ops.
     Env* env = nullptr;
-    // Journal Sync policy applied to every journal (catalog, process, task,
-    // experiment); see DurabilityMode in storage/journal.h.
+    // Journal Sync policy applied to every journal the kernel writes: the
+    // catalog, process, tasks and experiments journals, objects.journal on
+    // a replicated kernel, and quarantine.journal; see DurabilityMode in
+    // storage/journal.h.
     DurabilityMode durability = DurabilityMode::kOs;
     // Cluster member (primary or replica): additionally journals base-object
     // inserts into objects.journal so they ship to replicas like every other
@@ -351,11 +353,6 @@ class GaeaKernel {
 
   // ---- replication (src/replication/, docs/ROBUSTNESS.md) ----
 
-  // The journal-backed components a cluster ships, in apply order (each may
-  // reference state established by its predecessors: a task needs its
-  // process version and input objects, an experiment its tasks).
-  static const std::vector<std::string>& ReplicationComponents();
-
   bool replicated() const { return object_journal_ != nullptr; }
 
   // Cluster LSN: the sum of every component journal's logical length
@@ -364,14 +361,16 @@ class GaeaKernel {
   // same definitions, tasks and experiments.
   uint64_t ClusterLsn() const;
 
-  // component -> record_count for every replication component; a replica's
-  // ShipBatch cursors are exactly its own counts.
+  // component -> record_count for every journaled component, in apply
+  // order (see components_); a replica's ShipBatch cursors are exactly its
+  // own counts.
   std::vector<std::pair<std::string, uint64_t>> ReplicationCursors() const;
 
   // Reads records of `component` with LSN >= `from` for shipping: live
   // journal first, archive-chain fallback when a checkpoint truncated the
   // prefix away (the TruncatePrefix-vs-live-shipper race). `*next` is one
-  // past the last record returned.
+  // past the last record returned. An unknown component is
+  // kInvalidArgument.
   Status ShipRange(const std::string& component, uint64_t from,
                    size_t max_records, size_t max_bytes,
                    std::vector<std::string>* out, uint64_t* next);
@@ -380,10 +379,11 @@ class GaeaKernel {
   // append verbatim plus the in-memory apply, exactly like replay. Records
   // below the current count are skipped (duplicate delivery is idempotent);
   // a gap is kFailedPrecondition and the applier retries after the missing
-  // prefix ships. Completed task records eagerly rematerialize their
-  // outputs: the process is re-run (pure, deterministic) and the output
-  // stored under the primary-recorded OID, so replicas hold byte-identical
-  // derived objects. Caller must hold the server's exclusive kernel lock
+  // prefix ships. An unknown component is kInvalidArgument, which the
+  // applier reports as an error, not as a transient gap. Completed task
+  // records eagerly rematerialize their outputs: the process is re-run
+  // (pure, deterministic) and the output stored under the primary-recorded
+  // OID, so replicas hold byte-identical derived objects. Caller must hold the server's exclusive kernel lock
   // (or otherwise exclude concurrent definition readers).
   Status ApplyReplicated(const std::string& component, uint64_t from,
                          const std::vector<std::string>& records);
@@ -454,8 +454,35 @@ class GaeaKernel {
   // Open move on to the next candidate with a fresh kernel.
   static StatusOr<std::unique_ptr<GaeaKernel>> OpenWithPlan(
       const Options& options, Env* env, const recovery::RecoveryPlan& plan);
-  // The per-component capture/sync/truncate hooks RunCheckpoint drives.
-  std::vector<recovery::CheckpointSource> BuildCheckpointSources();
+  // One journal-backed component: a row of components_.
+  struct JournaledComponent {
+    // Manifest entry, archive segment and replication cursor name; the
+    // journal file is <dir>/<name>.journal.
+    std::string name;
+    // Null only for the object journal of a non-replicated kernel.
+    Journal* journal = nullptr;
+    // Checkpoint capture: atomic (records, covered LSN) under the owner's
+    // lock. Empty for a component checkpoints leave out (the object
+    // journal: the object store is its own durable state).
+    decltype(recovery::CheckpointSource::capture) capture;
+    // Applies one shipped record exactly like replay, plus the verbatim
+    // journal append.
+    std::function<Status(const std::string& record)> apply;
+    // Journal::TruncatePrefix under the owner's lock.
+    decltype(recovery::CheckpointSource::truncate_prefix) truncate_prefix;
+
+    uint64_t record_count() const {
+      return journal == nullptr ? 0 : journal->record_count();
+    }
+  };
+  // The row named `name`; kInvalidArgument for a name no row has.
+  StatusOr<const JournaledComponent*> FindComponent(
+      const std::string& name) const;
+  // The checkpointed rows as RunCheckpoint sources.
+  std::vector<recovery::CheckpointSource> BuildCheckpointSources() const;
+  // Bytes in the live journals of the checkpointed rows: the input of the
+  // journal_bytes checkpoint policy.
+  uint64_t CheckpointedJournalBytes() const;
   // Streams the process registry (name order, versions ascending) and the
   // covered process-journal LSN; mirrors Catalog::SnapshotDefinitions.
   Status SnapshotProcesses(
@@ -472,18 +499,13 @@ class GaeaKernel {
   // held: neither in the object store nor the output of a recorded task.
   // An evicted derived object keeps its producer, so it still answers.
   Status CheckProvenanceSubject(Oid oid) const;
-  // record_count of one replication component's journal (0 when the
-  // component has no journal on this kernel).
-  uint64_t ComponentRecordCount(const std::string& component) const;
-  // Replays objects.journal idempotently (insert-if-absent at the recorded
-  // OID) — on the primary a reconciliation no-op, on a replica the base
-  // objects the primary shipped. Runs after the catalog is open (class
-  // definitions must exist) and before Recover's invariant check.
-  Status ReplayObjectJournal();
   // Applies one objects.journal record: [u64 oid][string DataObject bytes].
   Status ApplyObjectRecord(const std::string& record);
   // Journals the stored bytes of `oid` into objects.journal.
   Status AppendObjectRecord(Oid oid);
+  // Applies one shipped task record: checks that its inputs and process
+  // version already arrived, rematerializes its outputs, then appends it.
+  Status ApplyTaskRecord(const std::string& record);
   // Journals the outputs of interpolation tasks (process_version 0) recorded
   // after `from_task_id` into objects.journal: interpolation outputs are
   // inserted by the interpolator, not through Insert, yet replicas cannot
@@ -526,6 +548,12 @@ class GaeaKernel {
   std::unique_ptr<DerivationCache> derivation_cache_;
   std::unique_ptr<Interpolator> interpolator_;
   std::unique_ptr<QueryEngine> query_engine_;
+  // The journaled components, in replication apply order: each may
+  // reference state its predecessors establish (a task needs its process
+  // version and input objects, an experiment its tasks). Built once by
+  // OpenWithPlan; durability, replay accounting, checkpoints, shipping,
+  // apply, stats and metrics all loop over it.
+  std::vector<JournaledComponent> components_;
   AbsTime now_;
   DurabilityMode durability_ = DurabilityMode::kOs;
   RecoveryReport recovery_report_;

@@ -92,11 +92,15 @@ StatusOr<Task> DbTaskSource::Fetch(TaskId id) const {
   // A task's journal LSN is its id - 1. Read the live journal; when a
   // checkpoint's TruncatePrefix already moved that prefix out, fall through
   // to the archive-segment chain — provenance must reach records the live
-  // tail no longer holds.
+  // tail no longer holds. An in-memory log has neither.
+  const Journal* journal = log_->journal();
+  if (journal == nullptr) {
+    return Status::NotFound("no task with id " + std::to_string(id));
+  }
   std::vector<std::string> records;
   uint64_t next = 0;
-  Status live = log_->ReadJournalRange(id - 1, /*max_records=*/1,
-                                       /*max_bytes=*/1u << 20, &records, &next);
+  Status live = journal->ReadRange(id - 1, /*max_records=*/1,
+                                   /*max_bytes=*/1u << 20, &records, &next);
   if (live.code() == StatusCode::kOutOfRange) {
     archive_fetches_.fetch_add(1, std::memory_order_acq_rel);
     GAEA_RETURN_IF_ERROR(replication::ReadFromArchives(

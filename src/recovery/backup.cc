@@ -21,7 +21,10 @@ namespace {
 // The journal-backed components and their live journal file names. The
 // quarantine journal is mirrored by plain backup/restore but deliberately
 // omitted from restore-to-point: it is derived state, rebuilt by the startup
-// invariant check against whatever history the restore kept.
+// invariant check against whatever history the restore kept. The list
+// stays apart from the kernel's table of journaled components: plain
+// backup copies objects.journal like any file, but restore-to-point does
+// not rebuild it.
 struct ComponentFile {
   const char* component;
   const char* file;

@@ -371,7 +371,7 @@ StatusOr<CheckpointInfo> RunCheckpoint(
   // manifest exists: otherwise a crash could leave an installed checkpoint
   // whose predecessor (fallback path) needs records the OS cache lost.
   for (const CheckpointSource& source : sources) {
-    GAEA_RETURN_IF_ERROR(source.sync_journal());
+    GAEA_RETURN_IF_ERROR(source.journal->Sync());
   }
 
   CheckpointInfo info;
@@ -398,7 +398,7 @@ StatusOr<CheckpointInfo> RunCheckpoint(
     for (Captured& c : captured) {
       const SnapshotEntry* prev_entry = prev->Find(c.source->component);
       if (prev_entry == nullptr) continue;
-      uint64_t base = c.source->base_lsn();
+      uint64_t base = c.source->journal->base_lsn();
       if (prev_entry->covered_lsn <= base) continue;
       info.truncated_records += prev_entry->covered_lsn - base;
       GAEA_RETURN_IF_ERROR(c.source->truncate_prefix(

@@ -48,7 +48,7 @@ namespace recovery {
 
 // One snapshot file's identity and integrity data within a manifest.
 struct SnapshotEntry {
-  std::string component;   // "catalog", "process", "tasks", "experiments"
+  std::string component;   // the journaled component's name
   std::string file;        // file name within the checkpoints directory
   uint64_t covered_lsn = 0;  // journal records [0, covered_lsn) captured
   uint64_t records = 0;      // records in the snapshot file
@@ -141,13 +141,11 @@ struct CheckpointSource {
   std::function<Status(const std::function<Status(const std::string&)>& sink,
                        uint64_t* covered_lsn)>
       capture;
-  // Forces the component's journal tail to stable storage. Runs before the
-  // manifest is installed, so an installed checkpoint never covers records
-  // the journal could still lose.
-  std::function<Status()> sync_journal;
-  // First LSN still present in the live journal file.
-  std::function<uint64_t()> base_lsn;
-  // Journal::TruncatePrefix on the component's journal.
+  // The component's journal. Its tail is synced before the manifest is
+  // installed, so an installed checkpoint never covers records the journal
+  // could still lose; its base_lsn() bounds the truncation.
+  Journal* journal = nullptr;
+  // Journal::TruncatePrefix on that journal, under the component's lock.
   std::function<Status(uint64_t upto_lsn, const std::string& archive_path)>
       truncate_prefix;
 };

@@ -123,7 +123,7 @@ TruncatedHistory BuildTruncatedHistory(GaeaKernel* kernel) {
   // The second checkpoint truncates the prefix covered by the first.
   EXPECT_OK(kernel->Checkpoint());
   h.depth = 16;
-  EXPECT_GT(kernel->tasks().JournalBaseLsn(), 0u)
+  EXPECT_GT(kernel->tasks().journal()->base_lsn(), 0u)
       << "task journal prefix never truncated; the test exercises nothing";
   return h;
 }

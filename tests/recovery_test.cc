@@ -73,9 +73,11 @@ StatusOr<Oid> InsertReading(GaeaKernel* kernel, int64_t value) {
 // insert+derive rounds (each adds one task); flushes before returning.
 StatusOr<std::unique_ptr<GaeaKernel>> OpenAndDerive(const std::string& dir,
                                                     int derives,
-                                                    int64_t value_base = 0) {
+                                                    int64_t value_base = 0,
+                                                    bool replicated = false) {
   GaeaKernel::Options options;
   options.dir = dir;
+  options.replicated = replicated;
   GAEA_ASSIGN_OR_RETURN(auto kernel, GaeaKernel::Open(options));
   kernel->SetClock(AbsTime(1000));
   if (!kernel->processes().Contains("copy-reading")) {
@@ -802,6 +804,31 @@ TEST(CheckpointTest, StatsAndMetricsReportCheckpointState) {
   EXPECT_NE(metrics.find("gaea_checkpoint_seq"), std::string::npos);
   EXPECT_NE(metrics.find("gaea_recovery_records_replayed"),
             std::string::npos);
+  // Every journal's append gauge: the four checkpointed journals always,
+  // the object journal only on a replicated kernel (it has none otherwise).
+  auto appends = [](const std::string& journal) {
+    return "gaea_journal_appends{journal=\"" + journal + "\"}";
+  };
+  for (const char* journal : {"catalog", "process", "tasks", "experiments"}) {
+    EXPECT_NE(metrics.find(appends(journal)), std::string::npos) << journal;
+  }
+  EXPECT_EQ(metrics.find(appends("objects")), std::string::npos);
+  // Both figures sum every live journal's logical length.
+  EXPECT_EQ(stats.journal_records_total, stats.cluster_lsn);
+
+  TempDir replicated_dir("ckpt_stats_repl");
+  ASSERT_OK_AND_ASSIGN(auto replicated,
+                       OpenAndDerive(replicated_dir.path(), 2,
+                                     /*value_base=*/0, /*replicated=*/true));
+  metrics = replicated->metrics().Render();
+  for (const char* journal :
+       {"catalog", "process", "objects", "tasks", "experiments"}) {
+    EXPECT_NE(metrics.find(appends(journal)), std::string::npos) << journal;
+  }
+  stats = replicated->GetStats();
+  EXPECT_EQ(stats.journal_records_total, stats.cluster_lsn);
+  // Two inserts journal two object records on top of the standalone sum.
+  EXPECT_EQ(stats.journal_records_total, kernel->GetStats().cluster_lsn + 2);
 }
 
 }  // namespace

@@ -323,6 +323,18 @@ TEST(ReplicationKernelTest, ApplyIsIdempotentAndGapsAreFailedPrecondition) {
   // A gap: applying from LSN 3 into an empty journal must be refused.
   Status gap = replica->ApplyReplicated("catalog", 3, records);
   EXPECT_EQ(gap.code(), StatusCode::kFailedPrecondition);
+  // An unknown component is not a gap the applier could wait out: apply
+  // and ship both refuse it, whatever the batch's starting LSN.
+  for (uint64_t from : {uint64_t{0}, uint64_t{3}}) {
+    EXPECT_EQ(replica->ApplyReplicated("bogus", from, records).code(),
+              StatusCode::kInvalidArgument)
+        << "from " << from;
+  }
+  std::vector<std::string> shipped;
+  EXPECT_EQ(primary->ShipRange("bogus", 0, 512, 4u << 20, &shipped, &next)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(shipped.empty());
 
   ASSERT_OK(replica->ApplyReplicated("catalog", 0, records));
   uint64_t after_first = replica->ClusterLsn();
