@@ -14,11 +14,11 @@
 // Backend's operations — ddl, insert, derive, derive-batch, lineage,
 // provenance, stats, metrics, lint, checkpoint, ping — run on the kernel in
 // local mode and over the wire verb of the same name in --connect mode, and
-// print the same text in both. The rows no wire verb backs (classes,
-// concepts, processes, history, objects, show, select, dot, compare, net,
-// can-derive, tasks, profile, trace, set-threads, compare-concept,
-// checkpoint policy) answer "<verb>: local mode only (no wire verb)" in
-// --connect mode. An unknown command lists every row.
+// print the same text in both (`profile` is a view of `metrics`). The rows
+// no wire verb backs (classes, concepts, processes, history, objects, show,
+// select, dot, compare, net, can-derive, tasks, trace, set-threads,
+// compare-concept, checkpoint policy) answer "<verb>: local mode only (no
+// wire verb)" in --connect mode. An unknown command lists every row.
 //
 // Notes on single commands:
 //   ddl <<END ... END and ddl-file <path> share one path. In local mode it
@@ -27,6 +27,9 @@
 //     --connect mode neither prints any — `lint` serves them in both modes.
 //   stats and stats --json print one JSON document in both modes. gaead's
 //     has a "server" section beside "kernel"; the local one has no server.
+//   profile prints the registry's per-process, per-operator and (gaead
+//     only) per-verb latency histograms as count, total, avg, p50 and p99
+//     rows (docs/OBSERVABILITY.md).
 //   insert values are ints, box:x0,y0,x1,y1, time:<t>, or bare text.
 //   provenance queries are documented in docs/PROVENANCE.md.
 
@@ -536,8 +539,78 @@ bool Tasks(Shell& sh, Words&) {
   return true;
 }
 
+// One `profile` row: a series of one of the registry's timing families,
+// rebuilt from its Prometheus text.
+struct ProfileRow {
+  std::string name;  // <label>/<value>: process/..., op/... or verb/...
+  std::vector<std::pair<std::string, uint64_t>> buckets;  // le, cumulative
+  uint64_t sum = 0;
+  uint64_t count = 0;
+
+  // The upper bound of the first bucket holding rank ceil(pct% of count).
+  std::string Quantile(uint64_t pct) const {
+    uint64_t rank = (count * pct + 99) / 100;
+    for (const auto& [le, cumulative] : buckets) {
+      if (cumulative >= rank) return le;
+    }
+    return "+Inf";
+  }
+};
+
+// A view of the metrics registry (local Render or the Metrics verb), so it
+// reads the same in both modes; only gaead has verb rows.
 bool Profile(Shell& sh, Words&) {
-  std::printf("%s", sh.kernel().profiler().Table().c_str());
+  static constexpr std::pair<const char*, const char*> kFamilies[] = {
+      {"gaea_derive_latency_micros", "process"},
+      {"gaea_operator_micros", "op"},
+      {"gaead_request_latency_micros", "verb"}};
+  auto text = sh.backend.Metrics();
+  if (!text.ok()) return Failed(text.status());
+  std::vector<ProfileRow> rows;  // in Render order: family, then name
+  std::istringstream in(*text);
+  for (std::string line; std::getline(in, line);) {
+    size_t brace = line.find('{');
+    size_t close = line.find("} ");
+    if (brace == std::string::npos || close == std::string::npos) continue;
+    const std::string series = line.substr(0, brace);
+    for (const auto& [family, label] : kFamilies) {
+      std::string key = std::string(label) + "=\"";
+      if (!StrStartsWith(series, family) ||
+          line.compare(brace + 1, key.size(), key) != 0) {
+        continue;
+      }
+      const std::string suffix = series.substr(std::strlen(family));
+      size_t begin = brace + 1 + key.size();
+      size_t end = line.find('"', begin);
+      std::string name =
+          std::string(label) + "/" + line.substr(begin, end - begin);
+      if (rows.empty() || rows.back().name != name) {
+        rows.emplace_back().name = name;
+      }
+      ProfileRow& row = rows.back();
+      uint64_t value = std::strtoull(line.c_str() + close + 2, nullptr, 10);
+      if (suffix == "_bucket") {
+        size_t le = line.find("le=\"", end) + 4;
+        row.buckets.emplace_back(line.substr(le, line.find('"', le) - le),
+                                 value);
+      } else if (suffix == "_sum") {
+        row.sum = value;
+      } else if (suffix == "_count") {
+        row.count = value;
+      }
+    }
+  }
+  std::printf("%-32s %8s %12s %10s %10s %10s  (p50/p99: upper bound of the "
+              "power-of-two bucket holding that rank)\n",
+              "name", "count", "total_us", "avg_us", "p50_us", "p99_us");
+  for (const ProfileRow& row : rows) {
+    if (row.count == 0) continue;
+    std::printf("%-32s %8llu %12llu %10llu %10s %10s\n", row.name.c_str(),
+                static_cast<unsigned long long>(row.count),
+                static_cast<unsigned long long>(row.sum),
+                static_cast<unsigned long long>(row.sum / row.count),
+                row.Quantile(50).c_str(), row.Quantile(99).c_str());
+  }
   return true;
 }
 
@@ -615,6 +688,7 @@ constexpr Command kCommands[] = {
      kAnyMode, Provenance},
     {"stats", "stats [--json]", kAnyMode, Stats},
     {"metrics", "metrics", kAnyMode, Metrics},
+    {"profile", "profile", kAnyMode, Profile},
     {"lint", "lint [--json]", kAnyMode, Lint},
     {"checkpoint", "checkpoint", kAnyMode, Checkpoint},
     {"ping", "ping", kAnyMode, Ping},
@@ -630,7 +704,6 @@ constexpr Command kCommands[] = {
     {"net", "net", kLocalOnly, Net},
     {"can-derive", "can-derive <class>", kLocalOnly, CanDerive},
     {"tasks", "tasks", kLocalOnly, Tasks},
-    {"profile", "profile", kLocalOnly, Profile},
     {"trace", "trace on|off | trace <file>", kLocalOnly, Trace},
     {"set-threads", "set-threads <n>", kLocalOnly, SetThreads},
     {"compare-concept", "compare-concept <concept>", kLocalOnly,

@@ -4,6 +4,12 @@
 
 namespace gaea {
 
+void Deriver::set_metrics(obs::MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  derives_completed_ = metrics->GetCounter("gaea_derives_completed_total");
+  derives_failed_ = metrics->GetCounter("gaea_derives_failed_total");
+}
+
 StatusOr<Oid> Deriver::Derive(
     const std::string& name,
     const std::map<std::string, std::vector<Oid>>& inputs, int version) {
@@ -37,7 +43,7 @@ Deriver::Prepared Deriver::Prepare(
   EvalContext ctx;
   ctx.ops = ops_;
   ctx.params = &proc.params();
-  ctx.profiler = profiler_;
+  ctx.metrics = metrics_;
   ctx.env = env_;
   for (const ProcessArg& arg : proc.args()) {
     auto it = inputs.find(arg.name);
@@ -139,13 +145,12 @@ StatusOr<Oid> Deriver::Commit(Prepared prepared) {
 
   task.outputs.push_back(*oid);
   task.duration_us = static_cast<int64_t>(finish_us());
-  if (profiler_ != nullptr) {
-    profiler_->Record("process/" + task.process_name,
-                      static_cast<uint64_t>(task.duration_us));
-  }
-  if (derives_completed_ != nullptr) derives_completed_->Inc();
-  if (derive_latency_us_ != nullptr) {
-    derive_latency_us_->Observe(task.duration_us);
+  if (metrics_ != nullptr) {
+    derives_completed_->Inc();
+    metrics_
+        ->GetHistogram(obs::LabelledName("gaea_derive_latency_micros",
+                                         "process", task.process_name))
+        ->Observe(static_cast<uint64_t>(task.duration_us));
   }
   GAEA_RETURN_IF_ERROR(log_->Append(std::move(task)).status());
   return *oid;

@@ -20,7 +20,6 @@
 #include "core/process_registry.h"
 #include "core/task.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "types/op_registry.h"
 #include "util/env.h"
 #include "util/status.h"
@@ -40,16 +39,11 @@ class Deriver {
   void set_clock(AbsTime now) { now_ = now; }
   // Wall-clock source for task durations; defaults to Env::Default().
   void set_env(Env* env) { env_ = env; }
-  // Observability sinks (optional). The profiler receives one sample per
-  // executed process and per evaluated operator; the instruments count
-  // completed/failed derivations and their latency distribution.
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-  void set_metrics(obs::Counter* completed, obs::Counter* failed,
-                   obs::Histogram* latency_us) {
-    derives_completed_ = completed;
-    derives_failed_ = failed;
-    derive_latency_us_ = latency_us;
-  }
+  // Observability sink (optional). Counts completed and failed
+  // derivations, observes each completed task's duration into
+  // gaea_derive_latency_micros{process="<name>"}, and times every operator
+  // call of a prepared evaluation into gaea_operator_micros{op="<name>"}.
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   // Fires process `name` (latest version, or `version` > 0) on the given
   // input OIDs. Returns the OID of the newly stored output object.
@@ -93,10 +87,9 @@ class Deriver {
   std::string user_ = "gaea";
   AbsTime now_;
   Env* env_ = Env::Default();
-  obs::Profiler* profiler_ = nullptr;
+  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* derives_completed_ = nullptr;
   obs::Counter* derives_failed_ = nullptr;
-  obs::Histogram* derive_latency_us_ = nullptr;
 };
 
 }  // namespace gaea

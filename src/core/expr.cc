@@ -259,12 +259,15 @@ StatusOr<Value> Expr::Eval(const EvalContext& ctx) const {
       // Time the operator invocation itself; nested calls were already
       // timed above, so samples never overlap.
       obs::SpanGuard span("op:" + name_, "operator");
-      if (ctx.profiler != nullptr) {
+      if (ctx.metrics != nullptr) {
         Env* env = ctx.env != nullptr ? ctx.env : Env::Default();
         uint64_t start = env->NowMicros();
         StatusOr<Value> result = ctx.ops->Invoke(name_, args);
         uint64_t end = env->NowMicros();
-        ctx.profiler->Record("op/" + name_, end > start ? end - start : 0);
+        ctx.metrics
+            ->GetHistogram(
+                obs::LabelledName("gaea_operator_micros", "op", name_))
+            ->Observe(end > start ? end - start : 0);
         return result;
       }
       return ctx.ops->Invoke(name_, args);

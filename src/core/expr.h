@@ -33,7 +33,7 @@
 
 #include "catalog/class_def.h"
 #include "catalog/data_object.h"
-#include "obs/profile.h"
+#include "obs/metrics.h"
 #include "types/op_registry.h"
 #include "types/value.h"
 #include "util/env.h"
@@ -64,9 +64,9 @@ struct EvalContext {
   const std::map<std::string, Value>* params = nullptr;
   const OperatorRegistry* ops = nullptr;
   // Observability (optional): when set, every operator invocation is timed
-  // into the profiler (key "op/<name>") using `env`'s clock, and traced as
-  // an "op:<name>" span when the global tracer is enabled.
-  obs::Profiler* profiler = nullptr;
+  // into gaea_operator_micros{op="<name>"} using `env`'s clock. It is traced
+  // as an "op:<name>" span whenever the global tracer is enabled.
+  obs::MetricsRegistry* metrics = nullptr;
   Env* env = nullptr;
 };
 

@@ -311,10 +311,7 @@ StatusOr<std::unique_ptr<GaeaKernel>> GaeaKernel::OpenWithPlan(
 
 void GaeaKernel::WireObservability() {
   deriver_->set_env(env_);
-  deriver_->set_profiler(&profiler_);
-  deriver_->set_metrics(metrics_.GetCounter("gaea_derives_completed_total"),
-                        metrics_.GetCounter("gaea_derives_failed_total"),
-                        metrics_.GetHistogram("gaea_derive_latency_micros"));
+  deriver_->set_metrics(&metrics_);
 
   // Scrape-time mirror of subsystem state into gauges. The callback runs
   // inside MetricsRegistry::Render with no registry lock held; everything
@@ -369,7 +366,8 @@ void GaeaKernel::WireObservability() {
 
     for (const JournaledComponent& row : components_) {
       if (row.journal == nullptr) continue;
-      metrics_.GetGauge("gaea_journal_appends{journal=\"" + row.name + "\"}")
+      metrics_.GetGauge(obs::LabelledName("gaea_journal_appends", "journal",
+                                          row.name))
           ->Set(row.journal->appended());
     }
 
@@ -810,6 +808,7 @@ Status GaeaKernel::ApplyObjectRecord(const std::string& record) {
 }
 
 Status GaeaKernel::JournalInterpolationOutputs(uint64_t from_task_id) {
+  if (object_journal_ == nullptr) return Status::OK();
   uint64_t total = task_log_->size();
   for (TaskId id = from_task_id + 1; id <= total; ++id) {
     GAEA_ASSIGN_OR_RETURN(const Task* task, task_log_->Get(id));
@@ -1052,7 +1051,6 @@ StatusOr<TaskId> GaeaKernel::RecordExternalTask(
 }
 
 StatusOr<QueryResult> GaeaKernel::Query(const QueryRequest& request) {
-  if (object_journal_ == nullptr) return query_engine_->Execute(request);
   uint64_t watermark = task_log_->size();
   StatusOr<QueryResult> result = query_engine_->Execute(request);
   // A query may interpolate (synthetic v0 tasks); ship those outputs.
@@ -1255,10 +1253,6 @@ StatusOr<bool> GaeaKernel::CanDerive(const std::string& class_name) const {
 
 StatusOr<ReproductionReport> GaeaKernel::Reproduce(
     const std::string& experiment) {
-  if (object_journal_ == nullptr) {
-    return experiments_->Reproduce(experiment, catalog_.get(), deriver_.get(),
-                                   interpolator_.get(), task_log_.get());
-  }
   uint64_t watermark = task_log_->size();
   StatusOr<ReproductionReport> report = experiments_->Reproduce(
       experiment, catalog_.get(), deriver_.get(), interpolator_.get(),
@@ -1270,7 +1264,10 @@ StatusOr<ReproductionReport> GaeaKernel::Reproduce(
 Status GaeaKernel::Flush() {
   GAEA_RETURN_IF_ERROR(catalog_->Flush());
   GAEA_RETURN_IF_ERROR(prov_index_->Flush());
-  return process_journal_->Sync();
+  for (const JournaledComponent& row : components_) {
+    if (row.journal != nullptr) GAEA_RETURN_IF_ERROR(row.journal->Sync());
+  }
+  return Status::OK();
 }
 
 // ---- provenance queries ----
@@ -1283,9 +1280,8 @@ class ProvQueryScope {
       : metrics_(metrics), env_(env),
         span_(std::string("provenance:") + kind, "kernel"),
         start_us_(env->NowMicros()) {
-    metrics_->GetCounter(std::string("gaea_provenance_queries_total{kind=\"") +
-                         kind + "\"}")
-        ->Inc();
+    metrics_->GetCounter(
+        obs::LabelledName("gaea_provenance_queries_total", "kind", kind))->Inc();
   }
   ~ProvQueryScope() {
     metrics_->GetHistogram("gaea_provenance_query_micros")

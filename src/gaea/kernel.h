@@ -32,7 +32,6 @@
 #include "ddl/parser.h"
 #include "experiment/experiment.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "provenance/prov_index.h"
 #include "provenance/prov_query.h"
 #include "query/interpolate.h"
@@ -95,15 +94,13 @@ class GaeaKernel {
   Env* env() { return env_; }
 
   // ---- observability ----
-  // Instrument registry for this kernel: derivation counters/latency live
-  // here, and scrape-time collectors mirror catalog/cache/pool/journal/
-  // store state into gauges. gaead serves metrics().Render() over the wire
-  // (Prometheus text format); see docs/OBSERVABILITY.md.
+  // Instrument registry for this kernel: derivation counters and the
+  // per-process and per-operator latency histograms live here, and
+  // scrape-time collectors mirror catalog/cache/pool/journal/store state
+  // into gauges. gaead serves metrics().Render() over the wire (Prometheus
+  // text format), and the shell's `profile` is a view of it; see
+  // docs/OBSERVABILITY.md.
   obs::MetricsRegistry& metrics() { return metrics_; }
-  // Cumulative per-process ("process/<name>") and per-operator
-  // ("op/<name>") timing tables (shell `profile`).
-  obs::Profiler& profiler() { return profiler_; }
-  const obs::Profiler& profiler() const { return profiler_; }
 
   // ---- definitions ----
 
@@ -445,6 +442,9 @@ class GaeaKernel {
   void SetClock(AbsTime now);
   AbsTime clock() const { return now_; }
 
+  // Writes back the object store and indexes, then syncs every journal of
+  // components_ (catalog, process, tasks, experiments, and objects when
+  // replicated) — the kOs durability point.
   Status Flush();
 
  private:
@@ -511,7 +511,7 @@ class GaeaKernel {
   // inserted by the interpolator, not through Insert, yet replicas cannot
   // rematerialize them (the requested instant lives only in the output), so
   // a replicated kernel ships the bytes instead. Query/Reproduce call this
-  // after running.
+  // after running; without an object journal it does nothing.
   Status JournalInterpolationOutputs(uint64_t from_task_id);
   // Re-runs a replicated completed task and stores its outputs under the
   // recorded OIDs (skipping ones already present).
@@ -559,7 +559,6 @@ class GaeaKernel {
   RecoveryReport recovery_report_;
   Env* env_ = nullptr;
   obs::MetricsRegistry metrics_;
-  obs::Profiler profiler_;
   uint64_t catalog_version_ = 0;
   AnalysisCache analysis_cache_;
 

@@ -78,9 +78,12 @@ GaeaServer::GaeaServer(GaeaKernel* kernel, Options options)
   dedup_hits_ = reg.GetCounter("gaead_dedup_hits_total");
   bytes_in_ = reg.GetCounter("gaead_bytes_in_total");
   bytes_out_ = reg.GetCounter("gaead_bytes_out_total");
-  latency_micros_total_ = reg.GetCounter("gaead_request_latency_micros_total");
-  request_latency_us_ = reg.GetHistogram("gaead_request_latency_micros");
-  latency_micros_max_gauge_ = reg.GetGauge("gaead_request_latency_max_micros");
+  for (size_t i = 0; i < std::size(kVerbs); ++i) {
+    if (kVerbs[i].runs != RunsOn::kWorker) continue;
+    request_latency_us_[i] = reg.GetHistogram(obs::LabelledName(
+        "gaead_request_latency_micros", "verb", kVerbs[i].name));
+  }
+  latency_micros_max_ = reg.GetGauge("gaead_request_latency_max_micros");
 }
 
 GaeaServer::~GaeaServer() { Shutdown(); }
@@ -484,14 +487,8 @@ void GaeaServer::FinishJob(const Job& job, const Status& result) {
   if (result.code() != StatusCode::kUnavailable) {
     uint64_t now_us = env_->NowMicros();
     uint64_t latency = now_us > job.admitted_us ? now_us - job.admitted_us : 0;
-    latency_micros_total_->Inc(latency);
-    request_latency_us_->Observe(latency);
-    uint64_t prev = latency_micros_max_.load(std::memory_order_relaxed);
-    while (latency > prev && !latency_micros_max_.compare_exchange_weak(
-                                 prev, latency, std::memory_order_relaxed)) {
-    }
-    latency_micros_max_gauge_->Set(
-        static_cast<int64_t>(latency_micros_max_.load(std::memory_order_relaxed)));
+    request_latency_us_[job.verb - kVerbs]->Observe(latency);
+    latency_micros_max_->SetMax(static_cast<int64_t>(latency));
   }
   in_flight_->Sub(1);
   {
@@ -808,9 +805,11 @@ ServerStats GaeaServer::stats() const {
   stats.in_flight = static_cast<uint64_t>(in_flight_->value());
   stats.bytes_in = bytes_in_->value();
   stats.bytes_out = bytes_out_->value();
-  stats.latency_micros_total = latency_micros_total_->value();
+  for (const obs::Histogram* latency : request_latency_us_) {
+    if (latency != nullptr) stats.latency_micros_total += latency->sum();
+  }
   stats.latency_micros_max =
-      latency_micros_max_.load(std::memory_order_relaxed);
+      static_cast<uint64_t>(latency_micros_max_->value());
   return stats;
 }
 

@@ -65,7 +65,8 @@ struct ServerStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   uint64_t latency_micros_total = 0;  // answered worker requests (rejections
-                                      // excluded), admission→response
+                                      // excluded), admission→response: the
+                                      // sum of the per-verb histograms' sums
   uint64_t latency_micros_max = 0;
 
   std::string ToJson() const;
@@ -295,12 +296,10 @@ class GaeaServer {
   obs::Counter* dedup_hits_;
   obs::Counter* bytes_in_;
   obs::Counter* bytes_out_;
-  obs::Counter* latency_micros_total_;
-  obs::Histogram* request_latency_us_;
-  // Running max needs compare-exchange, which Gauge does not expose; the
-  // atomic is authoritative and the gauge mirrors it on each new maximum.
-  obs::Gauge* latency_micros_max_gauge_;
-  std::atomic<uint64_t> latency_micros_max_{0};
+  // gaead_request_latency_micros{verb="<row name>"}, one per kVerbs row
+  // that runs on a worker (null for reader-thread rows), in row order.
+  obs::Histogram* request_latency_us_[std::size(kVerbs)] = {};
+  obs::Gauge* latency_micros_max_;
 };
 
 }  // namespace gaea::net

@@ -39,6 +39,14 @@ class Gauge {
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void Sub(int64_t n) { value_.fetch_sub(n, std::memory_order_relaxed); }
+  // Raises the value to `v` when `v` is higher (a high-water mark); a lower
+  // `v` costs one load and no store.
+  void SetMax(int64_t v) {
+    int64_t prev = value_.load(std::memory_order_relaxed);
+    while (v > prev && !value_.compare_exchange_weak(
+                           prev, v, std::memory_order_relaxed)) {
+    }
+  }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -83,6 +91,15 @@ class Histogram {
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<uint64_t> sum_{0};
 };
+
+// One series of a labelled family: `family{label="value"}`. Gaea's label
+// values are identifiers (process, operator, verb, journal names), which
+// need no escaping.
+inline std::string LabelledName(const std::string& family,
+                                const std::string& label,
+                                const std::string& value) {
+  return family + "{" + label + "=\"" + value + "\"}";
+}
 
 // Name -> instrument registry with Prometheus text rendering.
 //

@@ -15,6 +15,7 @@
 #include <map>
 #include <mutex>
 #include <span>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -1279,14 +1280,46 @@ TEST_F(NetTest, EveryVerbRoundTrips) {
       {MsgType::kProvenance,
        [&] { return client->Provenance(ancestors).status(); }},
   };
+  // Each worker verb's request adds exactly one sample to its own
+  // gaead_request_latency_micros{verb=...} series. The sample lands just
+  // after the reply is sent, so wait for the request to leave in_flight.
+  obs::MetricsRegistry& metrics = kernel_->metrics();
+  auto latency = [&](const Verb& verb) {
+    return metrics.GetHistogram(obs::LabelledName(
+        "gaead_request_latency_micros", "verb", verb.name));
+  };
+  uint64_t sum_of_sums = 0;
   for (const Verb& verb : kVerbs) {
     auto it = cases.find(verb.type);
     ASSERT_NE(it, cases.end()) << "no round-trip case for " << verb.name;
+    const bool worker = verb.runs == RunsOn::kWorker;
+    uint64_t before = worker ? latency(verb)->count() : 0;
     Status status = it->second();
     EXPECT_TRUE(status.ok()) << verb.name << ": " << status.ToString();
+    WaitUntil([this] { return server_->stats().in_flight == 0; },
+              "the request never left in_flight");
+    if (worker) {
+      EXPECT_EQ(latency(verb)->count(), before + 1) << verb.name;
+      sum_of_sums += latency(verb)->sum();
+    }
   }
   EXPECT_EQ(cases.size(), std::size(kVerbs));
-  EXPECT_EQ(server_->stats().requests_error, 0u);
+  ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.requests_error, 0u);
+  EXPECT_EQ(stats.latency_micros_total, sum_of_sums);
+  // Reader-thread verbs are not timed, and every series of the family is
+  // a per-verb histogram series: the stats total is derived from them, not
+  // kept beside them.
+  std::string text = metrics.Render();
+  EXPECT_EQ(text.find("verb=\"Ping\""), std::string::npos);
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.starts_with("gaead_request_latency_micros")) continue;
+    EXPECT_TRUE(line.starts_with("gaead_request_latency_micros_bucket{verb=") ||
+                line.starts_with("gaead_request_latency_micros_sum{verb=") ||
+                line.starts_with("gaead_request_latency_micros_count{verb="))
+        << line;
+  }
 }
 
 TEST_F(NetTest, MetricsEndpointServesPrometheusText) {

@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs/): histogram bucketing edge
 // cases, registry concurrency (run under TSan via GAEA_SANITIZE=thread),
-// span parenting and ordering, the profiler's timing tables, and exact
-// end-to-end counter values for a scripted three-task derive workload.
+// span parenting and ordering, and exact end-to-end counter and labelled
+// histogram values for a scripted three-task derive workload.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 
 #include "gaea/kernel.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "raster/scene.h"
 #include "test_util.h"
@@ -144,6 +143,7 @@ TEST(MetricsRegistryTest, ConcurrentWritersExactTotals) {
   obs::MetricsRegistry reg;
   obs::Counter* counter = reg.GetCounter("hits_total");
   obs::Gauge* gauge = reg.GetGauge("level");
+  obs::Gauge* high = reg.GetGauge("high_water");
   obs::Histogram* hist = reg.GetHistogram("lat");
 
   std::vector<std::thread> threads;
@@ -153,6 +153,7 @@ TEST(MetricsRegistryTest, ConcurrentWritersExactTotals) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         counter->Inc();
         gauge->Add(1);
+        high->SetMax(int64_t{t} * kOpsPerThread + i);
         hist->Observe(static_cast<uint64_t>(i));
         if (i % 1000 == 0) {
           // Race instrument creation (same and fresh names) and rendering
@@ -169,6 +170,11 @@ TEST(MetricsRegistryTest, ConcurrentWritersExactTotals) {
 
   EXPECT_EQ(counter->value(), uint64_t{kThreads} * kOpsPerThread);
   EXPECT_EQ(gauge->value(), int64_t{kThreads} * kOpsPerThread);
+  // The high-water mark is the largest value any thread offered, and a
+  // lower one never lowers it.
+  EXPECT_EQ(high->value(), int64_t{kThreads} * kOpsPerThread - 1);
+  high->SetMax(0);
+  EXPECT_EQ(high->value(), int64_t{kThreads} * kOpsPerThread - 1);
   EXPECT_EQ(hist->count(), uint64_t{kThreads} * kOpsPerThread);
   // Each thread observed 0..4999 once: sum = 8 * (4999*5000/2).
   EXPECT_EQ(hist->sum(),
@@ -319,35 +325,6 @@ TEST_F(TracerTest, DumpChromeJsonShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler
-// ---------------------------------------------------------------------------
-
-TEST(ProfilerTest, AccumulatesAndFilters) {
-  obs::Profiler profiler;
-  profiler.Record("process/ndvi", 30);
-  profiler.Record("process/ndvi", 10);
-  profiler.Record("op/img_sub", 5);
-
-  auto snap = profiler.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap["process/ndvi"].count, 2u);
-  EXPECT_EQ(snap["process/ndvi"].total_us, 40u);
-  EXPECT_EQ(snap["process/ndvi"].min_us, 10u);
-  EXPECT_EQ(snap["process/ndvi"].max_us, 30u);
-  EXPECT_EQ(snap["op/img_sub"].count, 1u);
-
-  std::string table = profiler.Table();
-  EXPECT_NE(table.find("process/ndvi"), std::string::npos);
-  EXPECT_NE(table.find("op/img_sub"), std::string::npos);
-  std::string ops_only = profiler.Table("op/");
-  EXPECT_NE(ops_only.find("op/img_sub"), std::string::npos);
-  EXPECT_EQ(ops_only.find("process/ndvi"), std::string::npos);
-
-  profiler.Reset();
-  EXPECT_TRUE(profiler.snapshot().empty());
-}
-
-// ---------------------------------------------------------------------------
 // Scripted derive workload: exact end-to-end counter values
 // ---------------------------------------------------------------------------
 
@@ -470,23 +447,27 @@ TEST_F(DeriveWorkloadTest, ThreeTaskWorkloadCountsExactly) {
   EXPECT_EQ(Count("gaea_derives_failed_total"), 0u);
   EXPECT_EQ(Count("gaea_derive_batches_total"), 0u);
   EXPECT_EQ(Count("gaea_compound_runs_total"), 0u);
-  EXPECT_EQ(kernel_->metrics().GetHistogram("gaea_derive_latency_micros")
-                ->count(),
-            3u);
 
-  // The profiler saw exactly one sample per executed process instance and
-  // one per operator invocation (one op call per data mapping).
-  auto profile = kernel_->profiler().snapshot();
-  EXPECT_EQ(profile["process/compute-ndvi"].count, 2u);
-  EXPECT_EQ(profile["process/change-by-subtraction"].count, 1u);
-  EXPECT_EQ(profile["op/ndvi"].count, 2u);
-  EXPECT_EQ(profile["op/img_sub"].count, 1u);
-
-  // The rendered exposition reflects the same numbers.
+  // The labelled histograms saw exactly one sample per executed process
+  // instance and one per operator invocation (one op call per data
+  // mapping), and the rendered exposition carries the same numbers.
   std::string text = kernel_->metrics().Render();
   EXPECT_NE(text.find("gaea_derives_completed_total 3\n"), std::string::npos);
-  EXPECT_NE(text.find("gaea_derive_latency_micros_count 3\n"),
-            std::string::npos);
+  for (const char* series :
+       {"gaea_derive_latency_micros_count{process=\"compute-ndvi\"} 2\n",
+        "gaea_derive_latency_micros_count{process=\"change-by-subtraction\"} "
+        "1\n",
+        "gaea_operator_micros_count{op=\"ndvi\"} 2\n",
+        "gaea_operator_micros_count{op=\"img_sub\"} 1\n"}) {
+    EXPECT_NE(text.find(series), std::string::npos) << series << text;
+  }
+  // Every series of the family names its process.
+  EXPECT_EQ(text.find("gaea_derive_latency_micros_count "), std::string::npos);
+  EXPECT_EQ(kernel_->metrics()
+                .GetHistogram(obs::LabelledName("gaea_derive_latency_micros",
+                                                "process", "compute-ndvi"))
+                ->count(),
+            2u);
   // Collector-backed gauges are present (catalog object count: 4 bands +
   // 2 ndvi maps + 1 change map).
   EXPECT_NE(text.find("gaea_catalog_objects 7\n"), std::string::npos);
@@ -526,13 +507,10 @@ TEST_F(DeriveWorkloadTest, FailedDeriveCountsAsFailureOnly) {
 
   EXPECT_EQ(Count("gaea_derives_completed_total"), 0u);
   EXPECT_EQ(Count("gaea_derives_failed_total"), 1u);
-  EXPECT_EQ(kernel_->metrics().GetHistogram("gaea_derive_latency_micros")
-                ->count(),
-            0u);
   // No process sample for a failed run; the assertion never ran the op.
-  auto profile = kernel_->profiler().snapshot();
-  EXPECT_EQ(profile.count("process/compute-ndvi"), 0u);
-  EXPECT_EQ(profile.count("op/ndvi"), 0u);
+  std::string text = kernel_->metrics().Render();
+  EXPECT_EQ(text.find("gaea_derive_latency_micros"), std::string::npos);
+  EXPECT_EQ(text.find("gaea_operator_micros"), std::string::npos);
 }
 
 }  // namespace

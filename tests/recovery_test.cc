@@ -9,8 +9,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gaea/kernel.h"
@@ -829,6 +832,82 @@ TEST(CheckpointTest, StatsAndMetricsReportCheckpointState) {
   EXPECT_EQ(stats.journal_records_total, stats.cluster_lsn);
   // Two inserts journal two object records on top of the standalone sum.
   EXPECT_EQ(stats.journal_records_total, kernel->GetStats().cluster_lsn + 2);
+}
+
+// Forwards to the default Env and records the file name of every
+// WritableFile (journal) that is Synced.
+class SyncRecordingEnv : public FaultInjectingEnv {
+ public:
+  SyncRecordingEnv() : FaultInjectingEnv(Env::Default()) {}
+
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    GAEA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
+                          FaultInjectingEnv::NewWritableFile(path));
+    return std::unique_ptr<WritableFile>(new File(
+        this, std::filesystem::path(path).filename().string(),
+        std::move(base)));
+  }
+
+  std::set<std::string> TakeSynced() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(synced_, {});
+  }
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(SyncRecordingEnv* env, std::string name,
+         std::unique_ptr<WritableFile> base)
+        : env_(env), name_(std::move(name)), base_(std::move(base)) {}
+    StatusOr<size_t> AppendSome(std::string_view data) override {
+      return base_->AppendSome(data);
+    }
+    Status Sync() override {
+      {
+        std::lock_guard<std::mutex> lock(env_->mu_);
+        env_->synced_.insert(name_);
+      }
+      return base_->Sync();
+    }
+
+   private:
+    SyncRecordingEnv* env_;
+    std::string name_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  std::mutex mu_;
+  std::set<std::string> synced_;
+};
+
+// Flush is the kOs durability point (kernel Flush, server shutdown): it
+// syncs every component's journal, not only the catalog and process ones.
+TEST(FlushTest, SyncsEveryJournal) {
+  for (bool replicated : {false, true}) {
+    TempDir dir("flush_syncs");
+    SyncRecordingEnv env;
+    GaeaKernel::Options options;
+    options.dir = dir.path();
+    options.env = &env;
+    options.replicated = replicated;
+    ASSERT_OK_AND_ASSIGN(auto kernel, GaeaKernel::Open(options));
+    kernel->SetClock(AbsTime(1000));
+    ASSERT_OK(kernel->ExecuteDdl(kSchema));
+    ASSERT_OK_AND_ASSIGN(Oid src, InsertReading(kernel.get(), 1));
+    ASSERT_OK(kernel->Derive("copy-reading", {{"src", {src}}}).status());
+    env.TakeSynced();
+
+    ASSERT_OK(kernel->Flush());
+    std::set<std::string> synced = env.TakeSynced();
+    std::vector<std::string> want = {"catalog.journal", "process.journal",
+                                     "tasks.journal", "experiments.journal"};
+    if (replicated) want.push_back("objects.journal");
+    for (const std::string& name : want) {
+      EXPECT_EQ(synced.count(name), 1u)
+          << name << (replicated ? " (replicated)" : "");
+    }
+  }
 }
 
 }  // namespace

@@ -87,6 +87,7 @@ lint --json
 stats
 stats --json
 metrics
+profile
 checkpoint
 ping
 lineage
@@ -99,7 +100,7 @@ quit
 const char* const kLocalOnly[] = {
     "classes", "concepts", "processes", "history", "objects",
     "show", "select", "dot", "compare", "net",
-    "can-derive", "tasks", "profile", "trace", "set-threads",
+    "can-derive", "tasks", "trace", "set-threads",
     "compare-concept", "checkpoint policy"};
 
 void WriteFile(const std::string& path, const std::string& text) {
@@ -156,24 +157,27 @@ class Server {
 };
 
 // Masks what may differ between two correct runs: the checkpoint's byte
-// and microsecond figures, gaead's "server" stats section and serving
-// (gaead_*) metrics, and every timing histogram's counts.
+// and microsecond figures, gaead's "server" stats section, serving
+// (gaead_*) metrics and `profile` verb rows, every timing histogram's
+// counts, and the microsecond columns of `profile` rows.
 std::string Normalize(const std::string& output) {
   static const std::regex checkpoint(
       R"(^checkpoint (\d+): \d+ bytes in \d+ us)");
   static const std::regex server_stats(R"("server":\{[^}]*\},)");
   static const std::regex timing(R"(^(gaea_\w*_micros\S*) \d+$)");
+  static const std::regex profile_row(R"(^((?:process|op)/\S+ +\d+) .*$)");
   std::istringstream in(output);
   std::string out, line;
   while (std::getline(in, line)) {
     if (line.rfind("gaead_", 0) == 0 ||
-        line.rfind("# TYPE gaead_", 0) == 0) {
+        line.rfind("# TYPE gaead_", 0) == 0 || line.rfind("verb/", 0) == 0) {
       continue;
     }
     line = std::regex_replace(line, checkpoint,
                               "checkpoint $1: B bytes in T us");
     line = std::regex_replace(line, server_stats, "");
     line = std::regex_replace(line, timing, "$1 N");
+    line = std::regex_replace(line, profile_row, "$1 US");
     out += line + "\n";
   }
   return out;
@@ -223,6 +227,16 @@ TEST(ShellTest, LocalAndRemoteAnswerAlike) {
     EXPECT_NE(local.find(expected), std::string::npos) << expected << local;
   }
   EXPECT_NE(remote.find("{\"server\":{"), std::string::npos) << remote;
+
+  // `profile`: two committed smoke-copy tasks (the cached derive and the
+  // missing input commit none) in both modes. Only gaead times its verbs:
+  // three Derive requests were answered, the failing one included.
+  static const std::regex process_row(R"(\nprocess/smoke-copy +2 )");
+  EXPECT_TRUE(std::regex_search(local, process_row)) << local;
+  EXPECT_TRUE(std::regex_search(remote, process_row)) << remote;
+  static const std::regex derive_verb_row(R"(\nverb/Derive +3 )");
+  EXPECT_TRUE(std::regex_search(remote, derive_verb_row)) << remote;
+  EXPECT_EQ(local.find("\nverb/"), std::string::npos) << local;
 }
 
 TEST(ShellTest, LocalOnlyRowsNameTheirModeRemotely) {
