@@ -12,21 +12,24 @@
 // (printed when an argument is missing or malformed), whether it needs the
 // local kernel, and its handler, written once against a Backend. A
 // Backend's operations — ddl, insert, derive, derive-batch, lineage,
-// provenance, stats, metrics, lint, checkpoint, ping — run on the kernel in
-// local mode and over the wire verb of the same name in --connect mode, and
-// print the same text in both (`profile` is a view of `metrics`). The rows
-// no wire verb backs (classes, concepts, processes, history, objects, show,
-// select, dot, compare, net, can-derive, tasks, trace, set-threads,
-// compare-concept, checkpoint policy) answer "<verb>: local mode only (no
-// wire verb)" in --connect mode. An unknown command lists every row.
+// provenance, metrics, lint, checkpoint, ping — run on the kernel in local
+// mode and over the wire verb of the same name in --connect mode, and print
+// the same text in both (`stats` and `profile` are views of `metrics`).
+// The rows no wire verb backs (classes, concepts, processes, history,
+// objects, show, select, dot, compare, net, can-derive, tasks, trace,
+// set-threads, compare-concept, checkpoint policy) answer "<verb>: local
+// mode only (no wire verb)" in --connect mode. An unknown command lists
+// every row.
 //
 // Notes on single commands:
 //   ddl <<END ... END and ddl-file <path> share one path. In local mode it
 //     prints the analyzer's warn-on-load findings before the status line
 //     (docs/ANALYSIS.md); the wire Ddl reply carries no findings, so in
 //     --connect mode neither prints any — `lint` serves them in both modes.
-//   stats and stats --json print one JSON document in both modes. gaead's
-//     has a "server" section beside "kernel"; the local one has no server.
+//   stats and stats --json print one JSON document in both modes: the
+//     metrics registry's samples (histogram buckets left out) as
+//     "<series>":<value> members, so it is a view of `metrics`, as `profile`
+//     is. gaead's adds the gaead_* serving members.
 //   profile prints the registry's per-process, per-operator and (gaead
 //     only) per-verb latency histograms as count, total, avg, p50 and p99
 //     rows (docs/OBSERVABILITY.md).
@@ -45,6 +48,7 @@
 #include "gaea/kernel.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -95,12 +99,6 @@ struct Backend {
       const net::ProvenanceRequest& request) {
     return kernel ? net::AnswerProvenance(kernel, request)
                   : client->Provenance(request);
-  }
-
-  // gaead's document has a "server" section; the local one has none.
-  StatusOr<std::string> StatsJson() {
-    if (!kernel) return client->StatsJson();
-    return "{\"kernel\":" + kernel->GetStats().ToJson() + "}";
   }
 
   StatusOr<std::string> Metrics() {
@@ -348,12 +346,13 @@ bool Provenance(Shell& sh, Words& words) {
   return PrintProvenance(sh, request, json);
 }
 
-// `stats` and `stats --json` are one document: every field the kernel
-// counts is in it.
+// `stats` and `stats --json` are one document, the JSON view of `metrics`
+// (every sample but the histogram buckets), so it reads the same in both
+// modes; only gaead has gaead_* members.
 bool Stats(Shell& sh, Words&) {
-  auto json = sh.backend.StatsJson();
-  if (!json.ok()) return Failed(json.status());
-  std::printf("%s\n", json->c_str());
+  auto text = sh.backend.Metrics();
+  if (!text.ok()) return Failed(text.status());
+  std::printf("%s\n", obs::ExpositionToJson(*text).c_str());
   return true;
 }
 

@@ -84,10 +84,11 @@ counts = []
 for port in (47485, 47486, 47487):
     with open("%s/stats.%d.out" % (sys.argv[1], port)) as f:
         for line in f:
-            start = line.find('{"server"')
+            start = line.find('{"gaea_')
             if start >= 0:
-                kernel = json.loads(line[start:])["kernel"]
-                counts.append((kernel["objects"], kernel["cluster_lsn"]))
+                stats = json.loads(line[start:])
+                counts.append((stats["gaea_catalog_objects"],
+                               stats["gaea_cluster_lsn"]))
                 break
         else:
             sys.exit(1)

@@ -313,108 +313,80 @@ void GaeaKernel::WireObservability() {
   deriver_->set_env(env_);
   deriver_->set_metrics(&metrics_);
 
-  // Scrape-time mirror of subsystem state into gauges. The callback runs
-  // inside MetricsRegistry::Render with no registry lock held; everything
-  // it reads is itself thread-safe.
+  // The journal Sync policy in effect: fixed for the kernel's lifetime.
+  metrics_
+      .GetGauge(obs::LabelledName("gaea_durability", "mode",
+                                  DurabilityModeName(durability_)))
+      ->Set(1);
+
+  // Scrape-time mirror of subsystem state into gauges: the typed snapshot,
+  // plus what only the registry reports. The callback runs inside
+  // MetricsRegistry::Render with no registry lock held; everything it
+  // reads is itself thread-safe.
   metrics_.AddCollector([this] {
-    metrics_.GetGauge("gaea_catalog_classes")
-        ->Set(static_cast<int64_t>(catalog_->classes().size()));
-    metrics_.GetGauge("gaea_catalog_concepts")
-        ->Set(static_cast<int64_t>(catalog_->concepts().size()));
-    metrics_.GetGauge("gaea_catalog_processes")
-        ->Set(static_cast<int64_t>(processes_.ListLatest().size()));
-    metrics_.GetGauge("gaea_catalog_objects")->Set(catalog_->ObjectCount());
-    metrics_.GetGauge("gaea_tasks_logged")
-        ->Set(static_cast<int64_t>(task_log_->size()));
-    metrics_.GetGauge("gaea_quarantined_tasks")
-        ->Set(static_cast<int64_t>(recovery_report_.quarantined.size()));
-
-    DerivationCache::Stats cache = derivation_cache_->stats();
-    metrics_.GetGauge("gaea_derivation_cache_hits")
-        ->Set(static_cast<int64_t>(cache.hits));
-    metrics_.GetGauge("gaea_derivation_cache_misses")
-        ->Set(static_cast<int64_t>(cache.misses));
-    metrics_.GetGauge("gaea_derivation_cache_evictions")
-        ->Set(static_cast<int64_t>(cache.evictions));
-    metrics_.GetGauge("gaea_derivation_cache_invalidations")
-        ->Set(static_cast<int64_t>(cache.invalidations));
-    metrics_.GetGauge("gaea_derivation_cache_entries")
-        ->Set(static_cast<int64_t>(cache.entries));
-    metrics_.GetGauge("gaea_derivation_cache_capacity")
-        ->Set(static_cast<int64_t>(cache.capacity));
-
-    auto pool_gauges = [this](const BufferPool* pool, const char* label) {
-      std::string suffix = std::string("{pool=\"") + label + "\"}";
-      metrics_.GetGauge("gaea_pool_page_hits" + suffix)
-          ->Set(static_cast<int64_t>(pool->hits()));
-      metrics_.GetGauge("gaea_pool_page_misses" + suffix)
-          ->Set(static_cast<int64_t>(pool->misses()));
-      metrics_.GetGauge("gaea_pool_page_evictions" + suffix)
-          ->Set(static_cast<int64_t>(pool->evictions()));
+    auto set = [this](const std::string& name, uint64_t value) {
+      metrics_.GetGauge(name)->Set(static_cast<int64_t>(value));
     };
-    pool_gauges(catalog_->store()->heap_pool(), "heap");
-    pool_gauges(catalog_->store()->index_pool(), "index");
-    HeapFile::ChainStats chains = catalog_->store()->heap_chain_stats();
-    metrics_.GetGauge("gaea_heap_chain_reads")
-        ->Set(static_cast<int64_t>(chains.reads));
-    metrics_.GetGauge("gaea_heap_chain_read_pages")
-        ->Set(static_cast<int64_t>(chains.read_pages));
-    metrics_.GetGauge("gaea_heap_chain_writes")
-        ->Set(static_cast<int64_t>(chains.writes));
-    metrics_.GetGauge("gaea_heap_chain_write_pages")
-        ->Set(static_cast<int64_t>(chains.write_pages));
+    const Stats stats = GetStats();
+    set("gaea_catalog_classes", stats.classes);
+    set("gaea_catalog_concepts", stats.concepts);
+    set("gaea_catalog_processes", stats.processes);
+    set("gaea_catalog_process_versions", stats.process_versions);
+    set("gaea_catalog_objects", stats.objects);
+    set("gaea_tasks_logged", stats.tasks);
+    set("gaea_experiments", stats.experiments);
+    set("gaea_quarantined_tasks", stats.quarantined_tasks);
+    set("gaea_cluster_lsn", stats.cluster_lsn);
+
+    set("gaea_derivation_cache_hits", stats.derivation_cache.hits);
+    set("gaea_derivation_cache_misses", stats.derivation_cache.misses);
+    set("gaea_derivation_cache_evictions", stats.derivation_cache.evictions);
+    set("gaea_derivation_cache_invalidations",
+        stats.derivation_cache.invalidations);
+    set("gaea_derivation_cache_entries", stats.derivation_cache.entries);
+    set("gaea_derivation_cache_capacity", stats.derivation_cache.capacity);
+
+    for (const auto& [label, pool] :
+         {std::pair{"heap", stats.heap_pool},
+          std::pair{"index", stats.index_pool}}) {
+      set(obs::LabelledName("gaea_pool_page_hits", "pool", label), pool.hits);
+      set(obs::LabelledName("gaea_pool_page_misses", "pool", label),
+          pool.misses);
+      set(obs::LabelledName("gaea_pool_page_evictions", "pool", label),
+          pool.evictions);
+    }
+    set("gaea_heap_chain_reads", stats.heap_chains.reads);
+    set("gaea_heap_chain_read_pages", stats.heap_chains.read_pages);
+    set("gaea_heap_chain_writes", stats.heap_chains.writes);
+    set("gaea_heap_chain_write_pages", stats.heap_chains.write_pages);
 
     for (const JournaledComponent& row : components_) {
       if (row.journal == nullptr) continue;
-      metrics_.GetGauge(obs::LabelledName("gaea_journal_appends", "journal",
-                                          row.name))
-          ->Set(row.journal->appended());
+      set(obs::LabelledName("gaea_journal_appends", "journal", row.name),
+          row.journal->appended());
     }
 
-    metrics_.GetGauge("gaea_provenance_index_entries")
-        ->Set(prov_index_->entry_count());
-    metrics_.GetGauge("gaea_provenance_indexed_through")
-        ->Set(static_cast<int64_t>(prov_index_->indexed_through()));
-    metrics_.GetGauge("gaea_provenance_index_rebuilds")
-        ->Set(static_cast<int64_t>(prov_index_->rebuilds()));
-    metrics_.GetGauge("gaea_provenance_archive_fetches")
-        ->Set(static_cast<int64_t>(prov_source_->archive_fetches()));
+    set("gaea_provenance_index_entries", stats.prov_index_entries);
+    set("gaea_provenance_indexed_through", stats.prov_indexed_through);
+    set("gaea_provenance_index_rebuilds", stats.prov_index_rebuilds);
+    set("gaea_provenance_archive_fetches", stats.prov_archive_fetches);
 
     TilePool::Stats tiles = TilePool::Global().stats();
-    metrics_.GetGauge("gaea_tile_jobs_total")
-        ->Set(static_cast<int64_t>(tiles.jobs));
-    metrics_.GetGauge("gaea_tile_fanout_jobs_total")
-        ->Set(static_cast<int64_t>(tiles.fanout_jobs));
-    metrics_.GetGauge("gaea_tile_inline_jobs_total")
-        ->Set(static_cast<int64_t>(tiles.inline_jobs));
-    metrics_.GetGauge("gaea_tile_tiles_total")
-        ->Set(static_cast<int64_t>(tiles.tiles));
-    metrics_.GetGauge("gaea_tile_helper_tiles_total")
-        ->Set(static_cast<int64_t>(tiles.helper_tiles));
-    metrics_.GetGauge("gaea_tile_helpers")->Set(tiles.helpers);
+    set("gaea_tile_jobs_total", tiles.jobs);
+    set("gaea_tile_fanout_jobs_total", tiles.fanout_jobs);
+    set("gaea_tile_inline_jobs_total", tiles.inline_jobs);
+    set("gaea_tile_tiles_total", tiles.tiles);
+    set("gaea_tile_helper_tiles_total", tiles.helper_tiles);
+    set("gaea_tile_helpers", tiles.helpers);
 
-    metrics_.GetGauge("gaea_checkpoint_seq")
-        ->Set(static_cast<int64_t>(
-            checkpoint_seq_.load(std::memory_order_acquire)));
-    metrics_.GetGauge("gaea_checkpoint_last_duration_micros")
-        ->Set(static_cast<int64_t>(
-            last_checkpoint_duration_us_.load(std::memory_order_acquire)));
-    metrics_.GetGauge("gaea_checkpoint_last_snapshot_bytes")
-        ->Set(static_cast<int64_t>(
-            last_checkpoint_bytes_.load(std::memory_order_acquire)));
-    metrics_.GetGauge("gaea_recovery_records_replayed")
-        ->Set(static_cast<int64_t>(records_replayed_));
-    metrics_.GetGauge("gaea_recovery_checkpoint_seq")
-        ->Set(static_cast<int64_t>(recovered_checkpoint_seq_));
-    metrics_.GetGauge("gaea_recovery_fallbacks")
-        ->Set(static_cast<int64_t>(recovery_fallbacks_));
+    set("gaea_checkpoint_seq", stats.checkpoint_seq);
+    set("gaea_recovery_records_replayed", stats.records_replayed);
+    set("gaea_recovery_checkpoint_seq", stats.recovered_checkpoint_seq);
+    set("gaea_recovery_fallbacks", stats.recovery_fallbacks);
 
-    metrics_.GetGauge("gaea_store_next_oid")
-        ->Set(static_cast<int64_t>(catalog_->store()->next_oid()));
-    metrics_.GetGauge("gaea_store_scrubbed_entries")
-        ->Set(static_cast<int64_t>(catalog_->store()->scrubbed_entries()));
-    metrics_.GetGauge("gaea_store_restored_entries")
-        ->Set(static_cast<int64_t>(catalog_->store()->restored_entries()));
+    set("gaea_store_next_oid", catalog_->store()->next_oid());
+    set("gaea_store_scrubbed_entries", catalog_->store()->scrubbed_entries());
+    set("gaea_store_restored_entries", catalog_->store()->restored_entries());
   });
 }
 
@@ -519,7 +491,6 @@ uint64_t GaeaKernel::CheckpointedJournalBytes() const {
 StatusOr<recovery::CheckpointInfo> GaeaKernel::Checkpoint() {
   std::lock_guard<std::mutex> lock(checkpoint_mu_);
   obs::SpanGuard span("checkpoint", "kernel");
-  metrics_.GetCounter("gaea_checkpoints_total")->Inc();
   // Objects referenced by captured tasks — and the next_oid floor the
   // manifest records — must be durable before the manifest can claim them.
   Status flushed = catalog_->Flush();
@@ -529,16 +500,13 @@ StatusOr<recovery::CheckpointInfo> GaeaKernel::Checkpoint() {
                                              catalog_->store()->next_oid())
                    : StatusOr<recovery::CheckpointInfo>(flushed);
   if (!info.ok()) {
-    checkpoint_failures_.fetch_add(1, std::memory_order_acq_rel);
-    metrics_.GetCounter("gaea_checkpoint_failures_total")->Inc();
+    checkpoint_failures_total_->Inc();
     return info;
   }
-  checkpoints_taken_.fetch_add(1, std::memory_order_acq_rel);
+  checkpoints_total_->Inc();
   checkpoint_seq_.store(info->seq, std::memory_order_release);
-  last_checkpoint_duration_us_.store(info->duration_us,
-                                     std::memory_order_release);
-  last_checkpoint_bytes_.store(info->snapshot_bytes,
-                               std::memory_order_release);
+  checkpoint_last_duration_us_->Set(static_cast<int64_t>(info->duration_us));
+  checkpoint_last_bytes_->Set(static_cast<int64_t>(info->snapshot_bytes));
   auto covered = info->covered.find(kTaskComponent);
   if (covered != info->covered.end()) {
     ckpt_covered_tasks_.store(covered->second, std::memory_order_release);
@@ -1119,22 +1087,17 @@ GaeaKernel::Stats GaeaKernel::GetStats() const {
   stats.tasks = task_log_->size();
   stats.experiments = experiments_->List().size();
   stats.quarantined_tasks = recovery_report_.quarantined.size();
-  stats.durability = DurabilityModeName(durability_);
   stats.records_replayed = records_replayed_;
   stats.recovered_checkpoint_seq = recovered_checkpoint_seq_;
   stats.recovery_fallbacks = recovery_fallbacks_;
   stats.checkpoint_seq = checkpoint_seq_.load(std::memory_order_acquire);
-  stats.checkpoints_taken =
-      checkpoints_taken_.load(std::memory_order_acquire);
-  stats.checkpoint_failures =
-      checkpoint_failures_.load(std::memory_order_acquire);
+  stats.checkpoints_taken = checkpoints_total_->value();
+  stats.checkpoint_failures = checkpoint_failures_total_->value();
   stats.last_checkpoint_duration_us =
-      last_checkpoint_duration_us_.load(std::memory_order_acquire);
+      static_cast<uint64_t>(checkpoint_last_duration_us_->value());
   stats.last_checkpoint_bytes =
-      last_checkpoint_bytes_.load(std::memory_order_acquire);
-  // Every live journal's logical length: the same sum as the cluster LSN.
-  stats.journal_records_total = ClusterLsn();
-  stats.cluster_lsn = stats.journal_records_total;
+      static_cast<uint64_t>(checkpoint_last_bytes_->value());
+  stats.cluster_lsn = ClusterLsn();
   stats.prov_index_entries = static_cast<uint64_t>(prov_index_->entry_count());
   stats.prov_indexed_through = prov_index_->indexed_through();
   stats.prov_index_rebuilds = prov_index_->rebuilds();
@@ -1144,91 +1107,11 @@ GaeaKernel::Stats GaeaKernel::GetStats() const {
     out->hits = pool->hits();
     out->misses = pool->misses();
     out->evictions = pool->evictions();
-    out->per_shard = pool->PerShardStats();
   };
   fill_pool(catalog_->store()->heap_pool(), &stats.heap_pool);
   fill_pool(catalog_->store()->index_pool(), &stats.index_pool);
   stats.heap_chains = catalog_->store()->heap_chain_stats();
   return stats;
-}
-
-std::string GaeaKernel::Stats::ToJson() const {
-  auto field = [](std::string* json, const char* key, uint64_t value,
-                  bool first = false) {
-    if (!first) *json += ',';
-    *json += '"';
-    *json += key;
-    *json += "\":";
-    *json += std::to_string(value);
-  };
-  auto pool_json = [&field](const PoolStats& pool,
-                            const HeapFile::ChainStats* chains = nullptr) {
-    std::string json = "{";
-    field(&json, "hits", pool.hits, /*first=*/true);
-    field(&json, "misses", pool.misses);
-    field(&json, "evictions", pool.evictions);
-    if (chains != nullptr) {
-      field(&json, "chain_reads", chains->reads);
-      field(&json, "chain_read_pages", chains->read_pages);
-      field(&json, "chain_writes", chains->writes);
-      field(&json, "chain_write_pages", chains->write_pages);
-    }
-    json += ",\"shards\":[";
-    for (size_t i = 0; i < pool.per_shard.size(); ++i) {
-      const BufferPool::ShardStats& shard = pool.per_shard[i];
-      if (i > 0) json += ',';
-      std::string entry = "{";
-      field(&entry, "hits", shard.hits, /*first=*/true);
-      field(&entry, "misses", shard.misses);
-      field(&entry, "evictions", shard.evictions);
-      field(&entry, "resident", shard.resident);
-      field(&entry, "pinned", shard.pinned);
-      entry += '}';
-      json += entry;
-    }
-    json += "]}";
-    return json;
-  };
-  std::string json = "{";
-  field(&json, "classes", classes, /*first=*/true);
-  field(&json, "concepts", concepts);
-  field(&json, "processes", processes);
-  field(&json, "process_versions", process_versions);
-  field(&json, "objects", objects);
-  field(&json, "tasks", tasks);
-  field(&json, "experiments", experiments);
-  field(&json, "quarantined_tasks", quarantined_tasks);
-  field(&json, "cluster_lsn", cluster_lsn);
-  json += ",\"durability\":\"" + durability + "\"";
-  json += ",\"recovery\":{";
-  field(&json, "records_replayed", records_replayed, /*first=*/true);
-  field(&json, "checkpoint_seq", recovered_checkpoint_seq);
-  field(&json, "fallbacks", recovery_fallbacks);
-  json += "},\"checkpoint\":{";
-  field(&json, "seq", checkpoint_seq, /*first=*/true);
-  field(&json, "taken", checkpoints_taken);
-  field(&json, "failures", checkpoint_failures);
-  field(&json, "last_duration_us", last_checkpoint_duration_us);
-  field(&json, "last_bytes", last_checkpoint_bytes);
-  field(&json, "journal_records", journal_records_total);
-  json += "}";
-  json += ",\"provenance\":{";
-  field(&json, "index_entries", prov_index_entries, /*first=*/true);
-  field(&json, "indexed_through", prov_indexed_through);
-  field(&json, "rebuilds", prov_index_rebuilds);
-  field(&json, "archive_fetches", prov_archive_fetches);
-  json += "}";
-  json += ",\"derivation_cache\":{";
-  field(&json, "entries", derivation_cache.entries, /*first=*/true);
-  field(&json, "capacity", derivation_cache.capacity);
-  field(&json, "hits", derivation_cache.hits);
-  field(&json, "misses", derivation_cache.misses);
-  field(&json, "evictions", derivation_cache.evictions);
-  field(&json, "invalidations", derivation_cache.invalidations);
-  json += "},\"heap_pool\":" + pool_json(heap_pool, &heap_chains);
-  json += ",\"index_pool\":" + pool_json(index_pool);
-  json += '}';
-  return json;
 }
 
 StatusOr<DerivationNet::Marking> GaeaKernel::CurrentMarking() const {

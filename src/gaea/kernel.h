@@ -94,11 +94,12 @@ class GaeaKernel {
   Env* env() { return env_; }
 
   // ---- observability ----
-  // Instrument registry for this kernel: derivation counters and the
-  // per-process and per-operator latency histograms live here, and
-  // scrape-time collectors mirror catalog/cache/pool/journal/store state
-  // into gauges. gaead serves metrics().Render() over the wire (Prometheus
-  // text format), and the shell's `profile` is a view of it; see
+  // Instrument registry for this kernel, the one stats surface: derivation
+  // and checkpoint counters and the per-process and per-operator latency
+  // histograms live here, and a scrape-time collector mirrors GetStats()
+  // (catalog/cache/pool/journal/store state) into gauges. gaead serves
+  // metrics().Render() over the wire (Prometheus text format), and the
+  // shell's `stats` and `profile` are views of it; see
   // docs/OBSERVABILITY.md.
   obs::MetricsRegistry& metrics() { return metrics_; }
 
@@ -238,12 +239,16 @@ class GaeaKernel {
   StatusOr<std::vector<InstanceComparison>> CompareConceptInstances(
       const std::string& concept_name, const Window& window = {});
 
-  // ---- catalog statistics (shell `stats`, monitoring) ----
+  // ---- typed statistics snapshot ----
+  // A point-in-time read of the subsystem state behind the gaea_* gauges:
+  // the scrape-time collector mirrors it into the metrics registry, which
+  // is the one surface users read (`metrics`, and `stats` as its JSON
+  // view; docs/OBSERVABILITY.md). In-process callers (tests, perfbench)
+  // read the struct directly.
   struct PoolStats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    std::vector<BufferPool::ShardStats> per_shard;
   };
   struct Stats {
     size_t classes = 0;
@@ -254,7 +259,6 @@ class GaeaKernel {
     size_t tasks = 0;
     size_t experiments = 0;
     size_t quarantined_tasks = 0;    // flagged by startup recovery
-    std::string durability = "os";   // journal Sync policy in effect
 
     // Recovery & checkpoint state (docs/ROBUSTNESS.md). records_replayed
     // is what the last Open actually replayed from the journals;
@@ -267,8 +271,7 @@ class GaeaKernel {
     uint64_t checkpoint_failures = 0;
     uint64_t last_checkpoint_duration_us = 0;
     uint64_t last_checkpoint_bytes = 0;
-    uint64_t journal_records_total = 0;  // across all live journals
-    uint64_t cluster_lsn = 0;            // see ClusterLsn()
+    uint64_t cluster_lsn = 0;  // every live journal's length; ClusterLsn()
 
     // Provenance index state (docs/PROVENANCE.md).
     uint64_t prov_index_entries = 0;
@@ -280,10 +283,6 @@ class GaeaKernel {
     PoolStats heap_pool;   // object store: heap file frames (data pages)
     HeapFile::ChainStats heap_chains;  // heap overflow chains (no frames)
     PoolStats index_pool;  // object store: OID index frames
-
-    // Machine-readable snapshot (shell `stats --json`, the gaead stats RPC;
-    // schema in docs/NET.md). Compact: no whitespace.
-    std::string ToJson() const;
   };
   Stats GetStats() const;
 
@@ -575,10 +574,16 @@ class GaeaKernel {
   uint64_t recovery_fallbacks_ = 0;
   // Updated by Checkpoint(), read by stats/metrics threads.
   std::atomic<uint64_t> checkpoint_seq_{0};    // newest installed manifest
-  std::atomic<uint64_t> checkpoints_taken_{0};
-  std::atomic<uint64_t> checkpoint_failures_{0};
-  std::atomic<uint64_t> last_checkpoint_duration_us_{0};
-  std::atomic<uint64_t> last_checkpoint_bytes_{0};
+  // Checkpoint() counts into these registry instruments; GetStats reads
+  // them back.
+  obs::Counter* checkpoints_total_ =
+      metrics_.GetCounter("gaea_checkpoints_total");
+  obs::Counter* checkpoint_failures_total_ =
+      metrics_.GetCounter("gaea_checkpoint_failures_total");
+  obs::Gauge* checkpoint_last_duration_us_ =
+      metrics_.GetGauge("gaea_checkpoint_last_duration_micros");
+  obs::Gauge* checkpoint_last_bytes_ =
+      metrics_.GetGauge("gaea_checkpoint_last_snapshot_bytes");
   // Policy inputs: task-journal LSN covered by the newest checkpoint, and
   // the live-journal byte floor right after it (post-truncation).
   std::atomic<uint64_t> ckpt_covered_tasks_{0};

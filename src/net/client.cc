@@ -278,12 +278,6 @@ StatusOr<ProvenanceReply> GaeaClient::Provenance(
   return DecodeProvenanceReply(&reader);
 }
 
-StatusOr<std::string> GaeaClient::StatsJson() {
-  GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kStats, {}));
-  BinaryReader reader(reply.body());
-  return reader.GetString();
-}
-
 StatusOr<std::string> GaeaClient::Metrics() {
   GAEA_ASSIGN_OR_RETURN(Reply reply, Call(MsgType::kMetrics, {}));
   BinaryReader reader(reply.body());

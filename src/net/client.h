@@ -103,9 +103,6 @@ class GaeaClient {
   // index); served by replicas too — the index is replicated state.
   StatusOr<ProvenanceReply> Provenance(const ProvenanceRequest& request);
 
-  // Combined server+kernel counters as a JSON document.
-  StatusOr<std::string> StatsJson();
-
   // Prometheus text exposition of every instrument in the server's metrics
   // registry (kernel gaea_* and serving gaead_* metrics).
   StatusOr<std::string> Metrics();

@@ -27,38 +27,7 @@ bool Dedups(const Verb& verb, const RequestHeader& header) {
   return verb.retry == OnRetry::kReplay && header.idem != 0;
 }
 
-void AppendField(std::string* json, const char* key, uint64_t value,
-                 bool first = false) {
-  if (!first) *json += ',';
-  *json += '"';
-  *json += key;
-  *json += "\":";
-  *json += std::to_string(value);
-}
-
 }  // namespace
-
-std::string ServerStats::ToJson() const {
-  std::string json = "{";
-  AppendField(&json, "sessions_opened", sessions_opened, /*first=*/true);
-  AppendField(&json, "sessions_active", sessions_active);
-  AppendField(&json, "requests_total", requests_total);
-  AppendField(&json, "requests_ok", requests_ok);
-  AppendField(&json, "requests_error", requests_error);
-  AppendField(&json, "rejected_overload", rejected_overload);
-  AppendField(&json, "rejected_deadline", rejected_deadline);
-  AppendField(&json, "dedup_hits", dedup_hits);
-  AppendField(&json, "in_flight", in_flight);
-  AppendField(&json, "bytes_in", bytes_in);
-  AppendField(&json, "bytes_out", bytes_out);
-  AppendField(&json, "latency_micros_total", latency_micros_total);
-  AppendField(&json, "latency_micros_max", latency_micros_max);
-  uint64_t answered = requests_ok + requests_error;
-  AppendField(&json, "latency_micros_avg",
-              answered == 0 ? 0 : latency_micros_total / answered);
-  json += '}';
-  return json;
-}
 
 GaeaServer::GaeaServer(GaeaKernel* kernel, Options options)
     : kernel_(kernel),
@@ -544,7 +513,6 @@ constexpr GaeaServer::Route GaeaServer::kRoutes[] = {
     {MsgType::kDdl, &GaeaServer::HandleDdl},
     {MsgType::kDerive, &GaeaServer::HandleDerive},
     {MsgType::kDeriveBatch, &GaeaServer::HandleDeriveBatch},
-    {MsgType::kStats, &GaeaServer::HandleStats},
     {MsgType::kMetrics, &GaeaServer::HandleMetrics},
     {MsgType::kLint, &GaeaServer::HandleLint},
     {MsgType::kCheckpoint, &GaeaServer::HandleCheckpoint},
@@ -655,12 +623,6 @@ Status GaeaServer::HandleDeriveBatch(BinaryReader* r, BinaryWriter* body) {
   for (const DeriveOutcome& outcome : outcomes) {
     EncodeDeriveOutcome(outcome, body);
   }
-  return Status::OK();
-}
-
-Status GaeaServer::HandleStats(BinaryReader*, BinaryWriter* body) {
-  body->PutString("{\"server\":" + stats().ToJson() + ",\"kernel\":" +
-                  kernel_->GetStats().ToJson() + "}");
   return Status::OK();
 }
 
@@ -790,12 +752,6 @@ void GaeaServer::Respond(Session& session, const RequestHeader& request,
 ServerStats GaeaServer::stats() const {
   ServerStats stats;
   stats.sessions_opened = sessions_opened_->value();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& [id, session] : sessions_) {
-      if (!session->done()) ++stats.sessions_active;
-    }
-  }
   stats.requests_total = requests_total_->value();
   stats.requests_ok = requests_ok_->value();
   stats.requests_error = requests_error_->value();
@@ -808,8 +764,6 @@ ServerStats GaeaServer::stats() const {
   for (const obs::Histogram* latency : request_latency_us_) {
     if (latency != nullptr) stats.latency_micros_total += latency->sum();
   }
-  stats.latency_micros_max =
-      static_cast<uint64_t>(latency_micros_max_->value());
   return stats;
 }
 

@@ -47,13 +47,12 @@
 
 namespace gaea::net {
 
-// Aggregate server counters, surfaced by the stats RPC (as the "server"
-// object of the JSON document) and by tests. The counters themselves live
-// in the kernel's MetricsRegistry (gaead_* instruments); this struct is a
-// point-in-time snapshot of them.
+// Aggregate server counters for in-process callers (tests, benches). The
+// counters themselves live in the kernel's MetricsRegistry (gaead_*
+// instruments, served by the Metrics verb); this struct is a point-in-time
+// snapshot of them.
 struct ServerStats {
   uint64_t sessions_opened = 0;
-  uint64_t sessions_active = 0;
   uint64_t requests_total = 0;     // admitted or answered, all types
   uint64_t requests_ok = 0;
   uint64_t requests_error = 0;     // non-OK answers other than the two below
@@ -67,9 +66,6 @@ struct ServerStats {
   uint64_t latency_micros_total = 0;  // answered worker requests (rejections
                                       // excluded), admission→response: the
                                       // sum of the per-verb histograms' sums
-  uint64_t latency_micros_max = 0;
-
-  std::string ToJson() const;
 };
 
 // Answers one provenance request from `kernel` — the Provenance verb's
@@ -184,7 +180,6 @@ class GaeaServer {
   Status HandleDdl(BinaryReader* r, BinaryWriter* body);
   Status HandleDerive(BinaryReader* r, BinaryWriter* body);
   Status HandleDeriveBatch(BinaryReader* r, BinaryWriter* body);
-  Status HandleStats(BinaryReader* r, BinaryWriter* body);
   Status HandleMetrics(BinaryReader* r, BinaryWriter* body);
   Status HandleLint(BinaryReader* r, BinaryWriter* body);
   Status HandleCheckpoint(BinaryReader* r, BinaryWriter* body);
@@ -253,7 +248,7 @@ class GaeaServer {
   // takes it as its kVerbs row says.
   mutable std::shared_mutex kernel_mu_;
 
-  mutable std::mutex sessions_mu_;
+  std::mutex sessions_mu_;
   std::map<uint64_t, std::shared_ptr<Session>> sessions_;
   uint64_t next_session_id_ = 1;
 
@@ -284,8 +279,7 @@ class GaeaServer {
 
   // Serving instruments, owned by the kernel's MetricsRegistry (stable
   // pointers for the server's lifetime; the kernel must outlive the
-  // server). The stats RPC and the Prometheus metrics RPC are two views of
-  // these same instruments.
+  // server). stats() and the Metrics verb read these same instruments.
   obs::Gauge* in_flight_;
   obs::Counter* sessions_opened_;
   obs::Counter* requests_total_;

@@ -44,10 +44,12 @@ constexpr uint32_t kMagic = 0x47414541;  // "GAEA"
 // v5 removed DefineProcess (type 4; Ddl's DEFINE PROCESS reaches the same
 // kernel call) and Subscribe (type 13; no caller), and sends and honours
 // `idem` only on the kVerbs rows that replay.
+// v6 removed Stats (type 8); `stats --json` is a JSON view of the Metrics
+// reply.
 // Both sides of the protocol live in this tree, so the version is bumped
 // rather than relying on trailing-byte tolerance for fields the server
 // must act on.
-constexpr uint16_t kProtocolVersion = 5;
+constexpr uint16_t kProtocolVersion = 6;
 
 // Upper bound on one frame's payload; anything larger is a protocol error
 // (kCorruption) and the connection is dropped rather than buffered.
@@ -130,7 +132,7 @@ enum class MsgType : uint8_t {
   kDerive = 5,
   kDeriveBatch = 6,
   // 7 was Lineage (protocol <= 3); ProvenanceKind::kChain replaced it.
-  kStats = 8,
+  // 8 was Stats (protocol <= 5); the Metrics reply carries every number.
   kResponse = 9,  // tags every response payload; never a request
   kMetrics = 10,
   kLint = 11,
@@ -192,8 +194,6 @@ inline constexpr Verb kVerbs[] = {
      OnReplica::kServe, OnRetry::kReplay},
     {MsgType::kDeriveBatch, "DeriveBatch", KernelLock::kShared,
      RunsOn::kWorker, OnReplica::kServe, OnRetry::kReplay},
-    {MsgType::kStats, "Stats", KernelLock::kShared, RunsOn::kReader,
-     OnReplica::kServe, OnRetry::kReexecute},
     {MsgType::kMetrics, "Metrics", KernelLock::kShared, RunsOn::kReader,
      OnReplica::kServe, OnRetry::kReexecute},
     // Read-only to callers, but LintCatalog memoizes into the kernel's

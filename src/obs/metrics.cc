@@ -153,5 +153,28 @@ std::string MetricsRegistry::Render() const {
   return out;
 }
 
+std::string ExpositionToJson(std::string_view text) {
+  std::string json = "{";
+  while (!text.empty()) {
+    const size_t eol = text.find('\n');
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    const size_t space = line.rfind(' ');
+    if (line.starts_with('#') || space == std::string_view::npos) continue;
+    const std::string_view series = line.substr(0, space);
+    if (series.substr(0, series.find('{')).ends_with("_bucket")) continue;
+    if (json.size() > 1) json += ',';
+    json += '"';
+    for (char c : series) {
+      if (c == '"' || c == '\\') json += '\\';
+      json += c;
+    }
+    json += "\":";
+    json += line.substr(space + 1);
+  }
+  json += '}';
+  return json;
+}
+
 }  // namespace obs
 }  // namespace gaea

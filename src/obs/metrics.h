@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gaea {
@@ -141,6 +142,13 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;
   std::vector<std::function<void()>> collectors_;
 };
+
+// The JSON view of a Render() text (this process's, or a Metrics reply):
+// one `"<series name>":<value>` member per sample line, in render order,
+// compact. Histogram `_bucket` lines are left out (`_sum` and `_count`
+// stay), and every `"` and `\` in a series name is escaped. This is the
+// shell's `stats --json` document.
+std::string ExpositionToJson(std::string_view text);
 
 }  // namespace obs
 }  // namespace gaea

@@ -171,7 +171,7 @@ CLASS sample (
     EXPECT_EQ(report.quarantined[0], external);
     GaeaKernel::Stats stats = kernel->GetStats();
     EXPECT_EQ(stats.quarantined_tasks, 1u);
-    EXPECT_NE(stats.ToJson().find("\"quarantined_tasks\":1"),
+    EXPECT_NE(kernel->metrics().Render().find("\ngaea_quarantined_tasks 1\n"),
               std::string::npos);
     // Quarantine is a report, not a tombstone: the database stays usable.
     kernel->SetClock(AbsTime(200));

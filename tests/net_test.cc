@@ -14,6 +14,7 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <regex>
 #include <span>
 #include <sstream>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "storage/heap_file.h"
 #include "test_util.h"
 
@@ -617,11 +619,10 @@ TEMPLATE {
     EXPECT_EQ(reply.status().message(), "object 999999 is not stored");
   }
 
-  ASSERT_OK_AND_ASSIGN(std::string stats, client->StatsJson());
-  EXPECT_NE(stats.find("\"server\":"), std::string::npos);
-  EXPECT_NE(stats.find("\"kernel\":"), std::string::npos);
-  EXPECT_NE(stats.find("\"requests_total\":"), std::string::npos);
-  EXPECT_NE(stats.find("\"derivation_cache\":"), std::string::npos);
+  // One registry carries the serving and the kernel numbers.
+  ASSERT_OK_AND_ASSIGN(std::string metrics, client->Metrics());
+  EXPECT_NE(metrics.find("\ngaead_requests_total "), std::string::npos);
+  EXPECT_NE(metrics.find("\ngaea_derivation_cache_hits "), std::string::npos);
 }
 
 // Object bytes are read from the heap straight into the reply and received
@@ -710,15 +711,17 @@ TEST_F(NetTest, CheckpointOverTheWire) {
   EXPECT_EQ(first.seq, 1u);
   EXPECT_GT(first.snapshot_bytes, 0u);
 
-  // Checkpoints keep numbering across requests, and the stats RPC reports
-  // the newest one.
+  // Checkpoints keep numbering across requests, and the Metrics verb
+  // reports the newest one.
   ASSERT_OK(client->Derive("remote-ident", {{"in", {InsertSample(2)}}})
                 .status());
   ASSERT_OK_AND_ASSIGN(CheckpointReply second, client->Checkpoint());
   EXPECT_EQ(second.seq, 2u);
-  ASSERT_OK_AND_ASSIGN(std::string stats, client->StatsJson());
-  EXPECT_NE(stats.find("\"checkpoint\":{\"seq\":2"), std::string::npos);
-  EXPECT_NE(stats.find("\"recovery\":{"), std::string::npos);
+  ASSERT_OK_AND_ASSIGN(std::string metrics, client->Metrics());
+  EXPECT_NE(metrics.find("\ngaea_checkpoint_seq 2\n"), std::string::npos);
+  EXPECT_NE(metrics.find("\ngaea_checkpoints_total 2\n"), std::string::npos);
+  EXPECT_NE(metrics.find("\ngaea_recovery_checkpoint_seq "),
+            std::string::npos);
 }
 
 TEST_F(NetTest, BackgroundCheckpointPolicyFires) {
@@ -1043,14 +1046,14 @@ TEST_F(NetTest, BadHelloAndHandshakeBypassAreRejected) {
   ::close(fd);
 }
 
-// Retired types (4 DefineProcess, 7 Lineage, 13 Subscribe), the response
-// tag and the first type past the last verb have no kVerbs row: each is
-// refused like any unknown type, and the connection closed, without
-// reaching a worker.
+// Retired types (4 DefineProcess, 7 Lineage, 8 Stats, 13 Subscribe), the
+// response tag and the first type past the last verb have no kVerbs row:
+// each is refused like any unknown type, and the connection closed,
+// without reaching a worker.
 TEST_F(NetTest, RetiredLineageTypeIsAnUnknownRequest) {
   StartServer(GaeaServer::Options());
   const int past_last = static_cast<int>(std::end(kVerbs)[-1].type) + 1;
-  for (int type : {4, 7, 9, 13, past_last}) {
+  for (int type : {4, 7, 8, 9, 13, past_last}) {
     SCOPED_TRACE("type " + std::to_string(type));
     int fd = RawConnect(server_->port());
     RawHandshake(fd);
@@ -1071,7 +1074,7 @@ TEST_F(NetTest, RetiredLineageTypeIsAnUnknownRequest) {
         << reply.message;
     ::close(fd);
   }
-  EXPECT_EQ(server_->stats().requests_ok, 5u);  // the five handshakes
+  EXPECT_EQ(server_->stats().requests_ok, 6u);  // the six handshakes
 }
 
 // ---------------------------------------------------------------------------
@@ -1265,7 +1268,6 @@ TEST_F(NetTest, EveryVerbRoundTrips) {
        [&] { return client->Derive("remote-ident", derive.inputs).status(); }},
       {MsgType::kDeriveBatch,
        [&] { return client->DeriveBatch({derive}).status(); }},
-      {MsgType::kStats, [&] { return client->StatsJson().status(); }},
       {MsgType::kMetrics, [&] { return client->Metrics().status(); }},
       {MsgType::kLint, [&] { return client->Lint().status(); }},
       {MsgType::kCheckpoint, [&] { return client->Checkpoint().status(); }},
@@ -1320,6 +1322,53 @@ TEST_F(NetTest, EveryVerbRoundTrips) {
                 line.starts_with("gaead_request_latency_micros_count{verb="))
         << line;
   }
+}
+
+// The remote `stats --json` document (the JSON view of a Metrics reply)
+// times each worker request once, in its verb's series: the per-verb
+// _count members sum to the worker requests sent, however many
+// reader-thread requests were answered beside them.
+TEST_F(NetTest, StatsJsonCountsEachWorkerRequestOnce) {
+  StartServer(GaeaServer::Options());
+  ASSERT_OK(kernel_->DefineProcess(
+      MakeIdentityProcess("remote-ident", "ident_out", nullptr)));
+  Oid input = InsertSample(5);
+  auto client = Connect();
+  ProvenanceRequest ancestors;
+  ancestors.oid = input;
+  constexpr uint64_t kWorkerRequests = 5;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK(client->Derive("remote-ident", {{"in", {input}}}).status());
+    ASSERT_OK(client->Ping());
+    ASSERT_OK(client->Metrics().status());
+  }
+  ASSERT_OK(client->GetObjectRaw(input).status());
+  ASSERT_OK(client->Provenance(ancestors).status());
+  ASSERT_OK(client->Checkpoint().status());
+  WaitUntil([this] { return server_->stats().in_flight == 0; },
+            "a request never left in_flight");
+
+  ASSERT_OK_AND_ASSIGN(std::string text, client->Metrics());
+  const std::string json = obs::ExpositionToJson(text);
+  ASSERT_TRUE(json.starts_with("{\"gaea") && json.ends_with("}")) << json;
+  static const std::regex count_member(
+      R"re("gaead_request_latency_micros_count\{verb=\\"(\w+)\\"\}":(\d+))re");
+  std::map<std::string, uint64_t> counts;
+  uint64_t total = 0;
+  for (std::sregex_iterator it(json.begin(), json.end(), count_member), end;
+       it != end; ++it) {
+    counts[(*it)[1]] = std::stoull((*it)[2]);
+    total += std::stoull((*it)[2]);
+  }
+  EXPECT_EQ(total, kWorkerRequests) << json;
+  EXPECT_EQ(counts["Derive"], 2u);
+  EXPECT_EQ(counts["GetObject"], 1u);
+  EXPECT_EQ(counts["Provenance"], 1u);
+  EXPECT_EQ(counts["Checkpoint"], 1u);
+  // Hello, two Pings and three Metrics were answered too, on the reader
+  // thread: counted among the requests, never timed.
+  EXPECT_EQ(server_->stats().requests_ok, kWorkerRequests + 6);
+  EXPECT_EQ(json.find("verb=\\\"Ping\\\""), std::string::npos) << json;
 }
 
 TEST_F(NetTest, MetricsEndpointServesPrometheusText) {

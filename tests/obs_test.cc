@@ -120,6 +120,12 @@ TEST(MetricsRegistryTest, RenderPrometheusText) {
   EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("lat_sum 4\n"), std::string::npos);
   EXPECT_NE(text.find("lat_count 2\n"), std::string::npos);
+  // The JSON view (`stats --json`): every sample but the buckets, in
+  // render order, label quotes escaped.
+  EXPECT_EQ(obs::ExpositionToJson(text),
+            R"({"bar{shard=\"a\"}":-2,"bar{shard=\"b\"}":7,"foo_total":3,)"
+            R"("lat_sum":4,"lat_count":2})");
+  EXPECT_EQ(obs::ExpositionToJson(""), "{}");
 }
 
 TEST(MetricsRegistryTest, CollectorsRefreshGaugesAtRenderTime) {
@@ -474,7 +480,7 @@ TEST_F(DeriveWorkloadTest, ThreeTaskWorkloadCountsExactly) {
 }
 
 // A band past one page is stored as an overflow chain, which bypasses the
-// heap pool; its traffic shows in the chain gauges and the stats JSON.
+// heap pool; its traffic shows in the typed stats and the chain gauges.
 TEST_F(DeriveWorkloadTest, HeapChainTrafficIsCounted) {
   Oid small = InsertBand(0, AbsTime(100), Box(0, 0, 10, 10));
   GaeaKernel::Stats before = kernel_->GetStats();
@@ -488,12 +494,12 @@ TEST_F(DeriveWorkloadTest, HeapChainTrafficIsCounted) {
   EXPECT_GE(stats.heap_chains.reads, 1u);
   EXPECT_EQ(stats.heap_chains.read_pages,
             stats.heap_chains.reads * stats.heap_chains.write_pages);
-  std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"chain_writes\":1,"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"chain_read_pages\":"), std::string::npos);
   std::string text = kernel_->metrics().Render();
-  EXPECT_NE(text.find("gaea_heap_chain_writes 1\n"), std::string::npos);
-  EXPECT_NE(text.find("gaea_heap_chain_read_pages "), std::string::npos);
+  EXPECT_NE(text.find("\ngaea_heap_chain_writes 1\n"), std::string::npos);
+  EXPECT_NE(text.find("\ngaea_heap_chain_read_pages " +
+                      std::to_string(stats.heap_chains.read_pages) + "\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(DeriveWorkloadTest, FailedDeriveCountsAsFailureOnly) {

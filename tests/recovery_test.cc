@@ -527,7 +527,10 @@ TEST(CheckpointTest, CorruptSnapshotFallsBackToPreviousCheckpoint) {
     EXPECT_EQ(kernel->tasks().tasks().size(), 5u);
     GaeaKernel::Stats stats = kernel->GetStats();
     EXPECT_EQ(stats.recovery_fallbacks, kernel->recovery_fallbacks());
-    EXPECT_NE(stats.ToJson().find("\"fallbacks\":"), std::string::npos);
+    EXPECT_NE(kernel->metrics().Render().find(
+                  "\ngaea_recovery_fallbacks " +
+                  std::to_string(stats.recovery_fallbacks) + "\n"),
+              std::string::npos);
   }
 
   // Damage checkpoint 1 too: only the full-replay plan remains.
@@ -796,17 +799,25 @@ TEST(CheckpointTest, StatsAndMetricsReportCheckpointState) {
   EXPECT_EQ(stats.checkpoints_taken, 1u);
   EXPECT_EQ(stats.checkpoint_failures, 0u);
   EXPECT_GT(stats.last_checkpoint_bytes, 0u);
-  EXPECT_GT(stats.journal_records_total, 0u);
-  std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"recovery\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"checkpoint\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"records_replayed\":"), std::string::npos);
-  EXPECT_NE(json.find("\"journal_records\":"), std::string::npos);
+  EXPECT_GT(stats.cluster_lsn, 0u);
+  // The registry carries the same figures under their series names.
   std::string metrics = kernel->metrics().Render();
-  EXPECT_NE(metrics.find("gaea_checkpoints_total"), std::string::npos);
-  EXPECT_NE(metrics.find("gaea_checkpoint_seq"), std::string::npos);
-  EXPECT_NE(metrics.find("gaea_recovery_records_replayed"),
-            std::string::npos);
+  auto sample = [](const std::string& series, uint64_t value) {
+    return "\n" + series + " " + std::to_string(value) + "\n";
+  };
+  for (const std::string& want :
+       {sample("gaea_checkpoint_seq", 1), sample("gaea_checkpoints_total", 1),
+        sample("gaea_checkpoint_failures_total", 0),
+        sample("gaea_checkpoint_last_snapshot_bytes",
+               stats.last_checkpoint_bytes),
+        sample("gaea_checkpoint_last_duration_micros",
+               stats.last_checkpoint_duration_us),
+        sample("gaea_cluster_lsn", stats.cluster_lsn),
+        sample("gaea_recovery_records_replayed", stats.records_replayed),
+        sample("gaea_recovery_checkpoint_seq", 0),
+        sample("gaea_recovery_fallbacks", 0)}) {
+    EXPECT_NE(metrics.find(want), std::string::npos) << want << metrics;
+  }
   // Every journal's append gauge: the four checkpointed journals always,
   // the object journal only on a replicated kernel (it has none otherwise).
   auto appends = [](const std::string& journal) {
@@ -816,8 +827,6 @@ TEST(CheckpointTest, StatsAndMetricsReportCheckpointState) {
     EXPECT_NE(metrics.find(appends(journal)), std::string::npos) << journal;
   }
   EXPECT_EQ(metrics.find(appends("objects")), std::string::npos);
-  // Both figures sum every live journal's logical length.
-  EXPECT_EQ(stats.journal_records_total, stats.cluster_lsn);
 
   TempDir replicated_dir("ckpt_stats_repl");
   ASSERT_OK_AND_ASSIGN(auto replicated,
@@ -828,10 +837,47 @@ TEST(CheckpointTest, StatsAndMetricsReportCheckpointState) {
        {"catalog", "process", "objects", "tasks", "experiments"}) {
     EXPECT_NE(metrics.find(appends(journal)), std::string::npos) << journal;
   }
-  stats = replicated->GetStats();
-  EXPECT_EQ(stats.journal_records_total, stats.cluster_lsn);
-  // Two inserts journal two object records on top of the standalone sum.
-  EXPECT_EQ(stats.journal_records_total, kernel->GetStats().cluster_lsn + 2);
+  // The cluster LSN sums every live journal's length: two inserts journal
+  // two object records on top of the standalone sum.
+  EXPECT_EQ(replicated->GetStats().cluster_lsn,
+            kernel->GetStats().cluster_lsn + 2);
+}
+
+// gaea_checkpoints_total counts installed checkpoints: a checkpoint that
+// fails (here, every fsync fails) counts once, as a failure.
+TEST(CheckpointTest, FailedCheckpointCountsOnlyAsFailure) {
+  TempDir dir("ckpt_failed");
+  FaultInjectingEnv env(Env::Default());
+  GaeaKernel::Options options;
+  options.dir = dir.path();
+  options.env = &env;
+  ASSERT_OK_AND_ASSIGN(auto kernel, GaeaKernel::Open(options));
+  kernel->SetClock(AbsTime(1000));
+  ASSERT_OK(kernel->ExecuteDdl(kSchema));
+  ASSERT_OK_AND_ASSIGN(Oid src, InsertReading(kernel.get(), 1));
+  ASSERT_OK(kernel->Derive("copy-reading", {{"src", {src}}}).status());
+
+  FaultInjectingEnv::FaultPlan fail_sync;
+  fail_sync.fail_sync = true;
+  env.set_plan(fail_sync);
+  EXPECT_FALSE(kernel->Checkpoint().ok());
+  env.set_plan(FaultInjectingEnv::FaultPlan());
+
+  std::string metrics = kernel->metrics().Render();
+  EXPECT_NE(metrics.find("\ngaea_checkpoints_total 0\n"), std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("\ngaea_checkpoint_failures_total 1\n"),
+            std::string::npos)
+      << metrics;
+  GaeaKernel::Stats stats = kernel->GetStats();
+  EXPECT_EQ(stats.checkpoints_taken, 0u);
+  EXPECT_EQ(stats.checkpoint_failures, 1u);
+  EXPECT_EQ(stats.checkpoint_seq, 0u);
+
+  // The next checkpoint installs and is the first one counted.
+  ASSERT_OK(kernel->Checkpoint().status());
+  EXPECT_EQ(kernel->GetStats().checkpoints_taken, 1u);
+  EXPECT_EQ(kernel->GetStats().checkpoint_failures, 1u);
 }
 
 // Forwards to the default Env and records the file name of every

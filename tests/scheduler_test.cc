@@ -571,8 +571,6 @@ TEST(SchedulerStatsTest, KernelStatsIncludeCacheAndPools) {
   EXPECT_GE(stats.derivation_cache.hits, 1u);
   EXPECT_GE(stats.derivation_cache.misses, 1u);
   EXPECT_GT(stats.derivation_cache.capacity, 0u);
-  EXPECT_FALSE(stats.heap_pool.per_shard.empty());
-  EXPECT_FALSE(stats.index_pool.per_shard.empty());
   uint64_t heap_traffic = stats.heap_pool.hits + stats.heap_pool.misses;
   EXPECT_GT(heap_traffic, 0u);
 }

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <regex>
 #include <sstream>
@@ -157,13 +158,16 @@ class Server {
 };
 
 // Masks what may differ between two correct runs: the checkpoint's byte
-// and microsecond figures, gaead's "server" stats section, serving
-// (gaead_*) metrics and `profile` verb rows, every timing histogram's
-// counts, and the microsecond columns of `profile` rows.
+// and microsecond figures, serving (gaead_*) metrics, `stats` members and
+// `profile` verb rows, every timing histogram's counts, and the
+// microsecond columns of `profile` rows.
 std::string Normalize(const std::string& output) {
   static const std::regex checkpoint(
       R"(^checkpoint (\d+): \d+ bytes in \d+ us)");
-  static const std::regex server_stats(R"("server":\{[^}]*\},)");
+  static const std::regex serving_member(
+      R"re(,"gaead_(?:[^"\\]|\\.)*":\d+)re");
+  static const std::regex timing_member(
+      R"re(("gaea_\w*_micros(?:[^"\\]|\\.)*"):\d+)re");
   static const std::regex timing(R"(^(gaea_\w*_micros\S*) \d+$)");
   static const std::regex profile_row(R"(^((?:process|op)/\S+ +\d+) .*$)");
   std::istringstream in(output);
@@ -175,7 +179,8 @@ std::string Normalize(const std::string& output) {
     }
     line = std::regex_replace(line, checkpoint,
                               "checkpoint $1: B bytes in T us");
-    line = std::regex_replace(line, server_stats, "");
+    line = std::regex_replace(line, serving_member, "");
+    line = std::regex_replace(line, timing_member, "$1:N");
     line = std::regex_replace(line, timing, "$1 N");
     line = std::regex_replace(line, profile_row, "$1 US");
     out += line + "\n";
@@ -188,6 +193,51 @@ std::vector<std::string> Lines(const std::string& text) {
   std::istringstream in(text);
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   return lines;
+}
+
+// `stats --json` is a view of `metrics`: each of its members equals the
+// same-named sample the script's next command, `metrics`, printed, and
+// every sample but the histogram buckets is a member. Under --connect
+// that second Metrics request advances the requests counters by one and
+// the byte counters by its frames, between the two renders.
+void ExpectStatsViewsMetrics(const std::string& output) {
+  const std::vector<std::string> lines = Lines(output);
+  size_t json_line = lines.size();
+  int documents = 0;
+  for (size_t i = 0; i < lines.size() && documents < 2; ++i) {
+    if (lines[i].starts_with("{\"gaea_") && ++documents == 2) json_line = i;
+  }
+  ASSERT_LT(json_line, lines.size()) << output;
+  std::map<std::string, std::string> samples;  // `metrics`, up to `profile`
+  size_t non_bucket = 0;
+  for (size_t i = json_line + 1;
+       i < lines.size() && !lines[i].starts_with("name "); ++i) {
+    if (lines[i].starts_with("#")) continue;
+    const size_t space = lines[i].rfind(' ');
+    const std::string series = lines[i].substr(0, space);
+    samples[series] = lines[i].substr(space + 1);
+    if (!series.substr(0, series.find('{')).ends_with("_bucket")) ++non_bucket;
+  }
+  static const std::regex member(R"re("((?:[^"\\]|\\.)*)":(-?\d+))re");
+  static const std::regex escape(R"(\\(.))");
+  const std::string& json = lines[json_line];
+  size_t members = 0;
+  for (std::sregex_iterator it(json.begin(), json.end(), member), end;
+       it != end; ++it, ++members) {
+    const std::string name = std::regex_replace((*it)[1].str(), escape, "$1");
+    const std::string value = (*it)[2];
+    auto sample = samples.find(name);
+    ASSERT_NE(sample, samples.end()) << name;
+    if (name == "gaead_requests_total" || name == "gaead_requests_ok_total") {
+      EXPECT_EQ(std::stoull(sample->second), std::stoull(value) + 1) << name;
+    } else if (name.starts_with("gaead_bytes_")) {
+      EXPECT_GT(std::stoull(sample->second), std::stoull(value)) << name;
+    } else {
+      EXPECT_EQ(sample->second, value) << name;
+    }
+  }
+  EXPECT_EQ(members, non_bucket) << json;
+  EXPECT_GT(members, 50u) << json;
 }
 
 TEST(ShellTest, LocalAndRemoteAnswerAlike) {
@@ -220,13 +270,18 @@ TEST(ShellTest, LocalAndRemoteAnswerAlike) {
         "smoke-copy -> #3 (cached)\n", "smoke-copy -> #4\n",
         "chain: smoke-copy:v1", "why oid 3: task #1 smoke-copy v1",
         "0 finding(s), 0 error(s)\n", "{\"diagnostics\":[]}\n",
-        "\"classes\":3", "gaea_catalog_classes 3\n", "checkpoint 1: ",
+        "\"gaea_catalog_classes\":3,", "gaea_catalog_classes 3\n",
+        "\"gaea_durability{mode=\\\"os\\\"}\":1,", "checkpoint 1: ",
         "usage: lineage <oid>\n", "usage: derive <process> arg=oid",
         "usage: provenance ancestors|descendants|why|where <oid>",
         "usage: insert <class> attr=", "unknown command: no-such-verb ("}) {
     EXPECT_NE(local.find(expected), std::string::npos) << expected << local;
   }
-  EXPECT_NE(remote.find("{\"server\":{"), std::string::npos) << remote;
+  EXPECT_NE(remote.find(",\"gaead_requests_total\":"), std::string::npos)
+      << remote;
+  EXPECT_EQ(local.find("\"gaead_"), std::string::npos) << local;
+  ExpectStatsViewsMetrics(local);
+  ExpectStatsViewsMetrics(remote);
 
   // `profile`: two committed smoke-copy tasks (the cached derive and the
   // missing input commit none) in both modes. Only gaead times its verbs:
